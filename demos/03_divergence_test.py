@@ -8,7 +8,7 @@ groups should not.
 
 import numpy as np
 
-from figlex import Corpus, Post, divergence_gap_test
+from figlex import Corpus, Post, build_matcher, count_usages, divergence_gap_test
 from figlex.lexicon import IdiomEntry, Lexicon
 
 idioms = ["hit the road", "spill the beans", "break the ice", "clear the air"]
@@ -39,8 +39,9 @@ def build_corpus(planted: bool, seed: int) -> Corpus:
 
 
 for label, planted in (("planted 5x skew", True), ("no signal", False)):
-    result = divergence_gap_test(build_corpus(planted, seed=3), lexicon,
-                                 n_splits=300, seed=1)
+    corpus = build_corpus(planted, seed=3)
+    counts = count_usages(build_matcher(lexicon), corpus)
+    result = divergence_gap_test(corpus, counts, n_splits=300, seed=1)
     print(f"== {label} ==")
     print(f"  cross-group JSD: {result.cross_jsd:.4f}")
     for group, mean in result.baseline_mean.items():

@@ -22,7 +22,7 @@ from scipy.special import digamma, expit, gammaln, logit
 from .corpus import Corpus
 from .embeddings import EmbeddingSpace
 from .lexicon import Lexicon
-from .matcher import GroupCounts, Matcher, find_matches
+from .matcher import GroupCounts
 from .stats import cohens_d, wilcoxon_ranksum
 
 DIMENSIONS = ("valence", "arousal", "dominance")
@@ -378,7 +378,7 @@ def compare_vad(
 
 def literal_baseline(
     corpus: Corpus,
-    matcher: Matcher,
+    counts: GroupCounts,
     embedder: Embedder,
     models: Mapping[str, VadModel],
     n: int,
@@ -386,15 +386,18 @@ def literal_baseline(
 ) -> dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]]:
     """Affect series over idiom-free posts, `n` sampled per group.
 
-    Candidate posts contain no idiom match and at least one embeddable
-    token; sampling is deterministic given the seed.
+    Candidate posts contain no idiom match in `counts` (from `count_usages`
+    over `corpus`) and at least one embeddable token; sampling is
+    deterministic given the seed.
     """
+    counts.check_corpus(corpus)
+    matched = set(counts.span_posts.tolist())
     rng = np.random.default_rng(seed)
     out: dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]] = {}
     for group in corpus.group_labels:
         candidates = []
-        for post in corpus.group_posts(group):
-            if find_matches(matcher, list(post.tokens)):
+        for i, post in enumerate(corpus.posts):
+            if post.group != group or i in matched:
                 continue
             try:
                 vec = embedder(list(post.tokens))

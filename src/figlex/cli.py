@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +39,7 @@ from .embeddings import (
     sentence_embedding,
     train_sgns,
 )
-from .lexicon import (
-    Lexicon,
-    idiom_token,
-    literality_score,
-    load_lexicon,
-    prune_variants,
-    replace_entry,
-    save_lexicon,
-)
+from .lexicon import filter_literal, idiom_token, load_lexicon, prune_variants, save_lexicon
 from .matcher import (
     build_matcher,
     count_usages,
@@ -102,13 +94,28 @@ class RunConfig:
         return Path(self.out) / name
 
 
-_INT_KEYS = {"seed", "min_count", "rbo_depth", "n_splits", "baseline_n",
-             "dim", "window", "negatives", "epochs", "train_min_count"}
-_FLOAT_KEYS = {"literality_threshold", "initial_lr"}
-_PATH_KEYS = {"corpus", "lexicon", "vad_lexicon", "out"}
-_TRAIN_KEY_MAP = {"dim": "dim", "window": "window", "negatives": "negatives",
-                  "epochs": "epochs", "train_min_count": "min_count",
-                  "initial_lr": "initial_lr"}
+# Every config key with its value type and flag help, in flag order.  Keys
+# that are not RunConfig fields go to TrainParams, renamed by _TRAIN_RENAME.
+_CONFIG_KEYS: dict[str, tuple[type, str | None]] = {
+    "corpus": (str, "corpus JSONL path"),
+    "lexicon": (str, "lexicon JSONL path"),
+    "vad_lexicon": (str, "VAD ratings CSV path"),
+    "out": (str, "output directory"),
+    "seed": (int, None),
+    "groups": (str, "comma-separated pair of group labels"),
+    "min_count": (int, None),
+    "literality_threshold": (float, None),
+    "rbo_depth": (int, None),
+    "n_splits": (int, None),
+    "baseline_n": (int, None),
+    "dim": (int, None),
+    "window": (int, None),
+    "negatives": (int, None),
+    "epochs": (int, None),
+    "train_min_count": (int, None),
+    "initial_lr": (float, None),
+}
+_TRAIN_RENAME = {"train_min_count": "min_count"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -133,16 +140,14 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
 
     config = RunConfig()
     train_kwargs: dict[str, object] = {}
-    known = ({f.name for f in fields(RunConfig)} - {"train"}) | set(_TRAIN_KEY_MAP)
     for key, value in merged.items():
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _INT_KEYS:
-            value = int(value)
-        elif key in _FLOAT_KEYS:
-            value = float(value)
-        if key in _TRAIN_KEY_MAP:
-            train_kwargs[_TRAIN_KEY_MAP[key]] = value
+        kind = _CONFIG_KEYS[key][0]
+        if kind is not str:
+            value = kind(value)
+        if not hasattr(config, key):
+            train_kwargs[_TRAIN_RENAME.get(key, key)] = value
         elif key == "groups":
             if isinstance(value, str):
                 parts = tuple(p.strip() for p in value.split(",") if p.strip())
@@ -218,20 +223,7 @@ def cmd_prepare(config: RunConfig) -> None:
         space = train_sgns(balanced, pruned_matcher, config.train)
 
         stage = "literality"
-        filtered = Lexicon()
-        literality_rows: list[tuple[str, float | None, str, str]] = []
-        for entry in pruned:
-            try:
-                score = literality_score(entry, space)
-            except (ValueError, KeyError) as exc:
-                filtered.entries[entry.key] = replace_entry(entry)
-                literality_rows.append((entry.key, None, "unscored", str(exc)))
-                continue
-            if score > config.literality_threshold:
-                literality_rows.append((entry.key, score, "removed", ""))
-            else:
-                filtered.entries[entry.key] = replace_entry(entry, literality=score)
-                literality_rows.append((entry.key, score, "kept", ""))
+        filtered, literality_rows = filter_literal(pruned, space, config.literality_threshold)
         if len(filtered) == 0:
             raise ValueError("literality filter removed every entry")
 
@@ -263,14 +255,7 @@ def cmd_prepare(config: RunConfig) -> None:
                 "balanced_totals": totals,
                 "entries_after_prune": len(pruned),
                 "entries_after_literality": len(filtered),
-                "train": {
-                    "dim": config.train.dim,
-                    "window": config.train.window,
-                    "negatives": config.train.negatives,
-                    "min_count": config.train.min_count,
-                    "epochs": config.train.epochs,
-                    "initial_lr": config.train.initial_lr,
-                },
+                "train": {k: v for k, v in asdict(config.train).items() if k != "seed"},
             },
         )
     except StageError:
@@ -298,6 +283,7 @@ def cmd_analyze(config: RunConfig) -> None:
     failure marker names the broken stage.
     """
     warnings: list[str] = []
+    config.out_path("failure.json").unlink(missing_ok=True)
     stage = "load"
     try:
         corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl")))
@@ -310,7 +296,9 @@ def cmd_analyze(config: RunConfig) -> None:
         group_a, group_b = sorted(corpus.group_labels)
 
         stage = "divergence"
-        divergence = divergence_gap_test(corpus, lexicon, config.n_splits, config.seed)
+        matcher = build_matcher(lexicon)
+        counts = count_usages(matcher, corpus)
+        divergence = divergence_gap_test(corpus, counts, config.n_splits, config.seed)
         _write_json(
             config.out_path("divergence.json"),
             {
@@ -326,8 +314,6 @@ def cmd_analyze(config: RunConfig) -> None:
         )
 
         stage = "gscore"
-        matcher = build_matcher(lexicon)
-        counts = count_usages(matcher, corpus)
         table = log_odds_dirichlet(
             counts.tokens_for(group_a), counts.tokens_for(group_b), counts.combined_tokens()
         )
@@ -421,7 +407,7 @@ def cmd_analyze(config: RunConfig) -> None:
                         writer.writerow([series.dimension, series.group, _num(x), _num(density)])
 
         literal = literal_baseline(
-            corpus, matcher, embedder, models, config.baseline_n, config.seed
+            corpus, counts, embedder, models, config.baseline_n, config.seed
         )
         literal_cmp = compare_vad(literal[group_a], literal[group_b])
         _write_comparison_csv(
@@ -432,14 +418,8 @@ def cmd_analyze(config: RunConfig) -> None:
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
         spaces: dict[str, EmbeddingSpace] = {}
         for group, child_seed in zip((group_a, group_b), seeds):
-            params = TrainParams(
-                dim=config.train.dim, window=config.train.window,
-                negatives=config.train.negatives, min_count=config.train.min_count,
-                epochs=config.train.epochs, initial_lr=config.train.initial_lr,
-                seed=child_seed,
-            )
             sub = corpus.subset(corpus.group_posts(group))
-            spaces[group] = train_sgns(sub, matcher, params)
+            spaces[group] = train_sgns(sub, matcher, replace(config.train, seed=child_seed))
             save_vectors(spaces[group], str(config.out_path(f"vectors_{group}.txt")))
 
         depth = config.rbo_depth
@@ -625,31 +605,13 @@ def cmd_report(config: RunConfig, format: str) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a 'key = value' config file")
-    parser.add_argument("--corpus", help="corpus JSONL path")
-    parser.add_argument("--lexicon", help="lexicon JSONL path")
-    parser.add_argument("--vad-lexicon", dest="vad_lexicon", help="VAD ratings CSV path")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--groups", help="comma-separated pair of group labels")
-    parser.add_argument("--min-count", dest="min_count", type=int)
-    parser.add_argument("--literality-threshold", dest="literality_threshold", type=float)
-    parser.add_argument("--rbo-depth", dest="rbo_depth", type=int)
-    parser.add_argument("--n-splits", dest="n_splits", type=int)
-    parser.add_argument("--baseline-n", dest="baseline_n", type=int)
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--negatives", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--train-min-count", dest="train_min_count", type=int)
-    parser.add_argument("--initial-lr", dest="initial_lr", type=float)
+    for key, (kind, help_text) in _CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_text)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    override_keys = (
-        set(_PATH_KEYS) | _INT_KEYS | _FLOAT_KEYS | {"groups"}
-    )
-    overrides = {k: getattr(args, k, None) for k in override_keys}
+    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
     return build_config(file_values, overrides)
 
 

@@ -180,26 +180,29 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
     return corpus.subset([p for i, p in enumerate(corpus.posts) if i not in removed])
 
 
-def random_halves(corpus: Corpus, group: str, seed: int) -> tuple[Corpus, Corpus]:
-    """Partition one group's posts into two halves of near-equal token totals.
+def split_halves(token_counts: list[int], seed: int) -> tuple[list[int], list[int]]:
+    """Partition positions 0..n-1 into two halves of near-equal token totals.
 
-    The partition is exhaustive and disjoint; posts are assigned in random
-    order to whichever half currently has fewer tokens.
+    The partition is exhaustive and disjoint; positions are assigned in
+    random order to whichever half currently has fewer (tokens, posts).
+    Each half lists its positions in assignment order.
     """
-    corpus._check_group(group)
-    posts = corpus.group_posts(group)
-    if len(posts) < 2:
-        raise ValueError(f"group {group!r} has fewer than 2 posts")
-
+    if len(token_counts) < 2:
+        raise ValueError("fewer than 2 posts to split")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(posts))
-    first: list[Post] = []
-    second: list[Post] = []
+    halves: tuple[list[int], list[int]] = ([], [])
     tot = [(0, 0), (0, 0)]  # (tokens, posts) per half
-    for j in order:
-        p = posts[j]
+    for j in rng.permutation(len(token_counts)):
         side = 0 if tot[0] <= tot[1] else 1
-        (first if side == 0 else second).append(p)
+        halves[side].append(int(j))
         tok, cnt = tot[side]
-        tot[side] = (tok + p.token_count, cnt + 1)
-    return corpus.subset(first), corpus.subset(second)
+        tot[side] = (tok + token_counts[j], cnt + 1)
+    return halves
+
+
+def random_halves(corpus: Corpus, group: str, seed: int) -> tuple[Corpus, Corpus]:
+    """Partition one group's posts into two halves of near-equal token totals
+    (see `split_halves`)."""
+    posts = corpus.group_posts(group)
+    first, second = split_halves([p.token_count for p in posts], seed)
+    return corpus.subset([posts[j] for j in first]), corpus.subset([posts[j] for j in second])

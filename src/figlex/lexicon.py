@@ -363,20 +363,8 @@ def prune_variants(lexicon: Lexicon, counts: "GroupCounts", min_count: int = 50)
             total = counts.variant_total(tokens)
             if tokens == entry.canonical or min_count <= 0 or total > min_count:
                 kept[tokens] = replace(sf, corpus_count=total)
-        pruned.entries[entry.key] = replace_entry(entry, variants=kept)
+        pruned.entries[entry.key] = replace(entry, variants=kept)
     return pruned
-
-
-def replace_entry(entry: IdiomEntry, **changes) -> IdiomEntry:
-    return IdiomEntry(
-        canonical=entry.canonical,
-        definition=entry.definition,
-        verb_index=entry.verb_index,
-        slot_index=entry.slot_index,
-        slot_kind=entry.slot_kind,
-        variants=changes.get("variants", dict(entry.variants)),
-        literality=changes.get("literality", entry.literality),
-    )
 
 
 def literality_score(entry: IdiomEntry, space: EmbeddingSpace) -> float:
@@ -398,20 +386,30 @@ def literality_score(entry: IdiomEntry, space: EmbeddingSpace) -> float:
     return float(sum(sims) / len(sims))
 
 
-def literality_scores(lexicon: Lexicon, space: EmbeddingSpace) -> dict[str, float]:
-    return {entry.key: literality_score(entry, space) for entry in lexicon}
-
-
-def filter_literal(lexicon: Lexicon, space: EmbeddingSpace, threshold: float = 0.25) -> Lexicon:
+def filter_literal(
+    lexicon: Lexicon, space: EmbeddingSpace, threshold: float = 0.25
+) -> tuple[Lexicon, list[tuple[str, float | None, str, str]]]:
     """Remove entries whose literality score exceeds `threshold`.
 
-    Survivors get their ``literality`` field filled.  Scores must be
-    computable for every entry; failures propagate.
+    Survivors get their ``literality`` field filled; an entry whose score
+    cannot be computed is kept unscored.  Returns the filtered lexicon and
+    one (canonical, score, status, note) row per entry, where status is
+    "kept", "removed" or "unscored" and the note carries the scoring error.
     """
     filtered = Lexicon()
+    rows: list[tuple[str, float | None, str, str]] = []
     for entry in lexicon:
-        score = literality_score(entry, space)
-        if score > threshold:
+        try:
+            score = literality_score(entry, space)
+        except (ValueError, KeyError) as exc:
+            filtered.entries[entry.key] = replace(entry, variants=dict(entry.variants))
+            rows.append((entry.key, None, "unscored", str(exc)))
             continue
-        filtered.entries[entry.key] = replace_entry(entry, literality=score)
-    return filtered
+        if score > threshold:
+            rows.append((entry.key, score, "removed", ""))
+        else:
+            filtered.entries[entry.key] = replace(
+                entry, variants=dict(entry.variants), literality=score
+            )
+            rows.append((entry.key, score, "kept", ""))
+    return filtered, rows

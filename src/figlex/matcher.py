@@ -11,7 +11,9 @@ import csv
 from collections import deque
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, TokenSeq
+import numpy as np
+
+from .corpus import Corpus, Post, TokenSeq
 from .lexicon import Lexicon, idiom_token
 
 
@@ -131,7 +133,9 @@ class GroupCounts:
 
     ``idiom_counts`` accumulates over all surface variants of an entry;
     ``token_counts`` covers the rewritten stream, so a matched span counts
-    once as its idiom token.
+    once as its idiom token.  Each matched span is also recorded by where it
+    sits: ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]`` indexes
+    the key order of ``idiom_counts``.
     """
 
     groups: tuple[str, str]
@@ -139,6 +143,9 @@ class GroupCounts:
     variant_counts: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
     token_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     group_totals: dict[str, int] = field(default_factory=dict)
+    posts: tuple[Post, ...] = ()
+    span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    span_idioms: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
     def idiom_total(self, canonical: str) -> int:
         per_group = self.idiom_counts.get(canonical, {})
@@ -153,24 +160,36 @@ class GroupCounts:
     def combined_tokens(self) -> dict[str, int]:
         return {t: sum(c.values()) for t, c in self.token_counts.items()}
 
+    def check_corpus(self, corpus: Corpus) -> None:
+        """Reject a corpus other than the one these counts were taken over."""
+        if self.posts != corpus.posts:
+            raise ValueError("counts were not computed over this corpus")
+
 
 def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
     """Count idiom and token usage per group over the whole corpus."""
     groups = corpus.group_labels
-    counts = GroupCounts(groups=groups, group_totals={g: 0 for g in groups})
-    for canonical in dict.fromkeys(matcher.patterns.values()):
+    counts = GroupCounts(groups=groups, group_totals={g: 0 for g in groups}, posts=corpus.posts)
+    column = {c: j for j, c in enumerate(dict.fromkeys(matcher.patterns.values()))}
+    for canonical in column:
         counts.idiom_counts[canonical] = {g: 0 for g in groups}
 
-    for post in corpus.posts:
+    span_posts: list[int] = []
+    span_idioms: list[int] = []
+    for i, post in enumerate(corpus.posts):
         g = post.group
         tokens = list(post.tokens)
         matches = find_matches(matcher, tokens)
         for m in matches:
             counts.idiom_counts[m.canonical][g] += 1
             counts.variant_counts.setdefault(m.surface, {gr: 0 for gr in groups})[g] += 1
+            span_posts.append(i)
+            span_idioms.append(column[m.canonical])
         for tok in _apply_rewrite(tokens, matches):
             counts.token_counts.setdefault(tok, {gr: 0 for gr in groups})[g] += 1
             counts.group_totals[g] += 1
+    counts.span_posts = np.array(span_posts, dtype=np.intp)
+    counts.span_idioms = np.array(span_idioms, dtype=np.intp)
     return counts
 
 

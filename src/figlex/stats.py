@@ -11,7 +11,6 @@ ranked lists; and Gaussian kernel density estimation.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -19,9 +18,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .corpus import Corpus, random_halves
-from .lexicon import IdiomEntry, Lexicon
-from .matcher import GroupCounts, build_matcher, find_matches
+from .corpus import Corpus, split_halves
+from .lexicon import IdiomEntry
+from .matcher import GroupCounts
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,21 @@ class DivergenceResult:
     z: float        # normal fit to the pooled baseline
 
 
+def _normalize(support: tuple[str, ...], raw: np.ndarray, what: str) -> Distribution:
+    raw = raw.astype(np.float64)
+    total = float(raw.sum())
+    if total <= 0:
+        raise ValueError(f"{what} has zero idiom usage")
+    return Distribution(support=support, probs=raw / total)
+
+
 def usage_distribution(counts: GroupCounts, group: str) -> Distribution:
     """Normalize one group's idiom counts over the lexicon's canonical list."""
     if group not in counts.groups:
         raise ValueError(f"unknown group {group!r}")
     support = tuple(counts.idiom_counts.keys())
-    raw = np.array([counts.idiom_counts[c][group] for c in support], dtype=np.float64)
-    total = float(raw.sum())
-    if total <= 0:
-        raise ValueError(f"group {group!r} has zero idiom usage")
-    return Distribution(support=support, probs=raw / total)
+    raw = np.array([counts.idiom_counts[c][group] for c in support])
+    return _normalize(support, raw, f"group {group!r}")
 
 
 def jsd(p: Distribution, q: Distribution) -> float:
@@ -92,45 +96,44 @@ def jsd(p: Distribution, q: Distribution) -> float:
 
 
 def divergence_gap_test(
-    corpus: Corpus, lexicon: Lexicon, n_splits: int = 500, seed: int = 0
+    corpus: Corpus, counts: GroupCounts, n_splits: int = 500, seed: int = 0
 ) -> DivergenceResult:
     """Compare the cross-group usage divergence with within-group baselines.
 
-    The cross-group JSD is contrasted against `n_splits` random half-half
-    splits inside each group.  The reported p-value is the smoothed
+    `counts` must come from `count_usages` over `corpus`.  The cross-group
+    JSD is contrasted against `n_splits` random half-half splits inside
+    each group (see `split_halves`).  The reported p-value is the smoothed
     fraction of pooled baseline samples at least as large as the observed
     value; z is measured against a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
-    matcher = build_matcher(lexicon)
-    support = tuple(lexicon.canonicals())
-    per_post = {
-        id(p): Counter(m.canonical for m in find_matches(matcher, list(p.tokens)))
-        for p in corpus.posts
-    }
-
-    def distribution(posts) -> Distribution:
-        agg: Counter = Counter()
-        for p in posts:
-            agg.update(per_post[id(p)])
-        raw = np.array([agg.get(c, 0) for c in support], dtype=np.float64)
-        total = float(raw.sum())
-        if total <= 0:
-            raise ValueError("a post sample has zero idiom usage; corpus too sparse")
-        return Distribution(support=support, probs=raw / total)
-
+    counts.check_corpus(corpus)
     ga, gb = corpus.group_labels
-    cross = jsd(distribution(corpus.group_posts(ga)), distribution(corpus.group_posts(gb)))
+    cross = jsd(usage_distribution(counts, ga), usage_distribution(counts, gb))
+
+    support = tuple(counts.idiom_counts.keys())
+
+    def half(idioms: np.ndarray) -> Distribution:
+        raw = np.bincount(idioms, minlength=len(support))
+        return _normalize(support, raw, "a post sample")
 
     children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples: dict[str, np.ndarray] = {}
     for gi, g in enumerate((ga, gb)):
+        members = np.flatnonzero([p.group == g for p in corpus.posts])
+        lengths = [corpus.posts[i].token_count for i in members]
+        in_group = np.isin(counts.span_posts, members)
+        span_posts, span_idioms = counts.span_posts[in_group], counts.span_idioms[in_group]
+
         vals = np.empty(n_splits, dtype=np.float64)
         for s in range(n_splits):
             child_seed = int(children[gi * n_splits + s].generate_state(1)[0])
-            h1, h2 = random_halves(corpus, g, child_seed)
-            vals[s] = jsd(distribution(h1.posts), distribution(h2.posts))
+            first, _ = split_halves(lengths, child_seed)
+            in_first = np.zeros(len(corpus.posts), dtype=bool)
+            in_first[members[first]] = True
+            span_first = in_first[span_posts]
+            vals[s] = jsd(half(span_idioms[span_first]), half(span_idioms[~span_first]))
         samples[g] = vals
 
     pooled = np.concatenate([samples[ga], samples[gb]])

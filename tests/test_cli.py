@@ -253,11 +253,16 @@ class TestAnalyze:
         overrides = medium_inputs(tmp_path)
         config = build_config({}, overrides)
         cmd_prepare(config)
+        vad_lexicon = config.vad_lexicon
         config.vad_lexicon = str(tmp_path / "missing.csv")
         with pytest.raises(StageError):
             cmd_analyze(config)
         marker = json.loads((Path(config.out) / "failure.json").read_text())
         assert marker["stage"] == "load"
+        # a later successful run clears the stale marker
+        config.vad_lexicon = vad_lexicon
+        cmd_analyze(config)
+        assert not (Path(config.out) / "failure.json").exists()
 
 
 @pytest.fixture(scope="module")

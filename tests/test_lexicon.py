@@ -290,7 +290,7 @@ class TestFilterLiteral:
 
     def test_boundary(self):
         lexicon, space = self.lexicon_and_space({"a": 0.26, "b": 0.25, "c": 0.1})
-        kept = filter_literal(lexicon, space, threshold=0.25)
+        kept, _ = filter_literal(lexicon, space, threshold=0.25)
         names = {e.canonical[0] for e in kept}
         assert names == {"word1", "word2"}
         for entry in kept:
@@ -298,7 +298,7 @@ class TestFilterLiteral:
 
     def test_vacuous_threshold(self):
         lexicon, space = self.lexicon_and_space({"a": 0.9, "b": 0.99})
-        assert len(filter_literal(lexicon, space, threshold=1.0)) == 2
+        assert len(filter_literal(lexicon, space, threshold=1.0)[0]) == 2
 
     def test_is_stopword_resource_loaded(self):
         assert "the" in STOPWORDS

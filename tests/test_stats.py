@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from figlex.lexicon import IdiomEntry, load_lexicon
-from figlex.matcher import GroupCounts
+from figlex.corpus import random_halves
+from figlex.lexicon import IdiomEntry, Lexicon, SurfaceForm, load_lexicon
+from figlex.matcher import GroupCounts, build_matcher, count_usages, find_matches
 from figlex.stats import (
     Distribution,
     GScore,
@@ -97,7 +101,9 @@ class TestDivergenceGapTest:
             idiom = "over the moon" if rng.random() < 0.5 else "under fire"
             texts.append(f"w{int(rng.integers(0, 9))} {idiom} done")
         corpus, lexicon = self.make_inputs(tmp_path, texts, list(texts))
-        result = divergence_gap_test(corpus, lexicon, n_splits=100, seed=1)
+        result = divergence_gap_test(
+            corpus, count_usages(build_matcher(lexicon), corpus), n_splits=100, seed=1
+        )
         assert result.cross_jsd == pytest.approx(0.0, abs=1e-12)
         assert abs(result.z) < 1.5
 
@@ -105,8 +111,12 @@ class TestDivergenceGapTest:
         texts_m = ["over the moon today"] * 10 + ["under fire now"] * 30
         texts_f = ["over the moon today"] * 30 + ["under fire now"] * 10
         corpus, lexicon = self.make_inputs(tmp_path, texts_m, texts_f)
-        one = divergence_gap_test(corpus, lexicon, n_splits=50, seed=7)
-        two = divergence_gap_test(corpus, lexicon, n_splits=50, seed=7)
+        one = divergence_gap_test(
+            corpus, count_usages(build_matcher(lexicon), corpus), n_splits=50, seed=7
+        )
+        two = divergence_gap_test(
+            corpus, count_usages(build_matcher(lexicon), corpus), n_splits=50, seed=7
+        )
         assert one.cross_jsd == two.cross_jsd
         assert one.p_value == two.p_value
         np.testing.assert_array_equal(one.baseline_samples["M"], two.baseline_samples["M"])
@@ -116,7 +126,88 @@ class TestDivergenceGapTest:
             tmp_path, ["over the moon", "under fire"], ["over the moon", "under fire"]
         )
         with pytest.raises(ValueError, match="n_splits"):
-            divergence_gap_test(corpus, lexicon, n_splits=1, seed=0)
+            divergence_gap_test(
+                corpus, count_usages(build_matcher(lexicon), corpus), n_splits=1, seed=0
+            )
+
+
+ORACLE_IDIOMS = ("over the moon", "under fire", "on the fence", "sit on the fence")
+ORACLE_WORDS = ("over", "the", "moon", "under", "fire", "sit", "on", "fence", "calm", "day")
+
+
+def oracle_lexicon() -> Lexicon:
+    lexicon = Lexicon()
+    for canonical in ORACLE_IDIOMS:
+        tokens = tuple(canonical.split())
+        entry = IdiomEntry(canonical=tokens, definition=("x",))
+        entry.variants = {tokens: SurfaceForm(tokens=tokens, parent=canonical)}
+        lexicon.entries[canonical] = entry
+    return lexicon
+
+
+def reference_divergence(corpus, lexicon, n_splits, seed):
+    """Cross JSD and baseline samples by matching every post and splitting
+    whole Corpus objects with random_halves."""
+    matcher = build_matcher(lexicon)
+    support = tuple(lexicon.canonicals())
+    per_post = {p: Counter(m.canonical for m in find_matches(matcher, list(p.tokens)))
+                for p in corpus.posts}
+
+    def distribution(posts):
+        agg = Counter()
+        for p in posts:
+            agg.update(per_post[p])
+        raw = np.array([agg.get(c, 0) for c in support], dtype=np.float64)
+        if raw.sum() <= 0:
+            raise ValueError("zero idiom usage")
+        return Distribution(support=support, probs=raw / raw.sum())
+
+    ga, gb = corpus.group_labels
+    cross = jsd(distribution(corpus.group_posts(ga)), distribution(corpus.group_posts(gb)))
+    children = np.random.SeedSequence(seed).spawn(2 * n_splits)
+    samples = {}
+    for gi, g in enumerate((ga, gb)):
+        vals = []
+        for s in range(n_splits):
+            child_seed = int(children[gi * n_splits + s].generate_state(1)[0])
+            h1, h2 = random_halves(corpus, g, child_seed)
+            vals.append(jsd(distribution(h1.posts), distribution(h2.posts)))
+        samples[g] = np.array(vals, dtype=np.float64)
+    return cross, samples
+
+
+_post_texts = st.lists(
+    st.lists(st.sampled_from(ORACLE_WORDS + ORACLE_IDIOMS), min_size=1, max_size=6).map(" ".join),
+    min_size=2, max_size=10,
+)
+
+
+class TestDivergenceOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(texts_m=_post_texts, texts_f=_post_texts, seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_per_post_reference(self, texts_m, texts_f, seed):
+        lexicon = oracle_lexicon()
+        corpus = make_corpus({"M": texts_m, "F": texts_f})
+        counts = count_usages(build_matcher(lexicon), corpus)
+        try:
+            cross, samples = reference_divergence(corpus, lexicon, n_splits=4, seed=seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="zero idiom usage"):
+                divergence_gap_test(corpus, counts, n_splits=4, seed=seed)
+            return
+        result = divergence_gap_test(corpus, counts, n_splits=4, seed=seed)
+        assert np.float64(result.cross_jsd).tobytes() == np.float64(cross).tobytes()
+        for g in ("M", "F"):
+            assert result.baseline_samples[g].tobytes() == samples[g].tobytes()
+
+    def test_counts_over_another_corpus_rejected(self):
+        lexicon = oracle_lexicon()
+        corpus = make_corpus({"M": ["over the moon", "under fire"],
+                              "F": ["under fire", "on the fence"]})
+        other = corpus.subset(corpus.posts[:-1])
+        counts = count_usages(build_matcher(lexicon), other)
+        with pytest.raises(ValueError, match="not computed over this corpus"):
+            divergence_gap_test(corpus, counts, n_splits=2, seed=0)
 
 
 def oracle_log_odds(ya, na, yb, nb, aw, a0):
