@@ -60,12 +60,15 @@ NEIGHBORS_PER_IDIOM = 10
 
 
 def thread_cap() -> int:
-    """Parallelism limit from FIGLEX_THREADS (default 1)."""
+    """Parallelism limit from FIGLEX_THREADS (default 1).
+
+    Raises ValueError when the variable is set to a non-integer.
+    """
     raw = os.environ.get("FIGLEX_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"FIGLEX_THREADS must be an integer, got {raw!r}") from None
 
 
 class StageError(RuntimeError):
@@ -633,7 +636,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        thread_cap()
         config = _config_from_args(args)
+    except (OSError, ValueError) as exc:  # config and usage problems
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         if args.command == "prepare":
             cmd_prepare(config)
         elif args.command == "analyze":
@@ -642,9 +650,6 @@ def main(argv: list[str] | None = None) -> int:
             cmd_report(config, args.format)
     except StageError as exc:
         print(f"error in {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # config/usage problems
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

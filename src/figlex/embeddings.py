@@ -4,6 +4,16 @@ plain-text vector store and nearest-neighbor queries.
 Training is single-threaded and fully deterministic given the seed: same
 corpus + same params -> bitwise-identical vectors.  Frequent-token
 subsampling is deliberately omitted (corpora here are desk scale).
+
+The trainer updates one center token at a time, in float32 and corpus
+order.  Per sentence it draws every window size and noise token up front
+(the same draw stream as drawing per center) and computes the loss once.
+Per center it gathers the context and noise rows of the output matrix
+once, for both the scores and the center's gradient, and scatter-adds the
+row updates with a 1-D `np.add.at` on the flat matrix, which applies a
+repeated row's updates in order.  Updating several centers at once would
+change the arithmetic; measured, it broke the non-increasing epoch loss,
+diverged at large batches and raised peak memory.
 """
 
 from __future__ import annotations
@@ -85,12 +95,27 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: this is 1/(1+exp(-x)) for x >= 0 and
+    # exp(x)/(1+exp(x)) below, the same float operations on either side
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
+
+
+def _center_losses(scores: np.ndarray, ks: np.ndarray, neg: int) -> np.ndarray:
+    """Per-center loss -(sum log s_pos + sum log(1 - s_neg)) of one sentence
+    whose scores lie center after center, ks[c] positives then ks[c] * neg
+    negatives.
+
+    np.add.reduceat seeds each segment with its first element where
+    ndarray.sum starts from 0, so every segment gets a leading 0: each
+    float32 sum is then bitwise that segment's own .sum().
+    """
+    seg_len = np.stack((ks, ks * neg), axis=1).ravel()
+    starts = np.cumsum(seg_len) - seg_len
+    is_neg = np.repeat(np.tile((False, True), len(ks)), seg_len)
+    terms = np.log(np.clip(np.where(is_neg, 1.0 - scores, scores), 1e-10, None))
+    sums = np.add.reduceat(np.insert(terms, starts, 0), starts + np.arange(starts.size))
+    return -(sums[0::2] + sums[1::2])
 
 
 def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams) -> EmbeddingSpace:
@@ -142,6 +167,13 @@ def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams)
     min_lr = params.initial_lr * 1e-4
     neg = params.negatives
 
+    flat1 = syn1.reshape(-1)
+    # column offsets of the widest update block, tiled row after row: a prefix
+    # of it, plus each row's start, is the flat index of any smaller block
+    max_rows = min(2 * params.window, max(len(ids) for ids in id_sentences) - 1) * (1 + neg)
+    tiled_cols = np.tile(np.arange(dim), max_rows)
+    labels_by_k: dict[int, np.ndarray] = {}
+
     step = 0
     epoch_losses: list[float] = []
     for _ in range(params.epochs):
@@ -154,33 +186,42 @@ def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams)
         for ids in id_sentences:
             n = len(ids)
             windows = rng.integers(1, params.window + 1, size=n)
-            for i in range(n):
+            at = np.arange(n)
+            lo = np.maximum(at - windows, 0)
+            hi = np.minimum(at + 1 + windows, n)
+            ks = hi - lo - 1  # >= 1: every sentence has >= 2 tokens
+            n_ctx = int(ks.sum())
+            # one double per draw, so a sentence's draws in one call are the
+            # same stream as one call per center
+            noise = np.searchsorted(noise_cdf, rng.random(n_ctx * neg))
+            sentence_scores = []
+            off = 0
+            for i, (center, a, b, k) in enumerate(
+                zip(ids.tolist(), lo.tolist(), hi.tolist(), ks.tolist())
+            ):
                 lr = max(min_lr, params.initial_lr * (1.0 - step / total_steps))
                 step += 1
-                b = windows[i]
-                lo = max(0, i - b)
-                ctx = np.concatenate((ids[lo:i], ids[i + 1 : i + 1 + b]))
-                k = ctx.size
-                if k == 0:
-                    continue
-                center = ids[i]
-                noise = np.searchsorted(noise_cdf, rng.random(k * neg))
-                rows = np.concatenate((ctx, noise))
-                labels = np.zeros(rows.size, dtype=np.float32)
-                labels[:k] = 1.0
+                rows = np.concatenate((ids[a:i], ids[i + 1 : b], noise[off : off + k * neg]))
+                off += k * neg
+                labels = labels_by_k.get(k)
+                if labels is None:
+                    labels = labels_by_k[k] = np.zeros(rows.size, dtype=np.float32)
+                    labels[:k] = 1.0
 
                 v = syn0[center]
-                scores = _sigmoid(syn1[rows] @ v)
-                loss_sum += -float(
-                    np.log(np.clip(scores[:k], 1e-10, None)).sum()
-                    + np.log(np.clip(1.0 - scores[k:], 1e-10, None)).sum()
-                )
-                n_pairs += rows.size
-
+                w1 = syn1.take(rows, axis=0)
+                scores = _sigmoid(w1 @ v)
+                sentence_scores.append(scores)
                 g = (labels - scores) * lr
-                grad_center = g @ syn1[rows]
-                np.add.at(syn1, rows, g[:, None] * v[None, :])
+                grad_center = g @ w1
+                # scatter-add on the flat view: numpy's fast 1-D path, applying
+                # each element's additions in row order like the 2-D form
+                flat_idx = (rows * dim).repeat(dim) + tiled_cols[: rows.size * dim]
+                np.add.at(flat1, flat_idx, (g[:, None] * v).ravel())
                 syn0[center] += grad_center
+            for loss in _center_losses(np.concatenate(sentence_scores), ks, neg).tolist():
+                loss_sum += loss
+            n_pairs += n_ctx * (1 + neg)
         epoch_losses.append(loss_sum / max(n_pairs, 1))
 
     return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
@@ -250,8 +291,14 @@ def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> NeighborList
         sims = np.where(norms > 0, sims / np.where(norms > 0, norms, 1.0), -2.0)
     sims = np.clip(sims, -2.0, 1.0)
 
+    # only the top k and every token tied with the k-th need the exact
+    # (-cosine, token) sort; k <= |vocab| - 1 keeps the anchor out of it
+    keys = -sims
+    keys[anchor_idx] = np.inf
+    kth = keys[np.argpartition(keys, k - 1)[k - 1]]
+    tokens = space.tokens
     ranked = sorted(
-        ((t, float(sims[i])) for t, i in space.vocab.items() if i != anchor_idx),
+        ((tokens[i], float(sims[i])) for i in np.flatnonzero(keys <= kth).tolist()),
         key=lambda pair: (-pair[1], pair[0]),
     )
     return NeighborList(anchor=token, neighbors=ranked[:k])

@@ -410,6 +410,10 @@ def test_criterion_09_embedding_properties():
 def run_pipeline(out_dir: Path, hash_seed: str) -> float:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
+    # the child imports the checked-out sources, as the test process does
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
     start = time.monotonic()
     for command in (
         ["prepare"],

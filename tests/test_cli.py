@@ -154,7 +154,8 @@ class TestConfig:
         monkeypatch.setenv("FIGLEX_THREADS", "4")
         assert thread_cap() == 4
         monkeypatch.setenv("FIGLEX_THREADS", "junk")
-        assert thread_cap() == 1
+        with pytest.raises(ValueError, match="FIGLEX_THREADS"):
+            thread_cap()
 
 
 class TestPrepare:
@@ -317,6 +318,17 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exit_info:
             main(["report", "--out", str(tmp_path), "--format", "yaml"])
         assert exit_info.value.code == 2
+
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 1\nno_such_key = 3\n")
+        assert main(["prepare", "--config", str(conf)]) == 2
+        assert "no_such_key" in capsys.readouterr().err
+
+    def test_bad_thread_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FIGLEX_THREADS", "junk")
+        assert main(["report", "--out", str(tmp_path), "--format", "json"]) == 2
+        assert "FIGLEX_THREADS" in capsys.readouterr().err
 
     def test_stage_error_exit_one(self, tmp_path, capsys):
         code = main([

@@ -1,9 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from figlex.embeddings import (
     EmbeddingSpace,
+    NeighborList,
     TrainParams,
+    _sigmoid,
     cosine,
     load_vectors,
     nearest_neighbors,
@@ -11,8 +18,10 @@ from figlex.embeddings import (
     sentence_embedding,
     train_sgns,
 )
+from figlex.lexicon import load_lexicon
+from figlex.matcher import build_matcher, rewrite_with_idiom_tokens
 
-from conftest import make_corpus
+from conftest import make_corpus, write_jsonl
 
 
 def small_corpus(n_sent=120, seed=0):
@@ -30,6 +39,109 @@ def small_corpus(n_sent=120, seed=0):
         picks = [pool[j] for j in rng.integers(0, len(pool), size=4)]
         texts.append(" ".join(picks[:2] + [word] + picks[2:]))
     return make_corpus({"A": texts, "B": ["filler"]})
+
+
+def reference_sigmoid(x):
+    """The masked two-sided logistic that `_sigmoid` must equal bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_train_sgns(corpus, matcher, params):
+    """Plain per-center SGNS loop: one numpy call per step, noise drawn per
+    center, 2-D scatter-add.  `train_sgns` must match its vocabulary and
+    vectors bit for bit."""
+    sentences = []
+    for post in corpus.posts:
+        tokens = list(post.tokens)
+        if matcher is not None:
+            tokens = rewrite_with_idiom_tokens(matcher, tokens)
+        sentences.append(tokens)
+
+    counts = Counter(t for sent in sentences for t in sent)
+    vocab_tokens = sorted(
+        (t for t, c in counts.items() if c >= params.min_count),
+        key=lambda t: (-counts[t], t),
+    )
+    vocab = {t: i for i, t in enumerate(vocab_tokens)}
+    id_sentences = []
+    for sent in sentences:
+        ids = np.array([vocab[t] for t in sent if t in vocab], dtype=np.int64)
+        if ids.size >= 2:
+            id_sentences.append(ids)
+
+    freq = np.array([counts[t] for t in vocab_tokens], dtype=np.float64) ** 0.75
+    noise_cdf = np.cumsum(freq / freq.sum())
+    noise_cdf[-1] = 1.0
+
+    init_rng = np.random.default_rng(params.seed)
+    dim = params.dim
+    syn0 = ((init_rng.random((len(vocab), dim)) - 0.5) / dim).astype(np.float32)
+    syn1 = np.zeros((len(vocab), dim), dtype=np.float32)
+
+    n_centers = sum(len(ids) for ids in id_sentences)
+    total_steps = params.epochs * n_centers
+    min_lr = params.initial_lr * 1e-4
+    neg = params.negatives
+
+    step = 0
+    epoch_losses = []
+    for _ in range(params.epochs):
+        rng = np.random.default_rng([params.seed, 0x5E9])
+        loss_sum = 0.0
+        n_pairs = 0
+        for ids in id_sentences:
+            n = len(ids)
+            windows = rng.integers(1, params.window + 1, size=n)
+            for i in range(n):
+                lr = max(min_lr, params.initial_lr * (1.0 - step / total_steps))
+                step += 1
+                b = windows[i]
+                lo = max(0, i - b)
+                ctx = np.concatenate((ids[lo:i], ids[i + 1 : i + 1 + b]))
+                k = ctx.size
+                if k == 0:
+                    continue
+                center = ids[i]
+                noise = np.searchsorted(noise_cdf, rng.random(k * neg))
+                rows = np.concatenate((ctx, noise))
+                labels = np.zeros(rows.size, dtype=np.float32)
+                labels[:k] = 1.0
+
+                v = syn0[center]
+                scores = reference_sigmoid(syn1[rows] @ v)
+                loss_sum += -float(
+                    np.log(np.clip(scores[:k], 1e-10, None)).sum()
+                    + np.log(np.clip(1.0 - scores[k:], 1e-10, None)).sum()
+                )
+                n_pairs += rows.size
+
+                g = (labels - scores) * lr
+                grad_center = g @ syn1[rows]
+                np.add.at(syn1, rows, g[:, None] * v[None, :])
+                syn0[center] += grad_center
+        epoch_losses.append(loss_sum / max(n_pairs, 1))
+
+    return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
+
+
+def idiom_corpus_and_matcher(tmp_path):
+    lexicon_path = write_jsonl(tmp_path / "lex.jsonl", [
+        {"canonical": "under fire", "definition": "criticised"},
+        {"canonical": "over the moon", "definition": "delighted"},
+    ])
+    rng = np.random.default_rng(5)
+    filler = ["team", "coach", "was", "again", "after", "match", "fans", "very"]
+    texts = []
+    for i in range(90):
+        idiom = ["under fire", "over the moon", "the moon"][i % 3]
+        picks = [filler[j] for j in rng.integers(0, len(filler), size=5)]
+        texts.append(" ".join(picks[:2] + [idiom] + picks[2:]))
+    return make_corpus({"A": texts, "B": ["filler"]}), build_matcher(load_lexicon(str(lexicon_path)))
 
 
 class TestTrainParams:
@@ -108,10 +220,55 @@ class TestTrainSgns:
         cross = cosine(space.vector("aa"), space.vector("cc"))
         assert same > cross
 
+    @pytest.mark.parametrize("dim", [2, 100])
+    @pytest.mark.parametrize("case", ["window_exceeds_sentence", "tiny_vocab", "matcher_epochs"])
+    def test_matches_reference_loop(self, case, dim, tmp_path):
+        matcher = None
+        if case == "window_exceeds_sentence":
+            # 5-token sentences, so every window reaches both sentence ends
+            corpus = small_corpus(n_sent=60, seed=2)
+            params = TrainParams(dim=dim, window=9, negatives=3, min_count=1, epochs=1, seed=3)
+        elif case == "tiny_vocab":
+            # 3 tokens and >= 4 rows per update: every update repeats a row
+            rng = np.random.default_rng(8)
+            texts = [" ".join(rng.choice(["xa", "xb", "xc"], size=6)) for _ in range(40)]
+            corpus = make_corpus({"A": texts, "B": ["xa xb"]})
+            params = TrainParams(dim=dim, window=2, negatives=3, min_count=1, epochs=2, seed=11)
+        else:
+            corpus, matcher = idiom_corpus_and_matcher(tmp_path)
+            params = TrainParams(dim=dim, window=3, negatives=2, min_count=2, epochs=3, seed=6)
+        got = train_sgns(corpus, matcher, params)
+        want = reference_train_sgns(corpus, matcher, params)
+        assert got.vocab == want.vocab
+        if matcher is not None:
+            assert "__idiom__under_fire" in got.vocab
+        assert got.vectors.dtype == want.vectors.dtype == np.float32
+        assert np.array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
+        np.testing.assert_allclose(got.epoch_losses, want.epoch_losses, rtol=1e-9, atol=0)
+
     def test_empty_vocab_error(self):
         corpus = make_corpus({"A": ["one two"], "B": ["three"]})
         with pytest.raises(ValueError, match="min_count"):
             train_sgns(corpus, None, TrainParams(dim=4, min_count=99, epochs=1, seed=0))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 1e30, -1e30,
+                 1e-45, -1e-45, 1e-40, -1e-40, np.inf, -np.inf, np.nan]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float32, st.integers(0, 40),
+                  elements=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(width=32))))
+    @example(np.array(SIGMOID_EDGES, dtype=np.float32))
+    def test_bitwise_equals_masked_formula(self, x):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _sigmoid(x)
+            want = reference_sigmoid(x)
+        assert got.dtype == np.float32
+        nan = np.isnan(x)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
 
 
 class TestVectorFile:
@@ -185,6 +342,34 @@ class TestNearestNeighbors:
         )
         ranked = nearest_neighbors(space, "a", 2)
         assert [t for t, _ in ranked.neighbors] == ["m", "z"]
+
+    def test_tie_straddling_rank_k(self):
+        space = EmbeddingSpace(
+            vocab={"a": 0, "z": 1, "m": 2, "q": 3},
+            vectors=np.array([[1, 0], [1, 1], [2, 2], [0, 1]], dtype=np.float32),
+        )
+        assert [t for t, _ in nearest_neighbors(space, "a", 1).neighbors] == ["m"]
+        assert [t for t, _ in nearest_neighbors(space, "a", 2).neighbors] == ["m", "z"]
+
+    def test_matches_full_sort(self):
+        # integer vectors on a small grid: many exact cosine ties, zero rows
+        rng = np.random.default_rng(4)
+        for trial in range(40):
+            size = int(rng.integers(3, 60))
+            names = [f"t{j:02d}" for j in rng.permutation(size)]
+            vectors = rng.integers(-2, 3, size=(size, 3)).astype(np.float32)
+            vectors[0] = [1, 1, 0]
+            space = EmbeddingSpace(vocab={t: j for j, t in enumerate(names)}, vectors=vectors)
+            anchor = names[0]
+            mat = vectors.astype(np.float64)
+            norms = np.linalg.norm(mat, axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                sims = np.where(norms > 0, mat @ (mat[0] / norms[0]) / np.where(norms > 0, norms, 1.0), -2.0)
+            sims = np.clip(sims, -2.0, 1.0)
+            full = sorted(((t, float(sims[j])) for t, j in space.vocab.items() if j != 0),
+                          key=lambda pair: (-pair[1], pair[0]))
+            for k in range(size):
+                assert nearest_neighbors(space, anchor, k) == NeighborList(anchor, full[:k])
 
     def test_oov_error(self):
         with pytest.raises(KeyError):
