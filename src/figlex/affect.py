@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -280,27 +279,16 @@ def predict_beta(model: VadModel, feature: Sequence[float]) -> float:
     return float(np.clip(expit(eta), _PREDICT_EPS, 1.0 - _PREDICT_EPS))
 
 
-def train_vad_models(
-    space: EmbeddingSpace, vad: VadLexicon, max_workers: int = 1
-) -> dict[str, VadModel]:
+def train_vad_models(space: EmbeddingSpace, vad: VadLexicon) -> dict[str, VadModel]:
     """Fit the three affect models on embeddings of in-vocabulary words."""
     words = sorted(w for w in vad.ratings if w in space)
     if not words:
         raise ValueError("no VAD lexicon word is in the embedding vocabulary")
     X = np.stack([space.vector(w).astype(np.float64) for w in words])
-    columns = {
-        dim: np.array([vad.ratings[w][i] for w in words]) for i, dim in enumerate(DIMENSIONS)
+    return {
+        dim: fit_beta_regression(X, np.array([vad.ratings[w][i] for w in words]), dimension=dim)
+        for i, dim in enumerate(DIMENSIONS)
     }
-
-    def fit(dim: str) -> VadModel:
-        return fit_beta_regression(X, columns[dim], dimension=dim)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(DIMENSIONS))) as pool:
-            fitted = list(pool.map(fit, DIMENSIONS))
-    else:
-        fitted = [fit(dim) for dim in DIMENSIONS]
-    return {m.dimension: m for m in fitted}
 
 
 def score_definitions(

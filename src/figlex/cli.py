@@ -3,7 +3,9 @@
 Configuration is a line-oriented ``key = value`` file; every key can be
 overridden by a command-line flag of the same name.  All outputs are plain
 CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
-seed).  The FIGLEX_THREADS environment variable caps internal parallelism.
+seed).  With the FIGLEX_THREADS environment variable at 2 or more, analyze
+trains its two per-group embedding spaces in two processes; outputs are the
+same for every value.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ NEIGHBORS_PER_IDIOM = 10
 
 
 def thread_cap() -> int:
-    """Parallelism limit from FIGLEX_THREADS (default 1).
+    """Process limit from FIGLEX_THREADS (default 1); at 2 or more, analyze
+    trains its two per-group embedding spaces in two processes.
 
     Raises ValueError when the variable is set to a non-integer.
     """
@@ -376,7 +379,7 @@ def cmd_analyze(config: RunConfig) -> None:
         )
 
         stage = "affect"
-        models = train_vad_models(space, vad, max_workers=thread_cap())
+        models = train_vad_models(space, vad)
         save_vad_models(models, str(config.out_path("vad_models.json")))
 
         def embedder(tokens):
@@ -419,10 +422,24 @@ def cmd_analyze(config: RunConfig) -> None:
 
         stage = "embeddings"
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
+        jobs = {g: (corpus.subset(corpus.group_posts(g)), matcher, replace(config.train, seed=s))
+                for g, s in zip((group_a, group_b), seeds)}
         spaces: dict[str, EmbeddingSpace] = {}
-        for group, child_seed in zip((group_a, group_b), seeds):
-            sub = corpus.subset(corpus.group_posts(group))
-            spaces[group] = train_sgns(sub, matcher, replace(config.train, seed=child_seed))
+        if thread_cap() >= 2:
+            # Group b trains in a worker while group a trains here; each space
+            # has its own seed, so the vectors are the serial ones.  fork lets
+            # the worker inherit numpy, scipy and the corpus instead of importing
+            # them again.  Serial runs never import the pool modules.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+                future_b = pool.submit(train_sgns, *jobs[group_b])
+                spaces[group_a] = train_sgns(*jobs[group_a])
+                spaces[group_b] = future_b.result()
+        for group in (group_a, group_b):
+            if group not in spaces:
+                spaces[group] = train_sgns(*jobs[group])
             save_vectors(spaces[group], str(config.out_path(f"vectors_{group}.txt")))
 
         depth = config.rbo_depth
@@ -530,7 +547,12 @@ def _maybe_float(text: str) -> float | int | str | None:
 
 
 def build_report(config: RunConfig) -> dict:
-    """Assemble the consolidated report document from analyze artifacts."""
+    """Assemble the consolidated report document from analyze artifacts;
+    refuse them if the last analyze run failed (they would mix two runs)."""
+    failure = config.out_path("failure.json")
+    if failure.exists():
+        failed = json.loads(failure.read_text("utf-8")).get("stage")
+        raise ValueError(f"analyze failed at stage {failed!r} ({failure}); rerun analyze")
     meta = json.loads(_require_artifact(config, "run_meta.json").read_text("utf-8"))
     divergence = json.loads(_require_artifact(config, "divergence.json").read_text("utf-8"))
     spearman_doc = json.loads(_require_artifact(config, "spearman.json").read_text("utf-8"))

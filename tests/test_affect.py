@@ -383,10 +383,6 @@ class TestTrainVadModels:
         vad = load_vad_lexicon(str(path))
         models = train_vad_models(space, vad)
         assert set(models) == set(DIMENSIONS)
-        models_parallel = train_vad_models(space, vad, max_workers=3)
-        for dim in DIMENSIONS:
-            np.testing.assert_allclose(models_parallel[dim].coefficients,
-                                       models[dim].coefficients)
 
     def test_no_overlap_error(self):
         from figlex.affect import VadLexicon

@@ -1,10 +1,15 @@
 import csv
+import functools
 import json
+import multiprocessing
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import figlex.cli
 from figlex.cli import (
     StageError,
     build_config,
@@ -17,6 +22,7 @@ from figlex.cli import (
     parse_config_file,
     thread_cap,
 )
+from figlex.embeddings import train_sgns
 
 from conftest import write_jsonl
 
@@ -266,6 +272,50 @@ class TestAnalyze:
         assert not (Path(config.out) / "failure.json").exists()
 
 
+def _train_sgns_failing_on(bad_seed, corpus, matcher, params):
+    """train_sgns that fails for one seed and says which process it ran in."""
+    if params.seed == bad_seed:
+        in_worker = multiprocessing.parent_process() is not None
+        raise ValueError(f"planted failure (in worker: {in_worker})")
+    return train_sgns(corpus, matcher, params)
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in Path(out).iterdir()}
+
+
+class TestParallelEmbeddings:
+    def test_two_processes_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        parallel = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(parallel)
+        serial = replace(parallel, out=str(tmp_path / "serial"))
+        shutil.copytree(parallel.out, serial.out)
+        for config, threads in ((serial, "1"), (parallel, "2")):
+            monkeypatch.setenv("FIGLEX_THREADS", threads)
+            cmd_analyze(config)
+            cmd_report(config, "json")
+            cmd_report(config, "csv")
+        assert {"vectors_F.txt", "vectors_M.txt", "report.csv"} <= set(_files(parallel.out))
+        assert _files(parallel.out) == _files(serial.out)
+
+    def test_worker_failure_names_embeddings_stage(self, tmp_path, monkeypatch):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        # group b is the second label in sorted order and gets the second child seed
+        seed_b = int(np.random.SeedSequence(config.seed).spawn(2)[1].generate_state(1)[0])
+        monkeypatch.setattr(figlex.cli, "train_sgns",
+                            functools.partial(_train_sgns_failing_on, seed_b))
+        monkeypatch.setenv("FIGLEX_THREADS", "2")
+        with pytest.raises(StageError) as info:
+            cmd_analyze(config)
+        assert info.value.stage == "embeddings"
+        assert isinstance(info.value.cause, ValueError)
+        assert "planted failure (in worker: True)" in str(info.value.cause)
+        marker = json.loads((Path(config.out) / "failure.json").read_text())
+        assert marker["stage"] == "embeddings"
+        assert multiprocessing.active_children() == []
+
+
 @pytest.fixture(scope="module")
 def analyzed(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("report")
@@ -300,6 +350,21 @@ class TestReport:
     def test_unknown_format_rejected(self, analyzed):
         with pytest.raises(StageError, match="unknown format"):
             cmd_report(analyzed, "yaml")
+
+    def test_refuses_failed_run(self, tmp_path, capsys):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        cmd_analyze(config)
+        # a later analyze run fails and leaves the earlier run's artifacts
+        config.vad_lexicon = str(tmp_path / "missing.csv")
+        with pytest.raises(StageError):
+            cmd_analyze(config)
+        with pytest.raises(StageError, match="stage report: analyze failed at stage 'load'"):
+            cmd_report(config, "json")
+        for fmt in ("json", "csv"):
+            assert main(["report", "--out", config.out, "--format", fmt]) == 1
+            assert "'load'" in capsys.readouterr().err
+            assert not (Path(config.out) / f"report.{fmt}").exists()
 
     def test_build_report_shape(self, analyzed):
         doc = build_report(analyzed)
