@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln, logit
+# scipy.special is imported inside the functions that use it, so that the
+# prepare and report commands never load scipy.
 
 from .corpus import Corpus
 from .embeddings import EmbeddingSpace
@@ -121,6 +122,8 @@ def beta_log_likelihood(params: np.ndarray, features: np.ndarray, targets: np.nd
     The mean scale keeps gradient magnitudes comparable across sample
     sizes, which is what the convergence tolerance is measured against.
     """
+    from scipy.special import expit, gammaln
+
     coeffs, log_phi = params[:-1], params[-1]
     phi = math.exp(log_phi)
     mu = np.clip(expit(_design(features) @ coeffs), 1e-12, 1.0 - 1e-12)
@@ -138,6 +141,8 @@ def beta_log_likelihood_grad(
     params: np.ndarray, features: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Analytic gradient of `beta_log_likelihood` in coefficients and log phi."""
+    from scipy.special import digamma, expit
+
     coeffs, log_phi = params[:-1], params[-1]
     phi = math.exp(log_phi)
     X = _design(features)
@@ -176,6 +181,8 @@ def fit_beta_regression(
     targets, whose likelihood is unbounded in phi, still terminate.
     Raises if the iteration limit is hit first.
     """
+    from scipy.special import logit
+
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
@@ -270,6 +277,8 @@ def fit_beta_regression(
 
 def predict_beta(model: VadModel, feature: Sequence[float]) -> float:
     """Inverse-logit prediction, clamped strictly inside (0, 1)."""
+    from scipy.special import expit
+
     f = np.asarray(feature, dtype=np.float64)
     if f.shape != (len(model.coefficients) - 1,):
         raise ValueError(

@@ -286,10 +286,13 @@ def cmd_analyze(config: RunConfig) -> None:
     data files.
 
     Stages run in order; on failure, completed outputs are retained and a
-    failure marker names the broken stage.
+    failure marker names the broken stage.  The failure marker and report
+    files of an earlier run are removed first: they would no longer
+    describe the artifacts beside them.
     """
     warnings: list[str] = []
-    config.out_path("failure.json").unlink(missing_ok=True)
+    for name in ("failure.json", "report.json", "report.csv"):
+        config.out_path(name).unlink(missing_ok=True)
     stage = "load"
     try:
         corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl")))

@@ -2,7 +2,9 @@
 
 A corpus is an ordered collection of posts, each tagged with one of two
 group labels.  All randomized operations take an explicit seed and are
-pure functions of (input, seed).
+pure functions of (input, seed).  The greedy half split is written once
+and applied to many seeds in one vectorised walk (`split_masks`), so a
+split test's hundreds of splits cost a few numpy calls per post.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -180,24 +183,62 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
     return corpus.subset([p for i, p in enumerate(corpus.posts) if i not in removed])
 
 
-def split_halves(token_counts: list[int], seed: int) -> tuple[list[int], list[int]]:
+def _greedy_splits(
+    token_counts: Sequence[int], seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the greedy half-split rule once per seed, all seeds at once.
+
+    Each seed draws its own permutation of positions 0..n-1 (stacked as
+    column s of the int32 `perms`, shape (n, len(seeds))).  Positions are
+    assigned in that order to the first half while its (tokens, posts) is
+    lexicographically <= the second half's, else to the second.  Per split
+    the walk keeps one int64 key, tokens_0 - tokens_1 scaled by 2n + 1
+    plus posts_0 - posts_1, which is <= 0 exactly when the first half is
+    not ahead.  `first[i, s]` says whether `perms[i, s]` went first.
+    """
+    n = len(token_counts)
+    if n < 2:
+        raise ValueError("fewer than 2 posts to split")
+    scale = 2 * n + 1
+    if scale * (sum(abs(int(t)) for t in token_counts) + 1) >= 2**63:
+        raise ValueError("token counts too large to split")
+    perms = np.empty((n, len(seeds)), dtype=np.int32)
+    for s, seed in enumerate(seeds):
+        perms[:, s] = np.random.default_rng(seed).permutation(n)
+    step = np.asarray(token_counts, dtype=np.int64) * scale + 1
+    signed_step = np.concatenate([-step, step])  # index j + n: j joins the first half
+    key = np.zeros(len(seeds), dtype=np.int64)
+    first = np.empty(perms.shape, dtype=bool)
+    for i, row in enumerate(perms):
+        np.less_equal(key, 0, out=first[i])
+        key += signed_step[row + n * first[i]]
+    return perms, first
+
+
+def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """First-half masks of one greedy split per seed (see `split_halves`).
+
+    Row s is `split_halves(token_counts, seeds[s])[0]` as a boolean mask
+    over positions, shape (len(seeds), n).
+    """
+    perms, first = _greedy_splits(token_counts, seeds)
+    masks = np.empty((len(seeds), len(token_counts)), dtype=bool)
+    for s in range(len(seeds)):
+        masks[s, perms[:, s]] = first[:, s]
+    return masks
+
+
+def split_halves(token_counts: Sequence[int], seed: int) -> tuple[list[int], list[int]]:
     """Partition positions 0..n-1 into two halves of near-equal token totals.
 
     The partition is exhaustive and disjoint; positions are assigned in
-    random order to whichever half currently has fewer (tokens, posts).
-    Each half lists its positions in assignment order.
+    random order to whichever half currently has fewer (tokens, posts),
+    ties going to the first.  Each half lists its positions in assignment
+    order.  `split_masks` applies the same rule to many seeds at once.
     """
-    if len(token_counts) < 2:
-        raise ValueError("fewer than 2 posts to split")
-    rng = np.random.default_rng(seed)
-    halves: tuple[list[int], list[int]] = ([], [])
-    tot = [(0, 0), (0, 0)]  # (tokens, posts) per half
-    for j in rng.permutation(len(token_counts)):
-        side = 0 if tot[0] <= tot[1] else 1
-        halves[side].append(int(j))
-        tok, cnt = tot[side]
-        tot[side] = (tok + token_counts[j], cnt + 1)
-    return halves
+    perms, first = _greedy_splits(token_counts, [seed])
+    perm, in_first = perms[:, 0], first[:, 0]
+    return perm[in_first].tolist(), perm[~in_first].tolist()
 
 
 def random_halves(corpus: Corpus, group: str, seed: int) -> tuple[Corpus, Corpus]:

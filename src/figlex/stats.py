@@ -16,9 +16,10 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
+# scipy.special is imported inside the functions that use it, so that the
+# prepare and report commands never load scipy.
 
-from .corpus import Corpus, split_halves
+from .corpus import Corpus, split_masks
 from .lexicon import IdiomEntry
 from .matcher import GroupCounts
 
@@ -102,9 +103,12 @@ def divergence_gap_test(
 
     `counts` must come from `count_usages` over `corpus`.  The cross-group
     JSD is contrasted against `n_splits` random half-half splits inside
-    each group (see `split_halves`).  The reported p-value is the smoothed
-    fraction of pooled baseline samples at least as large as the observed
-    value; z is measured against a normal fit to the pooled baseline.
+    each group.  Every split draws its own child seed; `split_masks`
+    applies the greedy rule of `split_halves` to all of a group's splits in
+    one walk, and each split's halves are then two `bincount`s over the
+    group's spans.  The reported p-value is the smoothed fraction of pooled
+    baseline samples at least as large as the observed value; z is measured
+    against a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
@@ -124,15 +128,15 @@ def divergence_gap_test(
         members = np.flatnonzero([p.group == g for p in corpus.posts])
         lengths = [corpus.posts[i].token_count for i in members]
         in_group = np.isin(counts.span_posts, members)
-        span_posts, span_idioms = counts.span_posts[in_group], counts.span_idioms[in_group]
+        # each span's post as a position among the group's members
+        span_members = np.searchsorted(members, counts.span_posts[in_group])
+        span_idioms = counts.span_idioms[in_group]
 
+        group_children = children[gi * n_splits:(gi + 1) * n_splits]
+        masks = split_masks(lengths, [int(c.generate_state(1)[0]) for c in group_children])
         vals = np.empty(n_splits, dtype=np.float64)
         for s in range(n_splits):
-            child_seed = int(children[gi * n_splits + s].generate_state(1)[0])
-            first, _ = split_halves(lengths, child_seed)
-            in_first = np.zeros(len(corpus.posts), dtype=bool)
-            in_first[members[first]] = True
-            span_first = in_first[span_posts]
+            span_first = masks[s][span_members]
             vals[s] = jsd(half(span_idioms[span_first]), half(span_idioms[~span_first]))
         samples[g] = vals
 
@@ -259,6 +263,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
 
     p-value by the t approximation with n-2 degrees of freedom.
     """
+    from scipy.special import stdtr
+
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:

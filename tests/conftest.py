@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import figlex
 from figlex.corpus import Corpus, Post, tokenize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -31,3 +35,13 @@ def write_jsonl(path: Path, records: list[dict]) -> Path:
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a child Python process that imports the figlex under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(figlex.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)

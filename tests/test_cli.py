@@ -24,7 +24,7 @@ from figlex.cli import (
 )
 from figlex.embeddings import train_sgns
 
-from conftest import write_jsonl
+from conftest import run_python, write_jsonl
 
 
 TINY_LEXICON = [
@@ -271,6 +271,18 @@ class TestAnalyze:
         cmd_analyze(config)
         assert not (Path(config.out) / "failure.json").exists()
 
+    def test_failed_run_removes_earlier_reports(self, tmp_path):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        cmd_analyze(config)
+        cmd_report(config, "json")
+        cmd_report(config, "csv")
+        config.vad_lexicon = str(tmp_path / "missing.csv")
+        with pytest.raises(StageError):
+            cmd_analyze(config)
+        for name in ("report.json", "report.csv"):
+            assert not (Path(config.out) / name).exists()
+
 
 def _train_sgns_failing_on(bad_seed, corpus, matcher, params):
     """train_sgns that fails for one seed and says which process it ran in."""
@@ -370,6 +382,37 @@ class TestReport:
         doc = build_report(analyzed)
         assert set(doc) == {"metadata", "divergence", "spearman", "gscore_idioms",
                             "vad_comparison", "literal_baseline", "simrbo", "figures"}
+
+
+# Runs the CLI's main() on argv and prints the top-level packages it loaded.
+_LOADED_PACKAGES = """
+import json, sys
+from figlex.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({"code": code, "packages": sorted({m.split(".")[0] for m in sys.modules})}))
+"""
+
+
+def _packages_loaded_by(*argv):
+    proc = run_python("-c", _LOADED_PACKAGES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["code"] == 0, proc.stderr
+    return set(doc["packages"])
+
+
+class TestColdStart:
+    def test_prepare_and_report_never_load_scipy(self, tmp_path):
+        assert "scipy" not in _packages_loaded_by()
+        overrides = medium_inputs(tmp_path)
+        argv = ["prepare"]
+        for key, value in overrides.items():
+            argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        assert "scipy" not in _packages_loaded_by(*argv)
+        cmd_analyze(build_config({}, overrides))
+        loaded = _packages_loaded_by("report", "--out", overrides["out"], "--format", "json")
+        assert "scipy" not in loaded
+        assert (Path(overrides["out"]) / "report.json").exists()
 
 
 class TestMainEntry:

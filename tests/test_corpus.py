@@ -2,8 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from figlex.corpus import balance_groups, load_corpus, random_halves, save_corpus, tokenize
+from figlex.corpus import (
+    balance_groups,
+    load_corpus,
+    random_halves,
+    save_corpus,
+    split_halves,
+    split_masks,
+    tokenize,
+)
 
 from conftest import make_corpus, write_jsonl
 
@@ -167,3 +177,48 @@ class TestRandomHalves:
         corpus = make_corpus({"A": ["only one"], "B": ["z z"]})
         with pytest.raises(ValueError, match="fewer than 2"):
             random_halves(corpus, "A", seed=0)
+
+
+def reference_split_halves(token_counts, seed):
+    """The greedy split as a plain loop over one permutation: each position
+    goes to the half with fewer (tokens, posts), ties to the first."""
+    if len(token_counts) < 2:
+        raise ValueError("fewer than 2 posts to split")
+    rng = np.random.default_rng(seed)
+    halves = ([], [])
+    tot = [(0, 0), (0, 0)]  # (tokens, posts) per half
+    for j in rng.permutation(len(token_counts)):
+        side = 0 if tot[0] <= tot[1] else 1
+        halves[side].append(int(j))
+        tok, cnt = tot[side]
+        tot[side] = (tok + token_counts[j], cnt + 1)
+    return halves
+
+
+class TestSplitHalves:
+    # few distinct lengths, zeros included, so (tokens, posts) ties are common
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 40]), min_size=2, max_size=40),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    )
+    @example(lengths=[7, 7], seeds=[0])
+    @example(lengths=[0, 0, 0], seeds=[1, 2])
+    def test_batch_equals_reference_loop(self, lengths, seeds):
+        masks = split_masks(lengths, seeds)
+        assert masks.shape == (len(seeds), len(lengths))
+        for seed, mask in zip(seeds, masks):
+            first, second = reference_split_halves(lengths, seed)
+            assert split_halves(lengths, seed) == (first, second)
+            assert np.flatnonzero(mask).tolist() == sorted(first)
+
+    @pytest.mark.parametrize("lengths", [[], [3]])
+    def test_fewer_than_two_posts(self, lengths):
+        with pytest.raises(ValueError, match="fewer than 2 posts to split"):
+            split_halves(lengths, 0)
+        with pytest.raises(ValueError, match="fewer than 2 posts to split"):
+            split_masks(lengths, [0, 1])
+
+    def test_token_counts_beyond_int64_key_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            split_masks([2**62, 1], [0])

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.spatial.distance import jensenshannon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,18 @@ class TestJsd:
     def test_support_mismatch(self):
         with pytest.raises(ValueError, match="identical support"):
             jsd(dist([1.0], support=["x"]), dist([1.0], support=["y"]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[
+        st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.5, 1.0, 3.0]) | st.floats(0.0, 100.0),
+                 min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+        for _ in range(2)
+    ])))
+    def test_matches_scipy_jensenshannon(self, weights):
+        p, q = (dist(np.array(w) / np.sum(w)) for w in weights)
+        expected = float(jensenshannon(p.probs, q.probs, base=2)) ** 2
+        # a divergence that rounds below zero makes scipy's square root nan
+        assert jsd(p, q) == pytest.approx(np.nan_to_num(expected), abs=1e-12)
 
 
 class TestDivergenceGapTest:
