@@ -23,6 +23,10 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 # Runs of word characters (underscores excluded), optionally joined by
 # internal apostrophes so "don't" and "one's" survive as single tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+# seeds per walk of `split_masks`.  A walk holds 5 bytes per (post, seed) and
+# costs a few numpy calls per post; 128 capped the peak memory as well as 64
+# did, with half as many walks
+_SPLIT_CHUNK = 128
 
 
 def tokenize(text: str) -> TokenSeq:
@@ -221,10 +225,14 @@ def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray
     Row s is `split_halves(token_counts, seeds[s])[0]` as a boolean mask
     over positions, shape (len(seeds), n).
     """
-    perms, first = _greedy_splits(token_counts, seeds)
     masks = np.empty((len(seeds), len(token_counts)), dtype=bool)
-    for s in range(len(seeds)):
-        masks[s, perms[:, s]] = first[:, s]
+    # seeds are independent, so walking them a chunk at a time caps the
+    # (n, chunk) permutations and flags without changing any mask
+    for lo in range(0, max(len(seeds), 1), _SPLIT_CHUNK):
+        perms, first = _greedy_splits(token_counts, seeds[lo : lo + _SPLIT_CHUNK])
+        for s in range(perms.shape[1]):
+            masks[lo + s, perms[:, s]] = first[:, s]
+        del perms, first  # free this chunk before the next one is drawn
     return masks
 
 

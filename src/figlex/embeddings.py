@@ -6,8 +6,17 @@ corpus + same params -> bitwise-identical vectors.  Frequent-token
 subsampling is deliberately omitted (corpora here are desk scale).
 
 The trainer updates one center token at a time, in float32 and corpus
-order.  Per sentence it draws every window size and noise token up front
-(the same draw stream as drawing per center) and computes the loss once.
+order.  It walks the corpus in blocks of sentences holding up to
+`_BLOCK_ROWS` context and noise rows.  For each sentence of a block it
+first draws the window sizes, then one double per noise token: the same
+generator calls in the same order as one sentence at a time, and the same
+stream as drawing per center.  Once per block it maps all the doubles to
+noise tokens with one `searchsorted`, lays out every center's rows (its
+context, then its noise) in one array, and sums the loss.  That
+bookkeeping moves no arithmetic: each center's update and each center's
+loss are the same float32 operations on the same values in the same order,
+so the block size never changes a bit.
+
 Per center it gathers the context and noise rows of the output matrix
 once, for both the scores and the center's gradient, and scatter-adds the
 row updates with a 1-D `np.add.at` on the flat matrix, which applies a
@@ -27,6 +36,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import Corpus
     from .matcher import Matcher
+
+# cap on the context and noise rows of one block of sentences (a block holds
+# at least one sentence)
+_BLOCK_ROWS = 1 << 12
 
 
 @dataclass
@@ -102,7 +115,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _center_losses(scores: np.ndarray, ks: np.ndarray, neg: int) -> np.ndarray:
-    """Per-center loss -(sum log s_pos + sum log(1 - s_neg)) of one sentence
+    """Per-center loss -(sum log s_pos + sum log(1 - s_neg)) of centers
     whose scores lie center after center, ks[c] positives then ks[c] * neg
     negatives.
 
@@ -116,6 +129,55 @@ def _center_losses(scores: np.ndarray, ks: np.ndarray, neg: int) -> np.ndarray:
     terms = np.log(np.clip(np.where(is_neg, 1.0 - scores, scores), 1e-10, None))
     sums = np.add.reduceat(np.insert(terms, starts, 0), starts + np.arange(starts.size))
     return -(sums[0::2] + sums[1::2])
+
+
+def _next_block(
+    rng: np.random.Generator,
+    id_sentences: list[np.ndarray],
+    start: int,
+    window: int,
+    neg: int,
+    noise_cdf: np.ndarray,
+    positions: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw and lay out the block of sentences from `start` (see the module
+    docstring): sentences join until their context and noise rows reach
+    `_BLOCK_ROWS`, at least one.
+
+    Returns the index after the block, its center ids, each center's context
+    count k, and every center's rows, center after center: its k context
+    tokens in sentence order, skipping the center, then its k * neg noise
+    tokens.
+    """
+    n_lefts, n_ctxs, uniforms = [], [], []
+    n_rows = 0
+    stop = start
+    while stop < len(id_sentences) and n_rows < _BLOCK_ROWS:
+        n = len(id_sentences[stop])
+        windows = rng.integers(1, window + 1, size=n)
+        at = positions[:n]
+        n_left = np.minimum(windows, at)
+        ks = n_left + np.minimum(windows, n - 1 - at)  # >= 1: n >= 2
+        n_ctx = int(ks.sum())
+        uniforms.append(rng.random(n_ctx * neg))
+        n_lefts.append(n_left)
+        n_ctxs.append(ks)
+        n_rows += n_ctx * (1 + neg)
+        stop += 1
+    block_ids = np.concatenate(id_sentences[start:stop])
+    n_left = np.concatenate(n_lefts)
+    ks = np.concatenate(n_ctxs)
+
+    # each context row's position in block_ids
+    ctx_pos = np.repeat(np.arange(block_ids.size) - n_left, ks)
+    offset = np.arange(ctx_pos.size) - np.repeat(np.cumsum(ks) - ks, ks)
+    ctx_pos += offset + (offset >= np.repeat(n_left, ks))
+    seg_len = np.stack((ks, ks * neg), axis=1).ravel()
+    is_ctx = np.repeat(np.tile((True, False), ks.size), seg_len)
+    rows = np.empty(n_rows, dtype=np.int64)
+    rows[is_ctx] = block_ids[ctx_pos]
+    rows[~is_ctx] = np.searchsorted(noise_cdf, np.concatenate(uniforms))
+    return stop, block_ids, ks, rows
 
 
 def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams) -> EmbeddingSpace:
@@ -168,10 +230,12 @@ def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams)
     neg = params.negatives
 
     flat1 = syn1.reshape(-1)
-    # column offsets of the widest update block, tiled row after row: a prefix
-    # of it, plus each row's start, is the flat index of any smaller block
-    max_rows = min(2 * params.window, max(len(ids) for ids in id_sentences) - 1) * (1 + neg)
+    # column offsets of the widest update, tiled row after row: a prefix of
+    # it, plus each row's start, is the flat index of any smaller update
+    longest = max(len(ids) for ids in id_sentences)
+    max_rows = min(2 * params.window, longest - 1) * (1 + neg)
     tiled_cols = np.tile(np.arange(dim), max_rows)
+    positions = np.arange(longest)
     labels_by_k: dict[int, np.ndarray] = {}
 
     step = 0
@@ -183,45 +247,39 @@ def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams)
         rng = np.random.default_rng([params.seed, 0x5E9])
         loss_sum = 0.0
         n_pairs = 0
-        for ids in id_sentences:
-            n = len(ids)
-            windows = rng.integers(1, params.window + 1, size=n)
-            at = np.arange(n)
-            lo = np.maximum(at - windows, 0)
-            hi = np.minimum(at + 1 + windows, n)
-            ks = hi - lo - 1  # >= 1: every sentence has >= 2 tokens
-            n_ctx = int(ks.sum())
-            # one double per draw, so a sentence's draws in one call are the
-            # same stream as one call per center
-            noise = np.searchsorted(noise_cdf, rng.random(n_ctx * neg))
-            sentence_scores = []
-            off = 0
-            for i, (center, a, b, k) in enumerate(
-                zip(ids.tolist(), lo.tolist(), hi.tolist(), ks.tolist())
-            ):
+        start = 0
+        while start < len(id_sentences):
+            start, block_ids, ks, all_rows = _next_block(
+                rng, id_sentences, start, params.window, neg, noise_cdf, positions
+            )
+            n_pairs += all_rows.size
+            all_flat = all_rows * dim
+            ends = np.cumsum(ks * (1 + neg))
+
+            block_scores = []
+            for center, b, k in zip(block_ids.tolist(), ends.tolist(), ks.tolist()):
                 lr = max(min_lr, params.initial_lr * (1.0 - step / total_steps))
                 step += 1
-                rows = np.concatenate((ids[a:i], ids[i + 1 : b], noise[off : off + k * neg]))
-                off += k * neg
+                a = b - k * (1 + neg)
+                rows = all_rows[a:b]
                 labels = labels_by_k.get(k)
                 if labels is None:
                     labels = labels_by_k[k] = np.zeros(rows.size, dtype=np.float32)
                     labels[:k] = 1.0
 
-                v = syn0[center]
+                v = syn0[center]  # a view: `v +=` updates syn0
                 w1 = syn1.take(rows, axis=0)
                 scores = _sigmoid(w1 @ v)
-                sentence_scores.append(scores)
+                block_scores.append(scores)
                 g = (labels - scores) * lr
                 grad_center = g @ w1
                 # scatter-add on the flat view: numpy's fast 1-D path, applying
                 # each element's additions in row order like the 2-D form
-                flat_idx = (rows * dim).repeat(dim) + tiled_cols[: rows.size * dim]
+                flat_idx = all_flat[a:b].repeat(dim) + tiled_cols[: rows.size * dim]
                 np.add.at(flat1, flat_idx, (g[:, None] * v).ravel())
-                syn0[center] += grad_center
-            for loss in _center_losses(np.concatenate(sentence_scores), ks, neg).tolist():
+                v += grad_center
+            for loss in _center_losses(np.concatenate(block_scores), ks, neg).tolist():
                 loss_sum += loss
-            n_pairs += n_ctx * (1 + neg)
         epoch_losses.append(loss_sum / max(n_pairs, 1))
 
     return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
@@ -232,9 +290,10 @@ def save_vectors(space: EmbeddingSpace, path: str) -> None:
     one token + floats per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space.vocab)} {space.dim}\n")
-        for token in space.tokens:
-            row = space.vectors[space.vocab[token]]
-            fh.write(token + " " + " ".join(f"{x:.9g}" for x in row) + "\n")
+        # a float32 widened to a Python float prints the same digits
+        fmt = "{:.9g}".format
+        for i, token in enumerate(space.tokens):
+            fh.write(token + " " + " ".join(map(fmt, space.vectors[i].tolist())) + "\n")
 
 
 def load_vectors(path: str) -> EmbeddingSpace:

@@ -65,12 +65,12 @@ class DivergenceResult:
     z: float        # normal fit to the pooled baseline
 
 
-def _normalize(support: tuple[str, ...], raw: np.ndarray, what: str) -> Distribution:
+def _normalized(raw: np.ndarray, what: str) -> np.ndarray:
     raw = raw.astype(np.float64)
     total = float(raw.sum())
     if total <= 0:
         raise ValueError(f"{what} has zero idiom usage")
-    return Distribution(support=support, probs=raw / total)
+    return raw / total
 
 
 def usage_distribution(counts: GroupCounts, group: str) -> Distribution:
@@ -79,20 +79,25 @@ def usage_distribution(counts: GroupCounts, group: str) -> Distribution:
         raise ValueError(f"unknown group {group!r}")
     support = tuple(counts.idiom_counts.keys())
     raw = np.array([counts.idiom_counts[c][group] for c in support])
-    return _normalize(support, raw, f"group {group!r}")
+    return Distribution(support=support, probs=_normalized(raw, f"group {group!r}"))
 
 
 def jsd(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence in base 2, with 0*log(0) := 0."""
     if p.support != q.support:
         raise ValueError("distributions must share an identical support")
-    m = 0.5 * (p.probs + q.probs)
+    return _jsd_probs(p.probs, q.probs)
+
+
+def _jsd_probs(p: np.ndarray, q: np.ndarray) -> float:
+    """`jsd` of two probability vectors over one support."""
+    m = 0.5 * (p + q)
 
     def _kl(a: np.ndarray) -> float:
         mask = a > 0
         return float(np.sum(a[mask] * np.log2(a[mask] / m[mask])))
 
-    value = 0.5 * _kl(p.probs) + 0.5 * _kl(q.probs)
+    value = 0.5 * _kl(p) + 0.5 * _kl(q)
     return float(min(max(value, 0.0), 1.0))
 
 
@@ -114,13 +119,12 @@ def divergence_gap_test(
         raise ValueError("n_splits must be >= 2")
     counts.check_corpus(corpus)
     ga, gb = corpus.group_labels
+    # the two group distributions validate the support every half shares
     cross = jsd(usage_distribution(counts, ga), usage_distribution(counts, gb))
+    n_support = len(counts.idiom_counts)
 
-    support = tuple(counts.idiom_counts.keys())
-
-    def half(idioms: np.ndarray) -> Distribution:
-        raw = np.bincount(idioms, minlength=len(support))
-        return _normalize(support, raw, "a post sample")
+    def half(idioms: np.ndarray) -> np.ndarray:
+        return _normalized(np.bincount(idioms, minlength=n_support), "a post sample")
 
     children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples: dict[str, np.ndarray] = {}
@@ -137,7 +141,7 @@ def divergence_gap_test(
         vals = np.empty(n_splits, dtype=np.float64)
         for s in range(n_splits):
             span_first = masks[s][span_members]
-            vals[s] = jsd(half(span_idioms[span_first]), half(span_idioms[~span_first]))
+            vals[s] = _jsd_probs(half(span_idioms[span_first]), half(span_idioms[~span_first]))
         samples[g] = vals
 
     pooled = np.concatenate([samples[ga], samples[gb]])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from figlex.corpus import (
+    _SPLIT_CHUNK,
     balance_groups,
     load_corpus,
     random_halves,
@@ -211,6 +212,15 @@ class TestSplitHalves:
             first, second = reference_split_halves(lengths, seed)
             assert split_halves(lengths, seed) == (first, second)
             assert np.flatnonzero(mask).tolist() == sorted(first)
+
+    @pytest.mark.parametrize("n_seeds", [_SPLIT_CHUNK + 1, 2 * _SPLIT_CHUNK + 3])
+    def test_seeds_across_chunks_equal_reference_loop(self, n_seeds):
+        lengths = np.random.default_rng(3).choice([0, 1, 2, 3, 5, 40], size=30).tolist()
+        seeds = list(range(1000, 1000 + n_seeds))
+        masks = split_masks(lengths, seeds)
+        assert masks.shape == (n_seeds, len(lengths))
+        for seed, mask in zip(seeds, masks):
+            assert np.flatnonzero(mask).tolist() == sorted(reference_split_halves(lengths, seed)[0])
 
     @pytest.mark.parametrize("lengths", [[], [3]])
     def test_fewer_than_two_posts(self, lengths):

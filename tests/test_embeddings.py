@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import figlex.embeddings
 from figlex.embeddings import (
     EmbeddingSpace,
     NeighborList,
     TrainParams,
+    _center_losses,
     _sigmoid,
     cosine,
     load_vectors,
@@ -246,6 +248,26 @@ class TestTrainSgns:
         assert np.array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
         np.testing.assert_allclose(got.epoch_losses, want.epoch_losses, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("dim", [2, 100])
+    def test_block_size_never_changes_bits(self, dim, monkeypatch):
+        # 2-token sentences and long ones: blocks of one sentence, blocks of
+        # many, and single sentences larger than the smaller blocks
+        rng = np.random.default_rng(12)
+        words = [f"w{j}" for j in range(9)]
+        texts = [" ".join(rng.choice(words, size=int(rng.choice([2, 2, 3, 30, 80]))))
+                 for _ in range(50)]
+        corpus = make_corpus({"A": texts, "B": ["w0 w1"]})
+        params = TrainParams(dim=dim, window=4, negatives=3, min_count=1, epochs=2, seed=5)
+        runs = []
+        for block_rows in (1, 7, 64, figlex.embeddings._BLOCK_ROWS):
+            monkeypatch.setattr(figlex.embeddings, "_BLOCK_ROWS", block_rows)
+            runs.append(train_sgns(corpus, None, params))
+        for space in runs[1:]:
+            assert space.vocab == runs[0].vocab
+            assert np.array_equal(space.vectors.view(np.uint32), runs[0].vectors.view(np.uint32))
+            assert ([x.hex() for x in space.epoch_losses]
+                    == [x.hex() for x in runs[0].epoch_losses])
+
     def test_empty_vocab_error(self):
         corpus = make_corpus({"A": ["one two"], "B": ["three"]})
         with pytest.raises(ValueError, match="min_count"):
@@ -269,6 +291,31 @@ class TestSigmoid:
         nan = np.isnan(x)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+
+
+def sentence_scores(neg):
+    """Per-center positive counts and float32 scores (edges included) of one
+    sentence laid out as `_center_losses` expects."""
+    scores = st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1 - 2**-24, 0.5]),
+                       st.floats(0, 1, width=32))
+    return st.lists(st.integers(1, 6), min_size=1, max_size=12).flatmap(
+        lambda ks: st.tuples(
+            st.just(np.array(ks, dtype=np.int64)),
+            arrays(np.float32, sum(ks) * (1 + neg), elements=scores),
+        )
+    )
+
+
+class TestCenterLosses:
+    @settings(max_examples=200, deadline=None)
+    @given(neg=st.integers(1, 4), data=st.data())
+    def test_concatenation_is_bitwise_per_sentence(self, neg, data):
+        ks1, sc1 = data.draw(sentence_scores(neg))
+        ks2, sc2 = data.draw(sentence_scores(neg))
+        joined = _center_losses(np.concatenate((sc1, sc2)), np.concatenate((ks1, ks2)), neg)
+        apart = np.concatenate((_center_losses(sc1, ks1, neg), _center_losses(sc2, ks2, neg)))
+        assert joined.dtype == apart.dtype == np.float32
+        assert np.array_equal(joined.view(np.uint32), apart.view(np.uint32))
 
 
 class TestVectorFile:
@@ -295,6 +342,20 @@ class TestVectorFile:
         path.write_text("3 2\nfoo 1 0\nbar 0 1\n")
         with pytest.raises(ValueError, match="declares 3 rows"):
             load_vectors(str(path))
+
+    def test_text_matches_float32_scalar_format(self, tmp_path):
+        edges = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, 3.4028235e38, -3.4028235e38,
+                 0.1, 1 / 3, np.inf, -np.inf, np.nan]
+        bits = np.random.default_rng(2).integers(0, 2**32, size=4 * 12, dtype=np.uint64)
+        vectors = np.vstack([np.array(edges, dtype=np.float32),
+                             bits.astype(np.uint32).view(np.float32).reshape(4, 12)])
+        space = EmbeddingSpace(vocab={f"t{i}": i for i in range(5)}, vectors=vectors)
+        path = tmp_path / "v.txt"
+        save_vectors(space, str(path))
+        want = "5 12\n" + "".join(
+            f"t{i} " + " ".join(f"{x:.9g}" for x in row) + "\n" for i, row in enumerate(vectors)
+        )
+        assert path.read_text() == want
 
     def test_roundtrip_preserves_cosines(self, tmp_path):
         corpus = small_corpus()
