@@ -227,7 +227,8 @@ def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray
     """
     masks = np.empty((len(seeds), len(token_counts)), dtype=bool)
     # seeds are independent, so walking them a chunk at a time caps the
-    # (n, chunk) permutations and flags without changing any mask
+    # (n, chunk) permutations and flags without changing any mask; with no
+    # seeds there is still one walk, to validate the token counts
     for lo in range(0, max(len(seeds), 1), _SPLIT_CHUNK):
         perms, first = _greedy_splits(token_counts, seeds[lo : lo + _SPLIT_CHUNK])
         for s in range(perms.shape[1]):
