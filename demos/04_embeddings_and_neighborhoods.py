@@ -12,6 +12,7 @@ from figlex import (
     TrainParams,
     balance_groups,
     build_matcher,
+    count_usages,
     idiom_token,
     load_corpus,
     load_lexicon,
@@ -24,14 +25,12 @@ DATA = Path(__file__).parent.parent / "tests" / "data"
 
 corpus = balance_groups(load_corpus(str(DATA / "corpus_fixture.jsonl")), seed=42)
 lexicon = load_lexicon(str(DATA / "lexicon_fixture.jsonl"))
-matcher = build_matcher(lexicon)
+counts = count_usages(build_matcher(lexicon), corpus)
 
 spaces = {}
 for group, seed in (("M", 1), ("F", 2)):
-    sub = corpus.subset(corpus.group_posts(group))
-    spaces[group] = train_sgns(
-        sub, matcher, TrainParams(dim=32, min_count=2, epochs=4, seed=seed)
-    )
+    streams = [s for s, post in zip(counts.streams, corpus.posts) if post.group == group]
+    spaces[group] = train_sgns(streams, TrainParams(dim=32, min_count=2, epochs=4, seed=seed))
     print(f"trained {group}-space: {len(spaces[group].vocab)} tokens, "
           f"final epoch loss {spaces[group].epoch_losses[-1]:.4f}")
 

@@ -29,7 +29,8 @@ DATA = Path(__file__).parent.parent / "tests" / "data"
 corpus = balance_groups(load_corpus(str(DATA / "corpus_fixture.jsonl")), seed=42)
 lexicon = load_lexicon(str(DATA / "lexicon_fixture.jsonl"))
 matcher = build_matcher(lexicon)
-space = train_sgns(corpus, matcher, TrainParams(dim=32, min_count=2, epochs=4, seed=42))
+counts = count_usages(matcher, corpus)
+space = train_sgns(counts.streams, TrainParams(dim=32, min_count=2, epochs=4, seed=42))
 
 vad = load_vad_lexicon(str(DATA / "vad_fixture.csv"))
 models = train_vad_models(space, vad)
@@ -42,7 +43,6 @@ for canonical in sorted(scores.values):
     v, a, d = scores.values[canonical]
     print(f"  {canonical:>28}: V={v:.3f} A={a:.3f} D={d:.3f}")
 
-counts = count_usages(matcher, corpus)
 series = {g: usage_vad_series(counts, scores, g) for g in ("F", "M")}
 print("\n== count-weighted usage comparison (F vs M) ==")
 for row in compare_vad(series["F"], series["M"]):

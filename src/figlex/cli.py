@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,12 +43,7 @@ from .embeddings import (
     train_sgns,
 )
 from .lexicon import filter_literal, idiom_token, load_lexicon, prune_variants, save_lexicon
-from .matcher import (
-    build_matcher,
-    count_usages,
-    write_idiom_counts_csv,
-    write_token_counts_csv,
-)
+from .matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
 from .stats import (
     divergence_gap_test,
     gscore_definition,
@@ -184,8 +180,11 @@ def _write_json(path: Path, payload: object) -> None:
         fh.write("\n")
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _num(value: float | None) -> float | str:
@@ -223,10 +222,14 @@ def cmd_prepare(config: RunConfig) -> None:
 
         stage = "prune"
         pruned = prune_variants(lexicon, counts, config.min_count)
+        del counts  # unused from here on: free it, streams included, before training
 
         stage = "embed"
         pruned_matcher = build_matcher(pruned)
-        space = train_sgns(balanced, pruned_matcher, config.train)
+        space = train_sgns(
+            [rewrite_with_idiom_tokens(pruned_matcher, list(p.tokens)) for p in balanced.posts],
+            config.train,
+        )
 
         stage = "literality"
         filtered, literality_rows = filter_literal(pruned, space, config.literality_threshold)
@@ -242,14 +245,18 @@ def cmd_prepare(config: RunConfig) -> None:
         out.mkdir(parents=True, exist_ok=True)
         save_corpus(balanced, str(config.out_path("corpus_balanced.jsonl")))
         save_lexicon(filtered, str(config.out_path("lexicon_filtered.jsonl")))
-        write_idiom_counts_csv(final_counts, str(config.out_path("counts_idioms.csv")))
-        write_token_counts_csv(final_counts, str(config.out_path("counts_tokens.csv")))
+        groups = final_counts.groups
+        _write_csv(config.out_path("counts_idioms.csv"), ["canonical", "group", "count"],
+                   ([c, g, final_counts.idiom_counts[c][g]]
+                    for c in sorted(final_counts.idiom_counts) for g in groups))
+        _write_csv(config.out_path("counts_tokens.csv"), ["token", "group", "count"],
+                   ([t, g, final_counts.token_counts[t][g]]
+                    for t in sorted(final_counts.token_counts) for g in groups))
         save_vectors(space, str(config.out_path("vectors_combined.txt")))
-        with open(config.out_path("literality_report.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["canonical", "literality", "status", "note"])
-            for key, score, status, note in sorted(literality_rows):
-                writer.writerow([key, _num(score), status, note])
+        _write_csv(config.out_path("literality_report.csv"),
+                   ["canonical", "literality", "status", "note"],
+                   ([key, _num(score), status, note]
+                    for key, score, status, note in sorted(literality_rows)))
         totals = balanced.totals()
         _write_json(
             config.out_path("prepare_meta.json"),
@@ -326,12 +333,9 @@ def cmd_analyze(config: RunConfig) -> None:
         table = log_odds_dirichlet(
             counts.tokens_for(group_a), counts.tokens_for(group_b), counts.combined_tokens()
         )
-        with open(config.out_path("gscore_tokens.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["token", "delta", "sigma", "z"])
-            for token in sorted(table.records):
-                rec = table.records[token]
-                writer.writerow([token, _num(rec.delta), _num(rec.sigma), _num(rec.z)])
+        _write_csv(config.out_path("gscore_tokens.csv"), ["token", "delta", "sigma", "z"],
+                   ([token, _num(rec.delta), _num(rec.sigma), _num(rec.z)]
+                    for token, rec in sorted(table.records.items())))
 
         idiom_rows = []
         for canonical in lexicon.canonicals():
@@ -357,15 +361,12 @@ def cmd_analyze(config: RunConfig) -> None:
                 }
             )
         idiom_rows.sort(key=lambda r: r["canonical"])
-        with open(config.out_path("gscore_idioms.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            header = ["canonical", "gscore", "gscore_surface", "gscore_definition",
-                      f"count_{group_a}", f"count_{group_b}"]
-            writer.writerow(header)
-            for row in idiom_rows:
-                writer.writerow([row["canonical"], _num(row["gscore"]),
-                                 _num(row["gscore_surface"]), _num(row["gscore_definition"]),
-                                 row[f"count_{group_a}"], row[f"count_{group_b}"]])
+        _write_csv(config.out_path("gscore_idioms.csv"),
+                   ["canonical", "gscore", "gscore_surface", "gscore_definition",
+                    f"count_{group_a}", f"count_{group_b}"],
+                   ([row["canonical"], _num(row["gscore"]),
+                     _num(row["gscore_surface"]), _num(row["gscore_definition"]),
+                     row[f"count_{group_a}"], row[f"count_{group_b}"]] for row in idiom_rows))
 
         paired_s = [(r["gscore"], r["gscore_surface"]) for r in idiom_rows
                     if r["gscore"] is not None and r["gscore_surface"] is not None]
@@ -389,31 +390,27 @@ def cmd_analyze(config: RunConfig) -> None:
             return sentence_embedding(space, tokens)
 
         scores = score_definitions(lexicon, embedder, models)
-        with open(config.out_path("vad_scores.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["canonical", *DIMENSIONS])
-            for canonical in sorted(scores.values):
-                writer.writerow([canonical, *(_num(v) for v in scores.values[canonical])])
+        _write_csv(config.out_path("vad_scores.csv"), ["canonical", *DIMENSIONS],
+                   ([canonical, *map(_num, values)]
+                    for canonical, values in sorted(scores.values.items())))
 
         series_a = usage_vad_series(counts, scores, group_a)
         series_b = usage_vad_series(counts, scores, group_b)
         comparison = compare_vad(series_a, series_b)
         _write_comparison_csv(config.out_path("vad_comparison.csv"), comparison, group_a, group_b)
 
-        with open(config.out_path("kde_curves.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["dimension", "group", "x", "density"])
-            for series_set in (series_a, series_b):
-                for series in series_set:
-                    try:
-                        curve = kde(series.values)
-                    except ValueError as exc:
-                        warnings.append(
-                            f"kde skipped for {series.dimension}/{series.group}: {exc}"
-                        )
-                        continue
-                    for x, density in zip(curve.x, curve.density):
-                        writer.writerow([series.dimension, series.group, _num(x), _num(density)])
+        kde_rows = []
+        for series_set in (series_a, series_b):
+            for series in series_set:
+                try:
+                    curve = kde(series.values)
+                except ValueError as exc:
+                    warnings.append(f"kde skipped for {series.dimension}/{series.group}: {exc}")
+                    continue
+                for x, density in zip(curve.x, curve.density):
+                    kde_rows.append([series.dimension, series.group, _num(x), _num(density)])
+        _write_csv(config.out_path("kde_curves.csv"), ["dimension", "group", "x", "density"],
+                   kde_rows)
 
         literal = literal_baseline(
             corpus, counts, embedder, models, config.baseline_n, config.seed
@@ -425,14 +422,17 @@ def cmd_analyze(config: RunConfig) -> None:
 
         stage = "embeddings"
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
-        jobs = {g: (corpus.subset(corpus.group_posts(g)), matcher, replace(config.train, seed=s))
+        # each group's streams as count_usages rewrote them: nothing is matched again
+        jobs = {g: ([stream for stream, post in zip(counts.streams, corpus.posts)
+                     if post.group == g], replace(config.train, seed=s))
                 for g, s in zip((group_a, group_b), seeds)}
+        del counts  # only its streams, now in jobs, are used from here on
         spaces: dict[str, EmbeddingSpace] = {}
         if thread_cap() >= 2:
             # Group b trains in a worker while group a trains here; each space
             # has its own seed, so the vectors are the serial ones.  fork lets
-            # the worker inherit numpy, scipy and the corpus instead of importing
-            # them again.  Serial runs never import the pool modules.
+            # the worker inherit numpy and scipy instead of importing them
+            # again.  Serial runs never import the pool modules.
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             fork = multiprocessing.get_context("fork")
@@ -461,29 +461,25 @@ def cmd_analyze(config: RunConfig) -> None:
                     neighbor_rows.append([canonical, g, rank, t, cos])
             rbo_rows.append([canonical, sim_rbo(lists[group_a], lists[group_b], depth)])
         rbo_rows.sort(key=lambda r: (r[1], r[0]))
-        with open(config.out_path("simrbo.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["canonical", "simrbo"])
-            for canonical, value in rbo_rows:
-                writer.writerow([canonical, _num(value)])
-        with open(config.out_path("neighbors.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["canonical", "group", "rank", "token", "cosine"])
-            for canonical, g, rank, t, cos in sorted(neighbor_rows):
-                writer.writerow([canonical, g, rank, t, _num(cos)])
+        _write_csv(config.out_path("simrbo.csv"), ["canonical", "simrbo"],
+                   ([canonical, _num(value)] for canonical, value in rbo_rows))
+        _write_csv(config.out_path("neighbors.csv"),
+                   ["canonical", "group", "rank", "token", "cosine"],
+                   ([canonical, g, rank, t, _num(cos)]
+                    for canonical, g, rank, t, cos in sorted(neighbor_rows)))
         if not rbo_rows:
             warnings.append(
                 f"no idiom token present in both group vocabularies with {depth} neighbors"
             )
 
         stage = "figures"
-        with open(config.out_path("fig_gscore_vs_count.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["canonical", "log10_count", "gscore"])
-            for row in idiom_rows:
-                total = row[f"count_{group_a}"] + row[f"count_{group_b}"]
-                if total > 0 and row["gscore"] is not None:
-                    writer.writerow([row["canonical"], _num(math.log10(total)), _num(row["gscore"])])
+        fig_rows = []
+        for row in idiom_rows:
+            total = row[f"count_{group_a}"] + row[f"count_{group_b}"]
+            if total > 0 and row["gscore"] is not None:
+                fig_rows.append([row["canonical"], _num(math.log10(total)), _num(row["gscore"])])
+        _write_csv(config.out_path("fig_gscore_vs_count.csv"),
+                   ["canonical", "log10_count", "gscore"], fig_rows)
 
         _write_json(
             config.out_path("run_meta.json"),
@@ -516,14 +512,10 @@ def cmd_analyze(config: RunConfig) -> None:
 
 
 def _write_comparison_csv(path: Path, comparison, group_a: str, group_b: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["dimension", f"mean_{group_a}", f"mean_{group_b}",
-                         "cohens_d", "p_value", "stars", f"n_{group_a}", f"n_{group_b}"])
-        for row in comparison:
-            writer.writerow([row.dimension, _num(row.mean_a), _num(row.mean_b),
-                             _num(row.cohens_d), _num(row.p_value), row.stars,
-                             row.n_a, row.n_b])
+    _write_csv(path, ["dimension", f"mean_{group_a}", f"mean_{group_b}",
+                      "cohens_d", "p_value", "stars", f"n_{group_a}", f"n_{group_b}"],
+               ([row.dimension, _num(row.mean_a), _num(row.mean_b), _num(row.cohens_d),
+                 _num(row.p_value), row.stars, row.n_a, row.n_b] for row in comparison))
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +608,7 @@ def cmd_report(config: RunConfig, format: str) -> None:
         if format == "json":
             _write_json(config.out_path("report.json"), doc)
         else:
-            with open(config.out_path("report.csv"), "w", newline="", encoding="utf-8") as fh:
-                writer = _csv_writer(fh)
-                writer.writerow(["path", "value"])
-                for path, value in flatten_report(doc):
-                    writer.writerow([path, value])
+            _write_csv(config.out_path("report.csv"), ["path", "value"], flatten_report(doc))
     except StageError:
         raise
     except Exception as exc:

@@ -29,13 +29,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import Corpus
-    from .matcher import Matcher
 
 # cap on the context and noise rows of one block of sentences (a block holds
 # at least one sentence)
@@ -180,24 +176,16 @@ def _next_block(
     return stop, block_ids, ks, rows
 
 
-def train_sgns(corpus: "Corpus", matcher: "Matcher | None", params: TrainParams) -> EmbeddingSpace:
-    """Train embeddings on the corpus with idiom spans rewritten to single
-    tokens (when a matcher is given).
+def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> EmbeddingSpace:
+    """Train embeddings on token sequences, one per sentence.
 
-    Uses the classic two-matrix formulation: for every (center, context)
+    An idiom is one token only if the sentences were rewritten first: the
+    pipeline passes `GroupCounts.streams` or `rewrite_with_idiom_tokens`
+    output.  Uses the classic two-matrix formulation: for every (center, context)
     pair, `negatives` noise tokens are drawn from the unigram^0.75
     distribution and a logistic update is applied with linearly decaying
     learning rate.  Per-epoch mean loss is recorded on the returned space.
     """
-    from .matcher import rewrite_with_idiom_tokens
-
-    sentences: list[list[str]] = []
-    for post in corpus.posts:
-        tokens = list(post.tokens)
-        if matcher is not None:
-            tokens = rewrite_with_idiom_tokens(matcher, tokens)
-        sentences.append(tokens)
-
     counts = Counter(t for sent in sentences for t in sent)
     vocab_tokens = sorted(
         (t for t, c in counts.items() if c >= params.min_count),

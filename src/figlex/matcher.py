@@ -7,7 +7,6 @@ makes usage counts and stream rewriting well defined.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -64,21 +63,18 @@ class Matcher:
     def __len__(self) -> int:
         return len(self.patterns)
 
-    def scan(self, tokens: TokenSeq) -> list[Match]:
-        """Every pattern occurrence, including overlapping ones."""
-        matches: list[Match] = []
+    def scan(self, tokens: TokenSeq) -> list[tuple[int, int, str]]:
+        """Every pattern occurrence as (start, end, canonical), including
+        overlapping ones."""
+        spans: list[tuple[int, int, str]] = []
         node = 0
         for i, tok in enumerate(tokens):
             while node and tok not in self._goto[node]:
                 node = self._fail[node]
             node = self._goto[node].get(tok, 0)
             for length, canonical in self._out[node]:
-                start = i + 1 - length
-                matches.append(
-                    Match(canonical=canonical, start=start, end=i + 1,
-                          surface=tuple(tokens[start : i + 1]))
-                )
-        return matches
+                spans.append((i + 1 - length, i + 1, canonical))
+        return spans
 
 
 def build_matcher(lexicon: Lexicon) -> Matcher:
@@ -96,14 +92,19 @@ def build_matcher(lexicon: Lexicon) -> Matcher:
 
 
 def find_matches(matcher: Matcher, tokens: TokenSeq) -> list[Match]:
-    """Leftmost-longest, non-overlapping matches in token order."""
-    candidates = sorted(matcher.scan(tokens), key=lambda m: (m.start, -(m.end - m.start)))
+    """Leftmost-longest, non-overlapping matches in token order.
+
+    Only the selected spans become a `Match`.  No two candidates share both
+    start and length (patterns are keyed by their tokens), so the order is
+    total.
+    """
+    candidates = sorted(matcher.scan(tokens), key=lambda c: (c[0], c[0] - c[1]))
     selected: list[Match] = []
     cursor = 0
-    for m in candidates:
-        if m.start >= cursor:
-            selected.append(m)
-            cursor = m.end
+    for start, end, canonical in candidates:
+        if start >= cursor:
+            selected.append(Match(canonical, start, end, tuple(tokens[start:end])))
+            cursor = end
     return selected
 
 
@@ -131,11 +132,13 @@ def rewrite_with_idiom_tokens(matcher: Matcher, tokens: TokenSeq) -> TokenSeq:
 class GroupCounts:
     """Occurrence counts split by group, over idiom-rewritten streams.
 
-    ``idiom_counts`` accumulates over all surface variants of an entry;
-    ``token_counts`` covers the rewritten stream, so a matched span counts
-    once as its idiom token.  Each matched span is also recorded by where it
-    sits: ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]`` indexes
-    the key order of ``idiom_counts``.
+    ``streams[i]`` is ``posts[i]`` with each matched span replaced by its
+    idiom token (`rewrite_with_idiom_tokens`), and ``token_counts`` counts
+    exactly these streams, so a matched span counts once as its idiom token.
+    ``idiom_counts`` accumulates over all surface variants of an entry.
+    Each matched span is also recorded by where it sits: ``span_posts[k]``
+    indexes ``posts`` and ``span_idioms[k]`` indexes the key order of
+    ``idiom_counts``.
     """
 
     groups: tuple[str, str]
@@ -144,12 +147,9 @@ class GroupCounts:
     token_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     group_totals: dict[str, int] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
+    streams: list[TokenSeq] = field(default_factory=list)
     span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     span_idioms: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-
-    def idiom_total(self, canonical: str) -> int:
-        per_group = self.idiom_counts.get(canonical, {})
-        return sum(per_group.values())
 
     def variant_total(self, tokens: tuple[str, ...]) -> int:
         return sum(self.variant_counts.get(tokens, {}).values())
@@ -185,27 +185,12 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
             counts.variant_counts.setdefault(m.surface, {gr: 0 for gr in groups})[g] += 1
             span_posts.append(i)
             span_idioms.append(column[m.canonical])
-        for tok in _apply_rewrite(tokens, matches):
+        stream = _apply_rewrite(tokens, matches)
+        counts.streams.append(stream)
+        for tok in stream:
             counts.token_counts.setdefault(tok, {gr: 0 for gr in groups})[g] += 1
             counts.group_totals[g] += 1
     counts.span_posts = np.array(span_posts, dtype=np.intp)
     counts.span_idioms = np.array(span_idioms, dtype=np.intp)
     return counts
 
-
-def write_idiom_counts_csv(counts: GroupCounts, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["canonical", "group", "count"])
-        for canonical in sorted(counts.idiom_counts):
-            for group in counts.groups:
-                writer.writerow([canonical, group, counts.idiom_counts[canonical][group]])
-
-
-def write_token_counts_csv(counts: GroupCounts, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["token", "group", "count"])
-        for token in sorted(counts.token_counts):
-            for group in counts.groups:
-                writer.writerow([token, group, counts.token_counts[token][group]])

@@ -374,8 +374,8 @@ def shared_context_corpus(n_sent, seed):
 def test_criterion_09_embedding_properties():
     corpus = shared_context_corpus(300, seed=1)
     params = TrainParams(dim=24, window=2, min_count=1, epochs=3, seed=77)
-    one = train_sgns(corpus, None, params)
-    two = train_sgns(corpus, None, params)
+    one = train_sgns([p.tokens for p in corpus.posts], params)
+    two = train_sgns([p.tokens for p in corpus.posts], params)
     bitwise = bool(np.array_equal(one.vectors, two.vectors)) and one.vocab == two.vocab
 
     full = figlex.load_corpus(str(DATA_DIR / "corpus_fixture.jsonl"))
@@ -385,13 +385,13 @@ def test_criterion_09_embedding_properties():
         posts.append(p)
         if acc >= 100_000:
             break
-    space = train_sgns(full.subset(posts), None, TrainParams(seed=11))
+    space = train_sgns([p.tokens for p in posts], TrainParams(seed=11))
     monotone = bool(np.all(np.diff(space.epoch_losses) <= 0))
 
     wins = 0
     corpus_small = shared_context_corpus(150, seed=5)
     for seed in range(100):
-        sp = train_sgns(corpus_small, None,
+        sp = train_sgns([p.tokens for p in corpus_small.posts],
                         TrainParams(dim=12, window=2, min_count=1, epochs=3, seed=seed))
         if cosine(sp.vector("aa"), sp.vector("bb")) > cosine(sp.vector("aa"),
                                                              sp.vector("cc")):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import figlex.cli
+import figlex.matcher
 from figlex.cli import (
     StageError,
     build_config,
@@ -22,9 +23,10 @@ from figlex.cli import (
     parse_config_file,
     thread_cap,
 )
+from figlex.corpus import load_corpus
 from figlex.embeddings import train_sgns
 
-from conftest import run_python, write_jsonl
+from conftest import DATA_DIR, run_python, write_jsonl
 
 
 TINY_LEXICON = [
@@ -284,12 +286,36 @@ class TestAnalyze:
             assert not (Path(config.out) / name).exists()
 
 
-def _train_sgns_failing_on(bad_seed, corpus, matcher, params):
+class TestMatchOnce:
+    def test_analyze_matches_each_post_once(self, tmp_path, monkeypatch):
+        """count_usages is where analyze matches posts; the SGNS spaces train
+        on the streams it rewrote instead of matching every post again."""
+        overrides = {"corpus": str(DATA_DIR / "corpus_fixture.jsonl"),
+                     "lexicon": str(DATA_DIR / "lexicon_fixture.jsonl"),
+                     "vad_lexicon": str(DATA_DIR / "vad_fixture.csv"),
+                     "out": str(tmp_path / "out"), "n_splits": 20}
+        config = build_config(parse_config_file(str(DATA_DIR / "fixture.conf")), overrides)
+        cmd_prepare(config)
+        calls = []
+        find_matches = figlex.matcher.find_matches
+
+        def counting(matcher, tokens):
+            calls.append(None)
+            return find_matches(matcher, tokens)
+
+        monkeypatch.setattr(figlex.matcher, "find_matches", counting)
+        monkeypatch.setenv("FIGLEX_THREADS", "1")
+        cmd_analyze(config)
+        corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
+        assert len(calls) == len(corpus)
+
+
+def _train_sgns_failing_on(bad_seed, sentences, params):
     """train_sgns that fails for one seed and says which process it ran in."""
     if params.seed == bad_seed:
         in_worker = multiprocessing.parent_process() is not None
         raise ValueError(f"planted failure (in worker: {in_worker})")
-    return train_sgns(corpus, matcher, params)
+    return train_sgns(sentences, params)
 
 
 def _files(out):

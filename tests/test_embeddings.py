@@ -21,7 +21,7 @@ from figlex.embeddings import (
     train_sgns,
 )
 from figlex.lexicon import load_lexicon
-from figlex.matcher import build_matcher, rewrite_with_idiom_tokens
+from figlex.matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
 
 from conftest import make_corpus, write_jsonl
 
@@ -195,28 +195,29 @@ class TestCosine:
 class TestTrainSgns:
     def test_min_count_filters_vocab(self):
         corpus = make_corpus({"A": ["common common common rare"], "B": ["common common"]})
-        space = train_sgns(corpus, None, TrainParams(dim=4, min_count=2, epochs=1, seed=0))
+        space = train_sgns([p.tokens for p in corpus.posts],
+                           TrainParams(dim=4, min_count=2, epochs=1, seed=0))
         assert "common" in space
         assert "rare" not in space
 
     def test_deterministic_bitwise(self):
         corpus = small_corpus()
         params = TrainParams(dim=12, window=2, min_count=1, epochs=2, seed=9)
-        one = train_sgns(corpus, None, params)
-        two = train_sgns(corpus, None, params)
+        one = train_sgns([p.tokens for p in corpus.posts], params)
+        two = train_sgns([p.tokens for p in corpus.posts], params)
         assert np.array_equal(one.vectors, two.vectors)
         assert one.vocab == two.vocab
 
     def test_loss_non_increasing(self):
         corpus = small_corpus(n_sent=200)
-        space = train_sgns(corpus, None,
+        space = train_sgns([p.tokens for p in corpus.posts],
                            TrainParams(dim=16, window=2, min_count=1, epochs=5, seed=4))
         for earlier, later in zip(space.epoch_losses, space.epoch_losses[1:]):
             assert later <= earlier
 
     def test_shared_context_closer_than_disjoint(self):
         corpus = small_corpus(n_sent=240, seed=3)
-        space = train_sgns(corpus, None,
+        space = train_sgns([p.tokens for p in corpus.posts],
                            TrainParams(dim=16, window=2, min_count=1, epochs=4, seed=7))
         same = cosine(space.vector("aa"), space.vector("bb"))
         cross = cosine(space.vector("aa"), space.vector("cc"))
@@ -239,7 +240,11 @@ class TestTrainSgns:
         else:
             corpus, matcher = idiom_corpus_and_matcher(tmp_path)
             params = TrainParams(dim=dim, window=3, negatives=2, min_count=2, epochs=3, seed=6)
-        got = train_sgns(corpus, matcher, params)
+        if matcher is None:
+            sentences = [p.tokens for p in corpus.posts]
+        else:
+            sentences = count_usages(matcher, corpus).streams
+        got = train_sgns(sentences, params)
         want = reference_train_sgns(corpus, matcher, params)
         assert got.vocab == want.vocab
         if matcher is not None:
@@ -261,7 +266,7 @@ class TestTrainSgns:
         runs = []
         for block_rows in (1, 7, 64, figlex.embeddings._BLOCK_ROWS):
             monkeypatch.setattr(figlex.embeddings, "_BLOCK_ROWS", block_rows)
-            runs.append(train_sgns(corpus, None, params))
+            runs.append(train_sgns([p.tokens for p in corpus.posts], params))
         for space in runs[1:]:
             assert space.vocab == runs[0].vocab
             assert np.array_equal(space.vectors.view(np.uint32), runs[0].vectors.view(np.uint32))
@@ -271,7 +276,8 @@ class TestTrainSgns:
     def test_empty_vocab_error(self):
         corpus = make_corpus({"A": ["one two"], "B": ["three"]})
         with pytest.raises(ValueError, match="min_count"):
-            train_sgns(corpus, None, TrainParams(dim=4, min_count=99, epochs=1, seed=0))
+            train_sgns([p.tokens for p in corpus.posts],
+                       TrainParams(dim=4, min_count=99, epochs=1, seed=0))
 
 
 SIGMOID_EDGES = [0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 1e30, -1e30,
@@ -359,7 +365,7 @@ class TestVectorFile:
 
     def test_roundtrip_preserves_cosines(self, tmp_path):
         corpus = small_corpus()
-        space = train_sgns(corpus, None,
+        space = train_sgns([p.tokens for p in corpus.posts],
                            TrainParams(dim=10, window=2, min_count=1, epochs=2, seed=1))
         path = tmp_path / "v.txt"
         save_vectors(space, str(path))

@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from figlex.corpus import Corpus
 from figlex.lexicon import idiom_token, load_lexicon
 from figlex.matcher import (
     Matcher,
@@ -10,7 +15,7 @@ from figlex.matcher import (
     rewrite_with_idiom_tokens,
 )
 
-from conftest import make_corpus, write_jsonl
+from conftest import make_corpus, make_post, write_jsonl
 
 
 PATTERNS = {
@@ -20,6 +25,10 @@ PATTERNS = {
     ("the", "bucket", "list"): "the bucket list",
     ("over", "the", "moon"): "over the moon",
 }
+
+
+# every token of PATTERNS, plus two that start none
+STREAM_WORDS = sorted({t for pattern in PATTERNS for t in pattern}) + ["x", "y"]
 
 
 def brute_force_matches(patterns, tokens):
@@ -173,6 +182,26 @@ class TestCountUsages:
             for m in find_matches(matcher, list(post.tokens)):
                 manual[m.canonical][post.group] += 1
         assert manual == counts.idiom_counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["M", "F"]),
+                              st.lists(st.sampled_from(STREAM_WORDS), max_size=12)),
+                    max_size=12))
+    def test_streams_are_the_rewrite_and_what_is_counted(self, posts):
+        matcher = Matcher(PATTERNS)
+        # groups interleave in the generated order, as in a balanced corpus
+        corpus = Corpus(posts=tuple(make_post(" ".join(words), group=g, author=f"a{i}")
+                                    for i, (g, words) in enumerate(posts)),
+                        group_labels=("M", "F"))
+        counts = count_usages(matcher, corpus)
+        assert len(counts.streams) == len(corpus.posts)
+        for stream, post in zip(counts.streams, corpus.posts):
+            assert stream == rewrite_with_idiom_tokens(matcher, list(post.tokens))
+        for g in ("M", "F"):
+            want = Counter(t for stream, post in zip(counts.streams, corpus.posts)
+                           if post.group == g for t in stream)
+            assert {t: c[g] for t, c in counts.token_counts.items() if c[g]} == want
+            assert counts.group_totals[g] == want.total()
 
     def test_variant_counts_sum_to_idiom_counts(self, tmp_path):
         lexicon = self.make_lexicon(tmp_path)
