@@ -169,8 +169,9 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
             raise ValueError(f"{key} must be positive")
     if config.literality_threshold <= 0:
         raise ValueError("literality_threshold must be positive")
-    if config.baseline_n < 0:
-        raise ValueError("baseline_n must be nonnegative")
+    if config.baseline_n < 2:
+        # the affect stage compares samples and needs two observations of each
+        raise ValueError("baseline_n must be at least 2")
     return config
 
 
@@ -227,7 +228,7 @@ def cmd_prepare(config: RunConfig) -> None:
         stage = "embed"
         pruned_matcher = build_matcher(pruned)
         space = train_sgns(
-            [rewrite_with_idiom_tokens(pruned_matcher, list(p.tokens)) for p in balanced.posts],
+            [rewrite_with_idiom_tokens(pruned_matcher, p.tokens) for p in balanced.posts],
             config.train,
         )
 

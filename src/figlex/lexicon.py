@@ -310,11 +310,15 @@ def load_lexicon(path: str) -> Lexicon:
                     raise ValueError(f"line {lineno}: bad slot_kind {entry.slot_kind!r}")
 
             if "variants" in rec:
-                forms = {
-                    SurfaceForm(tokens=tuple(tokenize(v)), parent=entry.key)
-                    for v in rec["variants"]
-                }
-                forms.add(SurfaceForm(tokens=canonical, parent=entry.key))
+                variants = rec["variants"]
+                if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+                    raise ValueError(f"line {lineno}: variants must be a list of strings")
+                forms = {SurfaceForm(tokens=canonical, parent=entry.key)}
+                for v in variants:
+                    surface = tuple(tokenize(v))
+                    if not surface:
+                        raise ValueError(f"line {lineno}: variant {v!r} has no tokens")
+                    forms.add(SurfaceForm(tokens=surface, parent=entry.key))
             else:
                 forms = expand_entry(entry)
             entry.variants = {sf.tokens: sf for sf in sorted(forms, key=lambda s: s.tokens)}

@@ -1,14 +1,15 @@
 """Multi-pattern idiom matching over token streams.
 
-A token-level Aho-Corasick automaton indexes every surface variant in the
-lexicon.  Scans report leftmost-longest, non-overlapping matches, which
-makes usage counts and stream rewriting well defined.
+Every surface variant in the lexicon is a pattern of one or more tokens.
+Matching is leftmost-longest and non-overlapping: at each position the
+longest pattern that starts there wins and the scan resumes after it.
+This makes usage counts and stream rewriting well defined.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -25,56 +26,23 @@ class Match:
 
 
 class Matcher:
-    """Immutable automaton mapping surface token sequences to canonicals."""
+    """Immutable table mapping surface token sequences to canonicals.
+
+    Patterns are indexed by their first token: ``_lengths`` maps it to the
+    distinct lengths of the patterns that start with it, longest first.
+    """
 
     def __init__(self, patterns: dict[tuple[str, ...], str]):
         self.patterns = dict(patterns)
-        # trie with BFS failure links; outputs stored as (length, canonical)
-        self._goto: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._out: list[list[tuple[int, str]]] = [[]]
-        for tokens, canonical in self.patterns.items():
-            node = 0
-            for tok in tokens:
-                nxt = self._goto[node].get(tok)
-                if nxt is None:
-                    nxt = len(self._goto)
-                    self._goto[node][tok] = nxt
-                    self._goto.append({})
-                    self._fail.append(0)
-                    self._out.append([])
-                node = nxt
-            self._out[node].append((len(tokens), canonical))
-        queue = deque()
-        for child in self._goto[0].values():
-            queue.append(child)
-        while queue:
-            node = queue.popleft()
-            for tok, child in self._goto[node].items():
-                queue.append(child)
-                f = self._fail[node]
-                while f and tok not in self._goto[f]:
-                    f = self._fail[f]
-                self._fail[child] = self._goto[f].get(tok, 0)
-                if self._fail[child] == child:
-                    self._fail[child] = 0
-                self._out[child] = self._out[child] + self._out[self._fail[child]]
+        lengths: dict[str, set[int]] = {}
+        for tokens in self.patterns:
+            if not tokens:
+                raise ValueError("a pattern must hold at least one token")
+            lengths.setdefault(tokens[0], set()).add(len(tokens))
+        self._lengths = {tok: sorted(ls, reverse=True) for tok, ls in lengths.items()}
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def scan(self, tokens: TokenSeq) -> list[tuple[int, int, str]]:
-        """Every pattern occurrence as (start, end, canonical), including
-        overlapping ones."""
-        spans: list[tuple[int, int, str]] = []
-        node = 0
-        for i, tok in enumerate(tokens):
-            while node and tok not in self._goto[node]:
-                node = self._fail[node]
-            node = self._goto[node].get(tok, 0)
-            for length, canonical in self._out[node]:
-                spans.append((i + 1 - length, i + 1, canonical))
-        return spans
 
 
 def build_matcher(lexicon: Lexicon) -> Matcher:
@@ -91,24 +59,32 @@ def build_matcher(lexicon: Lexicon) -> Matcher:
     return Matcher(patterns)
 
 
-def find_matches(matcher: Matcher, tokens: TokenSeq) -> list[Match]:
+def find_matches(matcher: Matcher, tokens: Sequence[str]) -> list[Match]:
     """Leftmost-longest, non-overlapping matches in token order.
 
-    Only the selected spans become a `Match`.  No two candidates share both
-    start and length (patterns are keyed by their tokens), so the order is
-    total.
+    At each position the patterns starting with its token are tried
+    longest first, among those that end inside the stream; the first hit
+    is selected and the scan jumps past it, otherwise it moves on by one.
     """
-    candidates = sorted(matcher.scan(tokens), key=lambda c: (c[0], c[0] - c[1]))
+    patterns = matcher.patterns
+    n = len(tokens)
     selected: list[Match] = []
-    cursor = 0
-    for start, end, canonical in candidates:
-        if start >= cursor:
-            selected.append(Match(canonical, start, end, tuple(tokens[start:end])))
-            cursor = end
+    i = 0
+    while i < n:
+        for length in matcher._lengths.get(tokens[i], ()):
+            if i + length <= n:
+                surface = tuple(tokens[i : i + length])
+                canonical = patterns.get(surface)
+                if canonical is not None:
+                    selected.append(Match(canonical, i, i + length, surface))
+                    i += length
+                    break
+        else:
+            i += 1
     return selected
 
 
-def _apply_rewrite(tokens: TokenSeq, matches: list[Match]) -> TokenSeq:
+def _apply_rewrite(tokens: Sequence[str], matches: list[Match]) -> TokenSeq:
     out: TokenSeq = []
     pos = 0
     for m in matches:
@@ -119,7 +95,7 @@ def _apply_rewrite(tokens: TokenSeq, matches: list[Match]) -> TokenSeq:
     return out
 
 
-def rewrite_with_idiom_tokens(matcher: Matcher, tokens: TokenSeq) -> TokenSeq:
+def rewrite_with_idiom_tokens(matcher: Matcher, tokens: Sequence[str]) -> TokenSeq:
     """Replace each matched span with the idiom's reserved single token.
 
     Idempotent: idiom tokens contain underscores, which the tokenizer never
@@ -145,7 +121,6 @@ class GroupCounts:
     idiom_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     variant_counts: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
     token_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    group_totals: dict[str, int] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
     streams: list[TokenSeq] = field(default_factory=list)
     span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
@@ -169,7 +144,7 @@ class GroupCounts:
 def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
     """Count idiom and token usage per group over the whole corpus."""
     groups = corpus.group_labels
-    counts = GroupCounts(groups=groups, group_totals={g: 0 for g in groups}, posts=corpus.posts)
+    counts = GroupCounts(groups=groups, posts=corpus.posts)
     column = {c: j for j, c in enumerate(dict.fromkeys(matcher.patterns.values()))}
     for canonical in column:
         counts.idiom_counts[canonical] = {g: 0 for g in groups}
@@ -178,18 +153,16 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
     span_idioms: list[int] = []
     for i, post in enumerate(corpus.posts):
         g = post.group
-        tokens = list(post.tokens)
-        matches = find_matches(matcher, tokens)
+        matches = find_matches(matcher, post.tokens)
         for m in matches:
             counts.idiom_counts[m.canonical][g] += 1
             counts.variant_counts.setdefault(m.surface, {gr: 0 for gr in groups})[g] += 1
             span_posts.append(i)
             span_idioms.append(column[m.canonical])
-        stream = _apply_rewrite(tokens, matches)
+        stream = _apply_rewrite(post.tokens, matches)
         counts.streams.append(stream)
         for tok in stream:
             counts.token_counts.setdefault(tok, {gr: 0 for gr in groups})[g] += 1
-            counts.group_totals[g] += 1
     counts.span_posts = np.array(span_posts, dtype=np.intp)
     counts.span_idioms = np.array(span_idioms, dtype=np.intp)
     return counts

@@ -90,12 +90,17 @@ def jsd(p: Distribution, q: Distribution) -> float:
 
 
 def _jsd_probs(p: np.ndarray, q: np.ndarray) -> float:
-    """`jsd` of two probability vectors over one support."""
-    m = 0.5 * (p + q)
+    """`jsd` of two probability vectors over one support.
+
+    Each term is ``a * log2(2a / (a + b))``, not ``a * log2(a / m)`` with
+    the mixture ``m = (a + b) / 2``: halving the smallest subnormal
+    underflows to 0, and ``a / m`` would then be infinite.
+    """
+    total = p + q
 
     def _kl(a: np.ndarray) -> float:
         mask = a > 0
-        return float(np.sum(a[mask] * np.log2(a[mask] / m[mask])))
+        return float(np.sum(a[mask] * np.log2(2 * a[mask] / total[mask])))
 
     value = 0.5 * _kl(p) + 0.5 * _kl(q)
     return float(min(max(value, 0.0), 1.0))

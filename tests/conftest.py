@@ -5,11 +5,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import figlex
 from figlex.corpus import Corpus, Post, tokenize
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# A failing property test prints the `@reproduce_failure` line that replays
+# it; the example database under .hypothesis/ stays on the machine it ran on.
+settings.register_profile("figlex", print_blob=True)
+settings.load_profile("figlex")
 
 
 def make_post(text: str, group: str = "A", author: str = "a0") -> Post:

@@ -459,6 +459,11 @@ class TestMainEntry:
         assert main(["prepare", "--config", str(conf)]) == 2
         assert "no_such_key" in capsys.readouterr().err
 
+    def test_baseline_n_below_two_exits_two(self, tmp_path, capsys):
+        # 1 would pass the divergence and gscore stages, then fail at affect
+        assert main(["analyze", "--out", str(tmp_path), "--baseline-n", "1"]) == 2
+        assert "baseline_n" in capsys.readouterr().err
+
     def test_bad_thread_cap_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FIGLEX_THREADS", "junk")
         assert main(["report", "--out", str(tmp_path), "--format", "json"]) == 2

@@ -155,6 +155,23 @@ class TestLoadLexicon:
             ("pick", "a", "fight"), ("picked", "a", "fight"),
         }
 
+    @pytest.mark.parametrize("variants", [["!!!"], [""]])
+    def test_variant_without_tokens(self, tmp_path, variants):
+        path = write_jsonl(tmp_path / "lex.jsonl", [
+            {"canonical": "at odds", "definition": "x"},
+            {"canonical": "over the moon", "definition": "y", "variants": variants},
+        ])
+        with pytest.raises(ValueError, match="line 2: variant .* has no tokens"):
+            load_lexicon(str(path))
+
+    def test_variants_must_be_a_list(self, tmp_path):
+        # a string would be iterated character by character
+        path = write_jsonl(tmp_path / "lex.jsonl", [{
+            "canonical": "over the moon", "definition": "y", "variants": "over the moon",
+        }])
+        with pytest.raises(ValueError, match="line 1: variants must be a list of strings"):
+            load_lexicon(str(path))
+
 
 def counts_with_variants(variant_counts: dict[tuple[str, ...], int]) -> GroupCounts:
     return GroupCounts(

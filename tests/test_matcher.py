@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from figlex.corpus import Corpus
@@ -111,6 +111,30 @@ class TestFindMatches:
             got = [(m.start, m.end, m.canonical) for m in find_matches(matcher, tokens)]
             assert got == brute_force_matches(PATTERNS, tokens)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # few words and short patterns, so that prefixes, nested patterns and
+        # pattern tails at the end of the stream all occur
+        patterns=st.dictionaries(
+            st.lists(st.sampled_from("abcd"), min_size=1, max_size=4).map(tuple),
+            st.sampled_from(["p", "q", "r"]),
+            min_size=1, max_size=8,
+        ),
+        tokens=st.lists(st.sampled_from("abcd"), max_size=15),
+    )
+    @example(patterns={("a", "b", "c"): "abc", ("a", "b"): "ab"}, tokens=["x", "a", "b"])
+    def test_random_patterns_agree_with_brute_force(self, patterns, tokens):
+        matcher = Matcher(patterns)
+        # posts hold their tokens as tuples
+        got = [(m.start, m.end, m.canonical) for m in find_matches(matcher, tuple(tokens))]
+        assert got == brute_force_matches(patterns, tokens)
+        once = rewrite_with_idiom_tokens(matcher, tokens)
+        assert rewrite_with_idiom_tokens(matcher, once) == once
+
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="at least one token"):
+            Matcher({(): "nothing", ("a",): "a"})
+
     def test_non_overlap_and_order(self):
         rng = np.random.default_rng(3)
         vocab = ["kick", "the", "bucket", "list", "over", "moon"]
@@ -142,7 +166,7 @@ class TestCountUsages:
         corpus = make_corpus({"M": [], "F": []}, labels=("M", "F"))
         counts = count_usages(matcher, corpus)
         assert all(v == {"M": 0, "F": 0} for v in counts.idiom_counts.values())
-        assert counts.group_totals == {"M": 0, "F": 0}
+        assert {g: sum(counts.tokens_for(g).values()) for g in ("M", "F")} == {"M": 0, "F": 0}
 
     def test_identical_posts_symmetric(self, tmp_path):
         matcher = build_matcher(self.make_lexicon(tmp_path))
@@ -151,7 +175,7 @@ class TestCountUsages:
         counts = count_usages(matcher, corpus)
         for per_group in counts.idiom_counts.values():
             assert per_group["M"] == per_group["F"]
-        assert counts.group_totals["M"] == counts.group_totals["F"]
+        assert sum(counts.tokens_for("M").values()) == sum(counts.tokens_for("F").values())
 
     def test_matched_span_counts_once_as_idiom_token(self, tmp_path):
         matcher = build_matcher(self.make_lexicon(tmp_path))
@@ -161,8 +185,8 @@ class TestCountUsages:
         assert counts.token_counts[idiom_token("over the moon")]["M"] == 1
         assert "moon" not in counts.token_counts
         # he, was, <idiom>, today
-        assert counts.group_totals["M"] == 4
-        assert counts.group_totals["M"] == sum(
+        assert sum(counts.tokens_for("M").values()) == 4
+        assert sum(counts.tokens_for("M").values()) == sum(
             c["M"] for c in counts.token_counts.values()
         )
 
@@ -201,7 +225,7 @@ class TestCountUsages:
             want = Counter(t for stream, post in zip(counts.streams, corpus.posts)
                            if post.group == g for t in stream)
             assert {t: c[g] for t, c in counts.token_counts.items() if c[g]} == want
-            assert counts.group_totals[g] == want.total()
+            assert sum(counts.tokens_for(g).values()) == want.total()
 
     def test_variant_counts_sum_to_idiom_counts(self, tmp_path):
         lexicon = self.make_lexicon(tmp_path)

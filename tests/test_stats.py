@@ -1,12 +1,13 @@
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.spatial.distance import jensenshannon
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from figlex.corpus import random_halves
@@ -85,17 +86,32 @@ class TestJsd:
         with pytest.raises(ValueError, match="identical support"):
             jsd(dist([1.0], support=["x"]), dist([1.0], support=["y"]))
 
+    def test_subnormal_probability(self):
+        # the mixture (0 + 5e-324) / 2 underflows to 0
+        assert jsd(dist([1.0, 0.0]), dist([1.0, 5e-324])) == pytest.approx(0.0, abs=1e-12)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[
         st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.5, 1.0, 3.0]) | st.floats(0.0, 100.0),
                  min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
         for _ in range(2)
     ])))
+    @example(weights=([1e-09, 0.0], [1.0, 5e-324]))
     def test_matches_scipy_jensenshannon(self, weights):
         p, q = (dist(np.array(w) / np.sum(w)) for w in weights)
+        got = jsd(p, q)
+        # each ratio 2a / (a + b) exact, rounded once before the log
+        exact = sum(
+            0.5 * a * math.log2(2 * Fraction(a) / (Fraction(a) + Fraction(b)))
+            for x, y in ((p.probs, q.probs), (q.probs, p.probs))
+            for a, b in zip(x.tolist(), y.tolist()) if a > 0
+        )
+        assert got == pytest.approx(exact, abs=1e-12)
         expected = float(jensenshannon(p.probs, q.probs, base=2)) ** 2
-        # a divergence that rounds below zero makes scipy's square root nan
-        assert jsd(p, q) == pytest.approx(np.nan_to_num(expected), abs=1e-12)
+        # scipy's mixture underflows to 0 beside a subnormal probability (inf)
+        if not math.isinf(expected):
+            # a divergence that rounds below zero makes scipy's square root nan
+            assert got == pytest.approx(np.nan_to_num(expected), abs=1e-12)
 
 
 class TestDivergenceGapTest:
