@@ -13,11 +13,9 @@ from figlex import (
     balance_groups,
     build_matcher,
     count_usages,
-    idiom_token,
     load_corpus,
     load_lexicon,
-    nearest_neighbors,
-    sim_rbo,
+    neighborhood_overlap,
     train_sgns,
 )
 
@@ -29,27 +27,18 @@ counts = count_usages(build_matcher(lexicon), corpus)
 
 spaces = {}
 for group, seed in (("M", 1), ("F", 2)):
-    streams = [s for s, post in zip(counts.streams, corpus.posts) if post.group == group]
-    spaces[group] = train_sgns(streams, TrainParams(dim=32, min_count=2, epochs=4, seed=seed))
+    params = TrainParams(dim=32, min_count=2, epochs=4, seed=seed)
+    spaces[group] = train_sgns(counts.streams_for(group), params)
     print(f"trained {group}-space: {len(spaces[group].vocab)} tokens, "
           f"final epoch loss {spaces[group].epoch_losses[-1]:.4f}")
 
 depth = 15
 print(f"\n== neighborhood overlap at depth {depth} (low = context shift) ==")
-rows = []
-for entry in lexicon:
-    tok = idiom_token(entry.key)
-    if any(tok not in spaces[g] for g in ("M", "F")):
-        continue
-    lists = {
-        g: [t for t, _ in nearest_neighbors(spaces[g], tok, depth).neighbors]
-        for g in ("M", "F")
-    }
-    rows.append((sim_rbo(lists["M"], lists["F"], depth), entry.key, lists))
-for score, name, lists in sorted(rows):
-    print(f"  {score:.3f}  {name}")
+rows = sorted(neighborhood_overlap(spaces, lexicon.canonicals(), depth),
+              key=lambda row: (row.simrbo, row.canonical))
+for row in rows:
+    print(f"  {row.simrbo:.3f}  {row.canonical}")
 
-score, name, lists = sorted(rows)[0]
-print(f"\nmost divergent: {name!r}")
+print(f"\nmost divergent: {rows[0].canonical!r}")
 for group in ("M", "F"):
-    print(f"  top {group}-space neighbors: {lists[group][:6]}")
+    print(f"  top {group}-space neighbors: {[t for t, _ in rows[0].neighbors[group][:6]]}")

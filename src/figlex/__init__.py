@@ -65,6 +65,7 @@ from .stats import (
     DivergenceResult,
     GScoreTable,
     KdeCurve,
+    NeighborhoodOverlap,
     TestResult,
     cohens_d,
     divergence_gap_test,
@@ -73,6 +74,7 @@ from .stats import (
     jsd,
     kde,
     log_odds_dirichlet,
+    neighborhood_overlap,
     sim_rbo,
     spearman,
     usage_distribution,

@@ -3,9 +3,8 @@
 Configuration is a line-oriented ``key = value`` file; every key can be
 overridden by a command-line flag of the same name.  All outputs are plain
 CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
-seed).  With the FIGLEX_THREADS environment variable at 2 or more, analyze
-trains its two per-group embedding spaces in two processes; outputs are the
-same for every value.
+seed).  analyze trains its two per-group embedding spaces in two
+processes; the second one is forked, which needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -33,15 +31,7 @@ from .affect import (
     usage_vad_series,
 )
 from .corpus import balance_groups, load_corpus, save_corpus
-from .embeddings import (
-    EmbeddingSpace,
-    TrainParams,
-    load_vectors,
-    nearest_neighbors,
-    save_vectors,
-    sentence_embedding,
-    train_sgns,
-)
+from .embeddings import TrainParams, load_vectors, save_vectors, sentence_embedding, train_sgns
 from .lexicon import filter_literal, idiom_token, load_lexicon, prune_variants, save_lexicon
 from .matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
 from .stats import (
@@ -50,24 +40,11 @@ from .stats import (
     gscore_surface,
     kde,
     log_odds_dirichlet,
-    sim_rbo,
+    neighborhood_overlap,
     spearman,
 )
 
 NEIGHBORS_PER_IDIOM = 10
-
-
-def thread_cap() -> int:
-    """Process limit from FIGLEX_THREADS (default 1); at 2 or more, analyze
-    trains its two per-group embedding spaces in two processes.
-
-    Raises ValueError when the variable is set to a non-integer.
-    """
-    raw = os.environ.get("FIGLEX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"FIGLEX_THREADS must be an integer, got {raw!r}") from None
 
 
 class StageError(RuntimeError):
@@ -424,54 +401,39 @@ def cmd_analyze(config: RunConfig) -> None:
         stage = "embeddings"
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
         # each group's streams as count_usages rewrote them: nothing is matched again
-        jobs = {g: ([stream for stream, post in zip(counts.streams, corpus.posts)
-                     if post.group == g], replace(config.train, seed=s))
+        jobs = {g: (counts.streams_for(g), replace(config.train, seed=s))
                 for g, s in zip((group_a, group_b), seeds)}
         del counts  # only its streams, now in jobs, are used from here on
-        spaces: dict[str, EmbeddingSpace] = {}
-        if thread_cap() >= 2:
-            # Group b trains in a worker while group a trains here; each space
-            # has its own seed, so the vectors are the serial ones.  fork lets
-            # the worker inherit numpy and scipy instead of importing them
-            # again.  Serial runs never import the pool modules.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-                future_b = pool.submit(train_sgns, *jobs[group_b])
-                spaces[group_a] = train_sgns(*jobs[group_a])
-                spaces[group_b] = future_b.result()
-        for group in (group_a, group_b):
-            if group not in spaces:
-                spaces[group] = train_sgns(*jobs[group])
-            save_vectors(spaces[group], str(config.out_path(f"vectors_{group}.txt")))
+        # Group b trains in a worker while group a trains here; each space
+        # has its own seed, so the vectors do not depend on the process that
+        # trained them.  fork lets the worker inherit numpy and scipy instead
+        # of importing them again.  The pool modules are imported here because
+        # prepare and report never need them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+            future_b = pool.submit(train_sgns, *jobs[group_b])
+            spaces = {group_a: train_sgns(*jobs[group_a])}
+            spaces[group_b] = future_b.result()
+        for group, space in spaces.items():
+            save_vectors(space, str(config.out_path(f"vectors_{group}.txt")))
 
-        depth = config.rbo_depth
-        rbo_rows = []
-        neighbor_rows = []
-        for canonical in lexicon.canonicals():
-            tok = idiom_token(canonical)
-            if any(tok not in spaces[g] or len(spaces[g].vocab) - 1 < depth
-                   for g in (group_a, group_b)):
-                continue
-            lists = {}
-            for g in (group_a, group_b):
-                ranked = nearest_neighbors(spaces[g], tok, depth)
-                lists[g] = [t for t, _ in ranked.neighbors]
-                for rank, (t, cos) in enumerate(ranked.neighbors[:NEIGHBORS_PER_IDIOM], start=1):
-                    neighbor_rows.append([canonical, g, rank, t, cos])
-            rbo_rows.append([canonical, sim_rbo(lists[group_a], lists[group_b], depth)])
-        rbo_rows.sort(key=lambda r: (r[1], r[0]))
+        overlaps = neighborhood_overlap(spaces, lexicon.canonicals(), config.rbo_depth)
         _write_csv(config.out_path("simrbo.csv"), ["canonical", "simrbo"],
-                   ([canonical, _num(value)] for canonical, value in rbo_rows))
+                   ([o.canonical, _num(o.simrbo)]
+                    for o in sorted(overlaps, key=lambda o: (o.simrbo, o.canonical))))
+        neighbor_rows = sorted(
+            (o.canonical, g, rank, t, cos)
+            for o in overlaps for g, ranked in o.neighbors.items()
+            for rank, (t, cos) in enumerate(ranked[:NEIGHBORS_PER_IDIOM], start=1))
         _write_csv(config.out_path("neighbors.csv"),
                    ["canonical", "group", "rank", "token", "cosine"],
                    ([canonical, g, rank, t, _num(cos)]
-                    for canonical, g, rank, t, cos in sorted(neighbor_rows)))
-        if not rbo_rows:
-            warnings.append(
-                f"no idiom token present in both group vocabularies with {depth} neighbors"
-            )
+                    for canonical, g, rank, t, cos in neighbor_rows))
+        if not overlaps:
+            warnings.append(f"no idiom token present in both group vocabularies "
+                            f"with {config.rbo_depth} neighbors")
 
         stage = "figures"
         fig_rows = []
@@ -650,7 +612,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         config = _config_from_args(args)
     except (OSError, ValueError) as exc:  # config and usage problems
         print(f"error: {exc}", file=sys.stderr)

@@ -132,6 +132,10 @@ class GroupCounts:
     def tokens_for(self, group: str) -> dict[str, int]:
         return {t: c[group] for t, c in self.token_counts.items() if c[group] > 0}
 
+    def streams_for(self, group: str) -> list[TokenSeq]:
+        """The rewritten streams of `group`'s posts, in corpus order."""
+        return [s for s, post in zip(self.streams, self.posts) if post.group == group]
+
     def combined_tokens(self) -> dict[str, int]:
         return {t: sum(c.values()) for t, c in self.token_counts.items()}
 

@@ -5,7 +5,8 @@ values live in [0, 1]) with a random-split baseline test; log-odds ratio
 with an informative Dirichlet prior and the derived per-idiom association
 scores; Spearman rank correlation; Wilcoxon rank-sum with exact
 enumeration at small sizes; Cohen's d; rank-weighted prefix overlap of
-ranked lists; and Gaussian kernel density estimation.
+ranked lists, applied to idioms' neighbor lists across two embedding
+spaces; and Gaussian kernel density estimation.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 # scipy.special is imported inside the functions that use it, so that the
 # prepare and report commands never load scipy.
 
 from .corpus import Corpus, split_masks
-from .lexicon import IdiomEntry
+from .embeddings import EmbeddingSpace, nearest_neighbors
+from .lexicon import IdiomEntry, idiom_token
 from .matcher import GroupCounts
 
 
@@ -48,7 +50,6 @@ class TestResult:
     p_value: float
     n_a: int
     n_b: int
-    effect_size: float | None = None
 
 
 @dataclass
@@ -181,18 +182,12 @@ class GScoreTable:
     """Per-token group-association scores; positive favors corpus a."""
 
     records: dict[str, GScore]
-    n_a: int
-    n_b: int
-    prior_total: float
 
     def __contains__(self, token: str) -> bool:
         return token in self.records
 
     def z(self, token: str) -> float:
         return self.records[token].z
-
-    def delta(self, token: str) -> float:
-        return self.records[token].delta
 
 
 def log_odds_dirichlet(
@@ -233,7 +228,7 @@ def log_odds_dirichlet(
         delta = math.log((ya + aw) / rest_a) - math.log((yb + aw) / rest_b)
         sigma = math.sqrt(1.0 / (ya + aw) + 1.0 / (yb + aw))
         records[t] = GScore(delta=delta, sigma=sigma, z=delta / sigma)
-    return GScoreTable(records=records, n_a=n_a, n_b=n_b, prior_total=a0)
+    return GScoreTable(records=records)
 
 
 def _mean_word_score(words: Sequence[str], table: GScoreTable, what: str) -> float:
@@ -390,6 +385,38 @@ def sim_rbo(list_a: Sequence[str], list_b: Sequence[str], depth: int = 100) -> f
             seen_b.add(b)
         acc += overlap / (k + 1)
     return acc / depth
+
+
+@dataclass(frozen=True)
+class NeighborhoodOverlap:
+    """An idiom's ranked neighbors in two groups' spaces and their overlap."""
+
+    canonical: str
+    simrbo: float
+    neighbors: dict[str, list[tuple[str, float]]]  # group -> (token, cosine), ranked
+
+
+def neighborhood_overlap(
+    spaces: Mapping[str, EmbeddingSpace], canonicals: Iterable[str], depth: int
+) -> list[NeighborhoodOverlap]:
+    """`sim_rbo` of each idiom's `depth` nearest neighbors in two spaces.
+
+    `spaces` maps two group labels to their spaces, the first group's list
+    being `sim_rbo`'s first argument.  An idiom is skipped when its token is
+    missing from either space, or when a space holds fewer than ``depth + 1``
+    tokens (the anchor and its neighbors).  Rows follow `canonicals`.
+    """
+    (group_a, space_a), (group_b, space_b) = spaces.items()
+    rows = []
+    for canonical in canonicals:
+        tok = idiom_token(canonical)
+        if any(tok not in s or len(s.vocab) - 1 < depth for s in (space_a, space_b)):
+            continue
+        ranked_a = nearest_neighbors(space_a, tok, depth).neighbors
+        ranked_b = nearest_neighbors(space_b, tok, depth).neighbors
+        score = sim_rbo([t for t, _ in ranked_a], [t for t, _ in ranked_b], depth)
+        rows.append(NeighborhoodOverlap(canonical, score, {group_a: ranked_a, group_b: ranked_b}))
+    return rows
 
 
 @dataclass

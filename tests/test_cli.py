@@ -2,7 +2,6 @@ import csv
 import functools
 import json
 import multiprocessing
-import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,10 +20,11 @@ from figlex.cli import (
     flatten_report,
     main,
     parse_config_file,
-    thread_cap,
 )
 from figlex.corpus import load_corpus
-from figlex.embeddings import train_sgns
+from figlex.embeddings import save_vectors, train_sgns
+from figlex.lexicon import load_lexicon
+from figlex.matcher import build_matcher, count_usages
 
 from conftest import DATA_DIR, run_python, write_jsonl
 
@@ -155,15 +155,6 @@ class TestConfig:
         conf.write_text("seed = 1\nnot a pair\n")
         with pytest.raises(ValueError, match="line 2"):
             parse_config_file(str(conf))
-
-    def test_thread_cap(self, monkeypatch):
-        monkeypatch.delenv("FIGLEX_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("FIGLEX_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("FIGLEX_THREADS", "junk")
-        with pytest.raises(ValueError, match="FIGLEX_THREADS"):
-            thread_cap()
 
 
 class TestPrepare:
@@ -304,7 +295,6 @@ class TestMatchOnce:
             return find_matches(matcher, tokens)
 
         monkeypatch.setattr(figlex.matcher, "find_matches", counting)
-        monkeypatch.setenv("FIGLEX_THREADS", "1")
         cmd_analyze(config)
         corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
         assert len(calls) == len(corpus)
@@ -318,23 +308,22 @@ def _train_sgns_failing_on(bad_seed, sentences, params):
     return train_sgns(sentences, params)
 
 
-def _files(out):
-    return {p.name: p.read_bytes() for p in Path(out).iterdir()}
-
-
 class TestParallelEmbeddings:
-    def test_two_processes_write_the_serial_bytes(self, tmp_path, monkeypatch):
-        parallel = build_config({}, medium_inputs(tmp_path))
-        cmd_prepare(parallel)
-        serial = replace(parallel, out=str(tmp_path / "serial"))
-        shutil.copytree(parallel.out, serial.out)
-        for config, threads in ((serial, "1"), (parallel, "2")):
-            monkeypatch.setenv("FIGLEX_THREADS", threads)
-            cmd_analyze(config)
-            cmd_report(config, "json")
-            cmd_report(config, "csv")
-        assert {"vectors_F.txt", "vectors_M.txt", "report.csv"} <= set(_files(parallel.out))
-        assert _files(parallel.out) == _files(serial.out)
+    def test_two_processes_write_the_serial_bytes(self, tmp_path):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        cmd_analyze(config)
+        assert multiprocessing.active_children() == []
+        corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
+        lexicon = load_lexicon(str(config.out_path("lexicon_filtered.jsonl")))
+        counts = count_usages(build_matcher(lexicon), corpus)
+        # the first sorted label trains on the first child seed, in process
+        seeds = np.random.SeedSequence(config.seed).spawn(2)
+        for group, seed in zip(sorted(corpus.group_labels), seeds):
+            params = replace(config.train, seed=int(seed.generate_state(1)[0]))
+            serial = tmp_path / f"serial_{group}.txt"
+            save_vectors(train_sgns(counts.streams_for(group), params), str(serial))
+            assert config.out_path(f"vectors_{group}.txt").read_bytes() == serial.read_bytes()
 
     def test_worker_failure_names_embeddings_stage(self, tmp_path, monkeypatch):
         config = build_config({}, medium_inputs(tmp_path))
@@ -343,7 +332,6 @@ class TestParallelEmbeddings:
         seed_b = int(np.random.SeedSequence(config.seed).spawn(2)[1].generate_state(1)[0])
         monkeypatch.setattr(figlex.cli, "train_sgns",
                             functools.partial(_train_sgns_failing_on, seed_b))
-        monkeypatch.setenv("FIGLEX_THREADS", "2")
         with pytest.raises(StageError) as info:
             cmd_analyze(config)
         assert info.value.stage == "embeddings"
@@ -428,16 +416,20 @@ def _packages_loaded_by(*argv):
 
 
 class TestColdStart:
-    def test_prepare_and_report_never_load_scipy(self, tmp_path):
-        assert "scipy" not in _packages_loaded_by()
+    # scipy is analyze's alone; so is the process pool, whose import costs
+    # about a tenth of a cold start
+    ANALYZE_ONLY = {"scipy", "multiprocessing", "concurrent"}
+
+    def test_prepare_and_report_never_load_scipy_or_the_pool(self, tmp_path):
+        assert not self.ANALYZE_ONLY & _packages_loaded_by()
         overrides = medium_inputs(tmp_path)
         argv = ["prepare"]
         for key, value in overrides.items():
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
-        assert "scipy" not in _packages_loaded_by(*argv)
+        assert not self.ANALYZE_ONLY & _packages_loaded_by(*argv)
         cmd_analyze(build_config({}, overrides))
         loaded = _packages_loaded_by("report", "--out", overrides["out"], "--format", "json")
-        assert "scipy" not in loaded
+        assert not self.ANALYZE_ONLY & loaded
         assert (Path(overrides["out"]) / "report.json").exists()
 
 
@@ -463,11 +455,6 @@ class TestMainEntry:
         # 1 would pass the divergence and gscore stages, then fail at affect
         assert main(["analyze", "--out", str(tmp_path), "--baseline-n", "1"]) == 2
         assert "baseline_n" in capsys.readouterr().err
-
-    def test_bad_thread_cap_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FIGLEX_THREADS", "junk")
-        assert main(["report", "--out", str(tmp_path), "--format", "json"]) == 2
-        assert "FIGLEX_THREADS" in capsys.readouterr().err
 
     def test_stage_error_exit_one(self, tmp_path, capsys):
         code = main([

@@ -227,6 +227,19 @@ class TestCountUsages:
             assert {t: c[g] for t, c in counts.token_counts.items() if c[g]} == want
             assert sum(counts.tokens_for(g).values()) == want.total()
 
+    def test_streams_for_keeps_a_groups_posts_in_corpus_order(self):
+        matcher = Matcher(PATTERNS)
+        posts = [("M", "over the moon x"), ("F", "y"), ("M", "kick the bucket"),
+                 ("F", "x pick a fight")]
+        corpus = Corpus(posts=tuple(make_post(text, group=g, author=f"a{i}")
+                                    for i, (g, text) in enumerate(posts)),
+                        group_labels=("M", "F"))
+        counts = count_usages(matcher, corpus)
+        moon, bucket, fight = map(idiom_token, ("over the moon", "kick the bucket",
+                                                "pick a fight"))
+        assert counts.streams_for("M") == [[moon, "x"], [bucket]]
+        assert counts.streams_for("F") == [["y"], ["x", fight]]
+
     def test_variant_counts_sum_to_idiom_counts(self, tmp_path):
         lexicon = self.make_lexicon(tmp_path)
         matcher = build_matcher(lexicon)

@@ -10,8 +10,10 @@ from scipy.spatial.distance import jensenshannon
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from figlex.corpus import random_halves
-from figlex.lexicon import IdiomEntry, Lexicon, SurfaceForm, load_lexicon
+import figlex.stats
+from figlex.corpus import balance_groups, load_corpus, random_halves
+from figlex.embeddings import TrainParams, nearest_neighbors, train_sgns
+from figlex.lexicon import IdiomEntry, Lexicon, SurfaceForm, idiom_token, load_lexicon
 from figlex.matcher import GroupCounts, build_matcher, count_usages, find_matches
 from figlex.stats import (
     Distribution,
@@ -24,13 +26,14 @@ from figlex.stats import (
     jsd,
     kde,
     log_odds_dirichlet,
+    neighborhood_overlap,
     sim_rbo,
     spearman,
     usage_distribution,
     wilcoxon_ranksum,
 )
 
-from conftest import make_corpus, write_jsonl
+from conftest import DATA_DIR, make_corpus, write_jsonl
 
 
 def dist(probs, support=None):
@@ -271,13 +274,22 @@ class TestLogOddsDirichlet:
                 assert rec.sigma == pytest.approx(expected[1], abs=1e-12)
                 assert rec.z == pytest.approx(expected[2], abs=1e-12)
 
-    def test_swap_antisymmetry_exact(self):
-        counts_a = {"x": 5, "y": 5}
-        counts_b = {"x": 1, "y": 9}
-        prior = {"x": 0.1, "y": 0.9}
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 60), min_size=n, max_size=n),
+        st.lists(st.integers(0, 60), min_size=n, max_size=n),
+        st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n))))
+    @example(([5, 5], [1, 9], [0.1, 0.9]))
+    @example(([0, 3, 0], [0, 0, 7], [2.0, 1e-6, 1e3]))
+    def test_swap_antisymmetry_exact(self, columns):
+        # a zero count is left out, so some tokens are scored from the prior alone
+        counts_a, counts_b = ({f"t{k}": c for k, c in enumerate(col) if c}
+                              for col in columns[:2])
+        prior = {f"t{k}": a for k, a in enumerate(columns[2])}
         fwd = log_odds_dirichlet(counts_a, counts_b, prior)
         rev = log_odds_dirichlet(counts_b, counts_a, prior)
-        for t in counts_a:
+        assert fwd.records.keys() == rev.records.keys() == prior.keys()
+        for t in prior:
             assert fwd.records[t].delta == -rev.records[t].delta
             assert fwd.records[t].z == -rev.records[t].z
 
@@ -306,7 +318,7 @@ class TestLogOddsDirichlet:
 
 def table_from_z(scores: dict[str, float]) -> GScoreTable:
     records = {t: GScore(delta=z, sigma=1.0, z=z) for t, z in scores.items()}
-    return GScoreTable(records=records, n_a=0, n_b=0, prior_total=1.0)
+    return GScoreTable(records=records)
 
 
 class TestGscoreAggregation:
@@ -467,10 +479,23 @@ def brute_force_rbo(list_a, list_b, depth):
     return total / depth
 
 
+@st.composite
+def ranked_lists(draw):
+    """A depth in 1..20 and two random orders of one random pool of at
+    least `depth` distinct tokens."""
+    depth = draw(st.integers(1, 20))
+    pool = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=3), unique=True,
+                         min_size=depth, max_size=depth + 10))
+    return depth, draw(st.permutations(pool)), draw(st.permutations(pool))
+
+
 class TestSimRbo:
-    def test_identical(self):
-        items = [f"t{k}" for k in range(10)]
-        assert sim_rbo(items, list(items), depth=10) == pytest.approx(1.0)
+    @settings(max_examples=100, deadline=None)
+    @given(ranked_lists())
+    @example((10, [f"t{k}" for k in range(10)], [f"t{k}" for k in range(10)]))
+    def test_identical(self, lists):
+        depth, a, b = lists
+        assert sim_rbo(a, list(a), depth) == sim_rbo(b, list(b), depth) == 1.0
 
     def test_disjoint(self):
         a = [f"a{k}" for k in range(10)]
@@ -493,12 +518,16 @@ class TestSimRbo:
                 brute_force_rbo(a, b, depth), abs=1e-12
             )
 
-    def test_symmetric(self):
-        rng = np.random.default_rng(41)
-        pool = [f"w{k}" for k in range(15)]
-        a = list(rng.permutation(pool))
-        b = list(rng.permutation(pool))
-        assert sim_rbo(a, b, 15) == pytest.approx(sim_rbo(b, a, 15), abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(ranked_lists())
+    @example((3, ["a", "b", "c"], ["a", "c", "b"]))
+    @example((2, ["a", "b", "c"], ["c", "b", "a"]))
+    def test_symmetric(self, lists):
+        """Exactly symmetric, and within [0, 1]."""
+        depth, a, b = lists
+        score = sim_rbo(a, b, depth)
+        assert score == sim_rbo(b, a, depth)
+        assert 0.0 <= score <= 1.0
 
     def test_shared_prefix_lower_bound(self):
         a = ["p1", "p2", "p3", "x1", "x2"]
@@ -512,6 +541,57 @@ class TestSimRbo:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             sim_rbo(["a", "a"], ["a", "b"], depth=2)
+
+
+@pytest.fixture(scope="module")
+def fixture_spaces():
+    """The shipped fixture's per-group spaces (221 and 233 tokens), as demo
+    04 trains them but for one epoch."""
+    corpus = balance_groups(load_corpus(str(DATA_DIR / "corpus_fixture.jsonl")), seed=42)
+    lexicon = load_lexicon(str(DATA_DIR / "lexicon_fixture.jsonl"))
+    counts = count_usages(build_matcher(lexicon), corpus)
+    spaces = {g: train_sgns(counts.streams_for(g),
+                            TrainParams(dim=32, min_count=2, epochs=1, seed=seed))
+              for g, seed in (("M", 1), ("F", 2))}
+    return spaces, lexicon.canonicals()
+
+
+def inline_overlap(spaces, canonicals, depth, nearest):
+    """The neighborhood loop as analyze once wrote it inline."""
+    ga, gb = spaces
+    rows = []
+    for canonical in canonicals:
+        tok = idiom_token(canonical)
+        if any(tok not in spaces[g] or len(spaces[g].vocab) - 1 < depth for g in (ga, gb)):
+            continue
+        ranked = {g: nearest(spaces[g], tok, depth).neighbors for g in (ga, gb)}
+        lists = {g: [t for t, _ in ranked[g]] for g in (ga, gb)}
+        rows.append((canonical, sim_rbo(lists[ga], lists[gb], depth), ranked))
+    return rows
+
+
+class TestNeighborhoodOverlap:
+    def test_matches_the_inline_loop(self, fixture_spaces, monkeypatch):
+        spaces, canonicals = fixture_spaces
+        assert sorted(len(s.vocab) for s in spaces.values()) == [221, 233]
+        calls = []
+
+        def recording(space, token, k):
+            calls.append((id(space), token, k))
+            return nearest_neighbors(space, token, k)
+
+        monkeypatch.setattr(figlex.stats, "nearest_neighbors", recording)
+        # 220 neighbors fill the smaller space; at 221 it is too small
+        for depth, n_rows in ((15, len(canonicals)), (20, len(canonicals)),
+                              (220, len(canonicals)), (221, 0)):
+            calls.clear()
+            rows = neighborhood_overlap(spaces, canonicals, depth)
+            library_calls = list(calls)
+            calls.clear()
+            expected = inline_overlap(spaces, canonicals, depth, recording)
+            assert [(r.canonical, r.simrbo, r.neighbors) for r in rows] == expected
+            assert library_calls == calls
+            assert len(rows) == n_rows
 
 
 class TestKde:
