@@ -34,8 +34,8 @@ for canonical, definition, verb_index, slot_index in [
         slot_index=slot_index,
         slot_kind="possessive" if slot_index is not None else None,
     )
-    forms = sorted(" ".join(f.tokens) for f in expand_entry(entry))
-    entry.variants = {tuple(f.split()): None for f in forms}
+    entry.variants = expand_entry(entry)
+    forms = [" ".join(f) for f in entry.variants]
     lexicon.entries[entry.key] = entry
     print(f"  {canonical!r}: {len(forms)} surface forms, e.g. {forms[:4]}")
 

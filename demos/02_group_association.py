@@ -31,8 +31,7 @@ for canonical, definition in [
     entry = IdiomEntry(canonical=tuple(tokenize(canonical)),
                        definition=tuple(tokenize(definition)),
                        verb_index=0 if canonical.startswith("pick") else None)
-    entry.variants = {f.tokens: f for f in sorted(expand_entry(entry),
-                                                  key=lambda s: s.tokens)}
+    entry.variants = expand_entry(entry)
     lexicon.entries[entry.key] = entry
 
 filler = ["the", "a", "day", "game", "happy", "angry", "team", "friend",

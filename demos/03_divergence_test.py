@@ -15,7 +15,7 @@ idioms = ["hit the road", "spill the beans", "break the ice", "clear the air"]
 lexicon = Lexicon()
 for name in idioms:
     entry = IdiomEntry(canonical=tuple(name.split()), definition=("x",))
-    entry.variants = {entry.canonical: None}
+    entry.variants = (entry.canonical,)
     lexicon.entries[entry.key] = entry
 
 

@@ -40,7 +40,6 @@ from .embeddings import (
 from .lexicon import (
     IdiomEntry,
     Lexicon,
-    SurfaceForm,
     STOPWORDS,
     expand_entry,
     filter_literal,

@@ -249,8 +249,6 @@ def cmd_prepare(config: RunConfig) -> None:
                 "train": {k: v for k, v in asdict(config.train).items() if k != "seed"},
             },
         )
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
 
@@ -464,8 +462,6 @@ def cmd_analyze(config: RunConfig) -> None:
                 "warnings": warnings,
             },
         )
-    except StageError:
-        raise
     except Exception as exc:
         err = StageError(stage, exc)
         out = Path(config.out)
@@ -572,8 +568,6 @@ def cmd_report(config: RunConfig, format: str) -> None:
             _write_json(config.out_path("report.json"), doc)
         else:
             _write_csv(config.out_path("report.csv"), ["path", "value"], flatten_report(doc))
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

@@ -6,7 +6,9 @@ axes declared in the lexicon file: the position of an inflectable verb and
 the position of an indefinite-pronoun slot ("one's", "someone",
 "someone's").  Expansion takes the Cartesian product of verb forms and
 pronoun substitutions; matching downstream is exact on tokens, so all
-variation lives here.
+variation lives here.  An entry's surface forms are a sorted tuple of
+token tuples.  Pruning keeps the forms whose count over both groups
+together exceeds ``min_count``; the counts themselves are not stored.
 """
 
 from __future__ import annotations
@@ -156,15 +158,6 @@ def inflect_verb(lemma: str) -> set[str]:
     return {lemma, _third_person(lemma), past, participle, _gerund(lemma)}
 
 
-@dataclass(frozen=True)
-class SurfaceForm:
-    """A concrete token realization of an idiom."""
-
-    tokens: tuple[str, ...]
-    parent: str
-    corpus_count: int = 0
-
-
 @dataclass
 class IdiomEntry:
     canonical: tuple[str, ...]
@@ -172,7 +165,7 @@ class IdiomEntry:
     verb_index: int | None = None
     slot_index: int | None = None
     slot_kind: str | None = None  # "possessive" | "objective"
-    variants: dict[tuple[str, ...], SurfaceForm] = field(default_factory=dict)
+    variants: tuple[tuple[str, ...], ...] = ()
     literality: float | None = None
 
     @property
@@ -210,8 +203,8 @@ class Lexicon:
         return list(self.entries.keys())
 
 
-def expand_entry(entry: IdiomEntry) -> set[SurfaceForm]:
-    """All surface forms of an entry: verb-form choices crossed with
+def expand_entry(entry: IdiomEntry) -> tuple[tuple[str, ...], ...]:
+    """All surface forms of an entry, sorted: verb-form choices crossed with
     pronoun substitutions.  The canonical form is always one of the cells.
     """
     canonical = entry.canonical
@@ -227,7 +220,7 @@ def expand_entry(entry: IdiomEntry) -> set[SurfaceForm]:
     else:
         slot_choices = [None]
 
-    forms: set[SurfaceForm] = set()
+    forms: set[tuple[str, ...]] = set()
     for verb in verb_choices:
         for slot_word in slot_choices:
             tokens = list(canonical)
@@ -235,8 +228,8 @@ def expand_entry(entry: IdiomEntry) -> set[SurfaceForm]:
                 tokens[entry.verb_index] = verb
             if slot_word is not None:
                 tokens[entry.slot_index] = slot_word
-            forms.add(SurfaceForm(tokens=tuple(tokens), parent=entry.key))
-    return forms
+            forms.add(tuple(tokens))
+    return tuple(sorted(forms))
 
 
 def _infer_slot_kind(slot_token: str) -> str:
@@ -313,15 +306,15 @@ def load_lexicon(path: str) -> Lexicon:
                 variants = rec["variants"]
                 if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
                     raise ValueError(f"line {lineno}: variants must be a list of strings")
-                forms = {SurfaceForm(tokens=canonical, parent=entry.key)}
+                forms = {canonical}
                 for v in variants:
                     surface = tuple(tokenize(v))
                     if not surface:
                         raise ValueError(f"line {lineno}: variant {v!r} has no tokens")
-                    forms.add(SurfaceForm(tokens=surface, parent=entry.key))
+                    forms.add(surface)
+                entry.variants = tuple(sorted(forms))
             else:
-                forms = expand_entry(entry)
-            entry.variants = {sf.tokens: sf for sf in sorted(forms, key=lambda s: s.tokens)}
+                entry.variants = expand_entry(entry)
 
             for tokens in entry.variants:
                 if tokens in surface_owner:
@@ -354,19 +347,19 @@ def save_lexicon(lexicon: Lexicon, path: str) -> None:
 
 
 def prune_variants(lexicon: Lexicon, counts: "GroupCounts", min_count: int = 50) -> Lexicon:
-    """Drop surface forms that do not exceed `min_count` combined-corpus
-    occurrences.
+    """Drop surface forms whose count over both groups together does not
+    exceed `min_count`.
 
-    The canonical form itself is always retained, and ``corpus_count`` is
-    filled on every surviving form.  ``min_count <= 0`` disables pruning.
+    The canonical form itself is always retained.  ``min_count <= 0``
+    disables pruning.
     """
     pruned = Lexicon()
     for entry in lexicon:
-        kept: dict[tuple[str, ...], SurfaceForm] = {}
-        for tokens, sf in entry.variants.items():
-            total = counts.variant_total(tokens)
-            if tokens == entry.canonical or min_count <= 0 or total > min_count:
-                kept[tokens] = replace(sf, corpus_count=total)
+        kept = tuple(
+            tokens for tokens in entry.variants
+            if tokens == entry.canonical or min_count <= 0
+            or counts.variant_counts.get(tokens, 0) > min_count
+        )
         pruned.entries[entry.key] = replace(entry, variants=kept)
     return pruned
 
@@ -406,14 +399,12 @@ def filter_literal(
         try:
             score = literality_score(entry, space)
         except (ValueError, KeyError) as exc:
-            filtered.entries[entry.key] = replace(entry, variants=dict(entry.variants))
+            filtered.entries[entry.key] = replace(entry)
             rows.append((entry.key, None, "unscored", str(exc)))
             continue
         if score > threshold:
             rows.append((entry.key, score, "removed", ""))
         else:
-            filtered.entries[entry.key] = replace(
-                entry, variants=dict(entry.variants), literality=score
-            )
+            filtered.entries[entry.key] = replace(entry, literality=score)
             rows.append((entry.key, score, "kept", ""))
     return filtered, rows

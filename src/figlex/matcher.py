@@ -111,7 +111,8 @@ class GroupCounts:
     ``streams[i]`` is ``posts[i]`` with each matched span replaced by its
     idiom token (`rewrite_with_idiom_tokens`), and ``token_counts`` counts
     exactly these streams, so a matched span counts once as its idiom token.
-    ``idiom_counts`` accumulates over all surface variants of an entry.
+    ``idiom_counts`` accumulates over all surface variants of an entry, and
+    ``variant_counts`` holds one total per surface form, over both groups.
     Each matched span is also recorded by where it sits: ``span_posts[k]``
     indexes ``posts`` and ``span_idioms[k]`` indexes the key order of
     ``idiom_counts``.
@@ -119,15 +120,12 @@ class GroupCounts:
 
     groups: tuple[str, str]
     idiom_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    variant_counts: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
+    variant_counts: dict[tuple[str, ...], int] = field(default_factory=dict)
     token_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
     streams: list[TokenSeq] = field(default_factory=list)
     span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     span_idioms: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-
-    def variant_total(self, tokens: tuple[str, ...]) -> int:
-        return sum(self.variant_counts.get(tokens, {}).values())
 
     def tokens_for(self, group: str) -> dict[str, int]:
         return {t: c[group] for t, c in self.token_counts.items() if c[group] > 0}
@@ -160,7 +158,7 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
         matches = find_matches(matcher, post.tokens)
         for m in matches:
             counts.idiom_counts[m.canonical][g] += 1
-            counts.variant_counts.setdefault(m.surface, {gr: 0 for gr in groups})[g] += 1
+            counts.variant_counts[m.surface] = counts.variant_counts.get(m.surface, 0) + 1
             span_posts.append(i)
             span_idioms.append(column[m.canonical])
         stream = _apply_rewrite(post.tokens, matches)

@@ -203,7 +203,7 @@ def sample_variant(idiom: dict, rng: np.random.Generator) -> str:
         slot_index=slot_index,
         slot_kind=slot_kind,
     )
-    forms = sorted(" ".join(f.tokens) for f in figlex.expand_entry(entry))
+    forms = [" ".join(f) for f in figlex.expand_entry(entry)]
     return forms[int(rng.integers(0, len(forms)))]
 
 

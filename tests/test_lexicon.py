@@ -1,9 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from figlex.corpus import balance_groups, load_corpus
 from figlex.embeddings import EmbeddingSpace
 from figlex.lexicon import (
+    OBJECTIVE_SLOTS,
+    POSSESSIVE_SLOTS,
     IdiomEntry,
+    Lexicon,
     STOPWORDS,
     expand_entry,
     filter_literal,
@@ -14,9 +23,9 @@ from figlex.lexicon import (
     prune_variants,
     save_lexicon,
 )
-from figlex.matcher import GroupCounts
+from figlex.matcher import GroupCounts, build_matcher, count_usages
 
-from conftest import write_jsonl
+from conftest import make_corpus, write_jsonl
 
 
 class TestInflectVerb:
@@ -46,7 +55,7 @@ class TestInflectVerb:
 class TestExpandEntry:
     def test_verb_only(self):
         entry = IdiomEntry(canonical=("pick", "a", "fight"), definition=("x",), verb_index=0)
-        forms = {f.tokens for f in expand_entry(entry)}
+        forms = set(expand_entry(entry))
         assert forms == {
             ("pick", "a", "fight"), ("picks", "a", "fight"),
             ("picked", "a", "fight"), ("picking", "a", "fight"),
@@ -54,13 +63,13 @@ class TestExpandEntry:
 
     def test_no_axes(self):
         entry = IdiomEntry(canonical=("under", "fire"), definition=("x",))
-        forms = expand_entry(entry)
-        assert {f.tokens for f in forms} == {("under", "fire")}
+        forms = set(expand_entry(entry))
+        assert forms == {("under", "fire")}
 
     def test_verb_and_possessive_slot(self):
         entry = IdiomEntry(canonical=("swallow", "one's", "pride"), definition=("x",),
                            verb_index=0, slot_index=1, slot_kind="possessive")
-        forms = {f.tokens for f in expand_entry(entry)}
+        forms = set(expand_entry(entry))
         # 4 verb forms x (original + 7 possessives)
         assert len(forms) == 32
         assert ("swallow", "one's", "pride") in forms
@@ -74,7 +83,7 @@ class TestExpandEntry:
         entry = IdiomEntry(canonical=("mean", "the", "world", "to", "someone"),
                            definition=("x",), verb_index=0, slot_index=4,
                            slot_kind="objective")
-        forms = {f.tokens for f in expand_entry(entry)}
+        forms = set(expand_entry(entry))
         assert ("means", "the", "world", "to", "me") in forms
         assert len(forms) == 4 * 8
 
@@ -82,8 +91,70 @@ class TestExpandEntry:
         entry = IdiomEntry(canonical=("hold", "someone's", "hand"), definition=("x",),
                            verb_index=0, slot_index=1, slot_kind="possessive")
         forms = expand_entry(entry)
-        tokens = [f.tokens for f in forms]
-        assert len(tokens) == len(set(tokens)) == len(inflect_verb("hold")) * 8
+        assert len(forms) == len(set(forms)) == len(inflect_verb("hold")) * 8
+
+
+@st.composite
+def idiom_entries(draw):
+    """Entries of 1-5 tokens with an optional verb position (common and
+    irregular lemmas, or random letter strings) and an optional pronoun
+    slot, whose fillers sometimes repeat a pronoun the slot expands to."""
+    words = draw(st.lists(st.sampled_from(["the", "a", "moon", "her", "my", "it", "off"]),
+                          min_size=1, max_size=5))
+    positions = range(len(words))
+    verb_index = draw(st.none() | st.sampled_from(positions))
+    if verb_index is not None:
+        words[verb_index] = draw(
+            st.sampled_from(["be", "go", "have", "pick", "carry", "die", "stop", "see"])
+            | st.text(alphabet="aeiouybcdgknprst", min_size=1, max_size=7)
+        )
+    free = [i for i in positions if i != verb_index]
+    slot_index = draw(st.none() | st.sampled_from(free)) if free else None
+    slot_kind = None
+    if slot_index is not None:
+        words[slot_index] = draw(st.sampled_from(sorted(POSSESSIVE_SLOTS | OBJECTIVE_SLOTS)))
+        slot_kind = "possessive" if words[slot_index] in POSSESSIVE_SLOTS else "objective"
+    return IdiomEntry(canonical=tuple(words), definition=("x",), verb_index=verb_index,
+                      slot_index=slot_index, slot_kind=slot_kind)
+
+
+class TestVariantsFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(idiom_entries())
+    def test_expansion_is_sorted_and_survives_save_and_load(self, entry):
+        forms = expand_entry(entry)
+        assert isinstance(forms, tuple)
+        assert list(forms) == sorted(set(forms))
+        assert entry.canonical in forms
+
+        entry.variants = forms
+        lexicon = Lexicon(entries={entry.key: entry})
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = Path(tmp) / "saved.jsonl"
+            save_lexicon(lexicon, str(saved))
+            assert load_lexicon(str(saved)).get(entry.key).variants == forms
+            # without a variants list, loading expands the entry itself
+            rec = {"canonical": entry.key, "definition": "x"}
+            if entry.verb_index is not None:
+                rec["verb_index"] = entry.verb_index
+            if entry.slot_index is not None:
+                rec["slot_index"] = entry.slot_index
+            bare = write_jsonl(Path(tmp) / "bare.jsonl", [rec])
+            assert load_lexicon(str(bare)).get(entry.key).variants == forms
+
+    def test_pruned_fixture_lexicon_roundtrips(self, tmp_path, data_dir):
+        lexicon = load_lexicon(str(data_dir / "lexicon_fixture.jsonl"))
+        corpus = balance_groups(
+            load_corpus(str(data_dir / "corpus_fixture.jsonl"), group_labels=("M", "F")), 42
+        )
+        pruned = prune_variants(lexicon, count_usages(build_matcher(lexicon), corpus), 25)
+        # the fixture has forms on both sides of the threshold
+        assert sum(len(e.variants) for e in pruned) < sum(len(e.variants) for e in lexicon)
+        save_lexicon(pruned, str(tmp_path / "pruned.jsonl"))
+        again = load_lexicon(str(tmp_path / "pruned.jsonl"))
+        assert again.canonicals() == pruned.canonicals()
+        for entry in pruned:
+            assert again.get(entry.key).variants == entry.variants
 
 
 class TestLoadLexicon:
@@ -146,8 +217,7 @@ class TestLoadLexicon:
         }])
         lexicon = load_lexicon(str(path))
         entry = lexicon.get("pick a fight")
-        entry.variants = {t: sf for t, sf in entry.variants.items()
-                          if t[0] in ("pick", "picked")}
+        entry.variants = tuple(t for t in entry.variants if t[0] in ("pick", "picked"))
         out = tmp_path / "saved.jsonl"
         save_lexicon(lexicon, str(out))
         again = load_lexicon(str(out))
@@ -176,7 +246,7 @@ class TestLoadLexicon:
 def counts_with_variants(variant_counts: dict[tuple[str, ...], int]) -> GroupCounts:
     return GroupCounts(
         groups=("A", "B"),
-        variant_counts={t: {"A": c, "B": 0} for t, c in variant_counts.items()},
+        variant_counts=dict(variant_counts),
     )
 
 
@@ -213,7 +283,16 @@ class TestPruneVariants:
         assert set(pruned.get("pick a fight").variants) == set(
             lexicon.get("pick a fight").variants
         )
-        assert pruned.get("pick a fight").variants[("pick", "a", "fight")].corpus_count == 3
+
+    def test_keeps_by_the_count_over_both_groups(self, tmp_path):
+        lexicon = self.make_lexicon(tmp_path)
+        # 30 + 30 clears 50 and 25 + 25 does not, though no group alone clears it
+        texts = ["he picked a fight"] * 30 + ["now picking a fight"] * 25
+        corpus = make_corpus({"A": texts, "B": texts})
+        counts = count_usages(build_matcher(lexicon), corpus)
+        assert counts.idiom_counts["pick a fight"] == {"A": 55, "B": 55}
+        kept = prune_variants(lexicon, counts, min_count=50).get("pick a fight").variants
+        assert kept == (("pick", "a", "fight"), ("picked", "a", "fight"))
 
     def test_monotone_in_min_count(self, tmp_path):
         lexicon = self.make_lexicon(tmp_path)
@@ -292,14 +371,12 @@ class TestLiterality:
 
 class TestFilterLiteral:
     def lexicon_and_space(self, scores: dict[str, float]):
-        from figlex.lexicon import Lexicon
-
         lexicon = Lexicon()
         vectors = {}
         for i, (name, score) in enumerate(scores.items()):
             word = f"word{i}"
             entry = IdiomEntry(canonical=(word, "tail"), definition=("x",))
-            entry.variants = {entry.canonical: None}
+            entry.variants = (entry.canonical,)
             lexicon.entries[entry.key] = entry
             vectors[idiom_token(entry.key)] = [1.0, 0.0]
             vectors[word] = [score, float(np.sqrt(1.0 - score**2))]

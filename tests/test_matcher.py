@@ -67,16 +67,13 @@ class TestBuildMatcher:
         assert find_matches(matcher, ["any", "tokens"]) == []
 
     def test_collision_names_both(self):
-        from figlex.lexicon import IdiomEntry, Lexicon, SurfaceForm
+        from figlex.lexicon import IdiomEntry, Lexicon
 
         lexicon = Lexicon()
         for key in ("kick the fence", "sit on the fence"):
             entry = IdiomEntry(canonical=tuple(key.split()), definition=("x",))
             shared = ("on", "the", "fence")
-            entry.variants = {
-                entry.canonical: SurfaceForm(entry.canonical, key),
-                shared: SurfaceForm(shared, key),
-            }
+            entry.variants = (entry.canonical, shared)
             lexicon.entries[key] = entry
         with pytest.raises(ValueError) as err:
             build_matcher(lexicon)
@@ -245,14 +242,17 @@ class TestCountUsages:
         matcher = build_matcher(lexicon)
         corpus = make_corpus({
             "M": ["he picked a fight", "they pick a fight daily"],
-            "F": ["picking a fight now"],
+            "F": ["picking a fight now", "we pick a fight"],
         })
         counts = count_usages(matcher, corpus)
+        assert counts.variant_counts == {
+            ("picked", "a", "fight"): 1,
+            ("pick", "a", "fight"): 2,
+            ("picking", "a", "fight"): 1,
+        }
         entry = lexicon.get("pick a fight")
-        for group in ("M", "F"):
-            total = sum(counts.variant_counts.get(t, {}).get(group, 0)
-                        for t in entry.variants)
-            assert total == counts.idiom_counts["pick a fight"][group]
+        total = sum(counts.variant_counts.get(t, 0) for t in entry.variants)
+        assert total == sum(counts.idiom_counts["pick a fight"].values()) == 4
 
 
 class TestRewrite:

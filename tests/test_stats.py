@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import figlex.stats
 from figlex.corpus import balance_groups, load_corpus, random_halves
 from figlex.embeddings import TrainParams, nearest_neighbors, train_sgns
-from figlex.lexicon import IdiomEntry, Lexicon, SurfaceForm, idiom_token, load_lexicon
+from figlex.lexicon import IdiomEntry, Lexicon, idiom_token, load_lexicon
 from figlex.matcher import GroupCounts, build_matcher, count_usages, find_matches
 from figlex.stats import (
     Distribution,
@@ -173,7 +173,7 @@ def oracle_lexicon() -> Lexicon:
     for canonical in ORACLE_IDIOMS:
         tokens = tuple(canonical.split())
         entry = IdiomEntry(canonical=tokens, definition=("x",))
-        entry.variants = {tokens: SurfaceForm(tokens=tokens, parent=canonical)}
+        entry.variants = (tokens,)
         lexicon.entries[canonical] = entry
     return lexicon
 
