@@ -41,7 +41,7 @@ def build_corpus(planted: bool, seed: int) -> Corpus:
 for label, planted in (("planted 5x skew", True), ("no signal", False)):
     corpus = build_corpus(planted, seed=3)
     counts = count_usages(build_matcher(lexicon), corpus)
-    result = divergence_gap_test(corpus, counts, n_splits=300, seed=1)
+    result = divergence_gap_test(counts, n_splits=300, seed=1)
     print(f"== {label} ==")
     print(f"  cross-group JSD: {result.cross_jsd:.4f}")
     for group, mean in result.baseline_mean.items():

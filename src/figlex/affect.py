@@ -19,7 +19,6 @@ import numpy as np
 # scipy.special is imported inside the functions that use it, so that the
 # prepare and report commands never load scipy.
 
-from .corpus import Corpus
 from .embeddings import EmbeddingSpace
 from .lexicon import Lexicon
 from .matcher import GroupCounts
@@ -374,7 +373,6 @@ def compare_vad(
 
 
 def literal_baseline(
-    corpus: Corpus,
     counts: GroupCounts,
     embedder: Embedder,
     models: Mapping[str, VadModel],
@@ -383,17 +381,16 @@ def literal_baseline(
 ) -> dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]]:
     """Affect series over idiom-free posts, `n` sampled per group.
 
-    Candidate posts contain no idiom match in `counts` (from `count_usages`
-    over `corpus`) and at least one embeddable token; sampling is
-    deterministic given the seed.
+    Candidate posts of `counts` (from `count_usages`) contain no idiom match
+    and at least one embeddable token; sampling is deterministic given the
+    seed.
     """
-    counts.check_corpus(corpus)
     matched = set(counts.span_posts.tolist())
     rng = np.random.default_rng(seed)
     out: dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]] = {}
-    for group in corpus.group_labels:
+    for group in counts.groups:
         candidates = []
-        for i, post in enumerate(corpus.posts):
+        for i, post in enumerate(counts.posts):
             if post.group != group or i in matched:
                 continue
             try:

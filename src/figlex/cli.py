@@ -70,6 +70,9 @@ class RunConfig:
     train: TrainParams = field(default_factory=TrainParams)
 
     def out_path(self, name: str) -> Path:
+        if not self.out:
+            # Path("") is the working directory, which no run writes into unasked
+            raise ValueError("out must be configured")
         return Path(self.out) / name
 
 
@@ -134,6 +137,8 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
                 parts = tuple(value)  # type: ignore[arg-type]
             if len(parts) != 2:
                 raise ValueError("groups must name exactly two labels")
+            if parts[0] == parts[1]:
+                raise ValueError(f"groups must name two different labels, not {parts[0]!r} twice")
             config.groups = parts  # type: ignore[assignment]
         else:
             setattr(config, key, value)
@@ -141,9 +146,11 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
 
     if config.min_count < 0:
         raise ValueError("min_count must be nonnegative (0 disables pruning)")
-    for key in ("rbo_depth", "n_splits"):
-        if getattr(config, key) <= 0:
-            raise ValueError(f"{key} must be positive")
+    if config.rbo_depth <= 0:
+        raise ValueError("rbo_depth must be positive")
+    if config.n_splits < 2:
+        # each group's baseline spread needs at least two splits
+        raise ValueError("n_splits must be at least 2")
     if config.literality_threshold <= 0:
         raise ValueError("literality_threshold must be positive")
     if config.baseline_n < 2:
@@ -227,9 +234,10 @@ def cmd_prepare(config: RunConfig) -> None:
         _write_csv(config.out_path("counts_idioms.csv"), ["canonical", "group", "count"],
                    ([c, g, final_counts.idiom_counts[c][g]]
                     for c in sorted(final_counts.idiom_counts) for g in groups))
+        tokens = {g: final_counts.tokens_for(g) for g in groups}
         _write_csv(config.out_path("counts_tokens.csv"), ["token", "group", "count"],
-                   ([t, g, final_counts.token_counts[t][g]]
-                    for t in sorted(final_counts.token_counts) for g in groups))
+                   ([t, g, tokens[g][t]]
+                    for t in sorted(final_counts.combined_tokens()) for g in groups))
         save_vectors(space, str(config.out_path("vectors_combined.txt")))
         _write_csv(config.out_path("literality_report.csv"),
                    ["canonical", "literality", "status", "note"],
@@ -274,10 +282,10 @@ def cmd_analyze(config: RunConfig) -> None:
     describe the artifacts beside them.
     """
     warnings: list[str] = []
-    for name in ("failure.json", "report.json", "report.csv"):
-        config.out_path(name).unlink(missing_ok=True)
     stage = "load"
     try:
+        for name in ("failure.json", "report.json", "report.csv"):
+            config.out_path(name).unlink(missing_ok=True)
         corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl")))
         lexicon = load_lexicon(str(_require_artifact(config, "lexicon_filtered.jsonl")))
         space = load_vectors(str(_require_artifact(config, "vectors_combined.txt")))
@@ -290,7 +298,7 @@ def cmd_analyze(config: RunConfig) -> None:
         stage = "divergence"
         matcher = build_matcher(lexicon)
         counts = count_usages(matcher, corpus)
-        divergence = divergence_gap_test(corpus, counts, config.n_splits, config.seed)
+        divergence = divergence_gap_test(counts, config.n_splits, config.seed)
         _write_json(
             config.out_path("divergence.json"),
             {
@@ -388,9 +396,7 @@ def cmd_analyze(config: RunConfig) -> None:
         _write_csv(config.out_path("kde_curves.csv"), ["dimension", "group", "x", "density"],
                    kde_rows)
 
-        literal = literal_baseline(
-            corpus, counts, embedder, models, config.baseline_n, config.seed
-        )
+        literal = literal_baseline(counts, embedder, models, config.baseline_n, config.seed)
         literal_cmp = compare_vad(literal[group_a], literal[group_b])
         _write_comparison_csv(
             config.out_path("literal_baseline.csv"), literal_cmp, group_a, group_b
@@ -463,11 +469,9 @@ def cmd_analyze(config: RunConfig) -> None:
             },
         )
     except Exception as exc:
-        err = StageError(stage, exc)
-        out = Path(config.out)
-        if out.is_dir():
+        if config.out and Path(config.out).is_dir():
             _write_json(config.out_path("failure.json"), {"stage": stage, "error": str(exc)})
-        raise err from exc
+        raise StageError(stage, exc) from exc
 
 
 def _write_comparison_csv(path: Path, comparison, group_a: str, group_b: str) -> None:

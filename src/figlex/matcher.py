@@ -8,6 +8,7 @@ This makes usage counts and stream rewriting well defined.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -106,45 +107,42 @@ def rewrite_with_idiom_tokens(matcher: Matcher, tokens: Sequence[str]) -> TokenS
 
 @dataclass
 class GroupCounts:
-    """Occurrence counts split by group, over idiom-rewritten streams.
+    """What matching found in a corpus, split by group.
 
     ``streams[i]`` is ``posts[i]`` with each matched span replaced by its
-    idiom token (`rewrite_with_idiom_tokens`), and ``token_counts`` counts
-    exactly these streams, so a matched span counts once as its idiom token.
-    ``idiom_counts`` accumulates over all surface variants of an entry, and
-    ``variant_counts`` holds one total per surface form, over both groups.
-    Each matched span is also recorded by where it sits: ``span_posts[k]``
-    indexes ``posts`` and ``span_idioms[k]`` indexes the key order of
-    ``idiom_counts``.
+    idiom token (`rewrite_with_idiom_tokens`); token tallies are counted
+    from these streams on request, so a matched span counts once as its
+    idiom token.  ``idiom_counts`` accumulates over all surface variants of
+    an entry, and ``variant_counts`` holds one total per surface form, over
+    both groups.  Each matched span is also recorded by where it sits:
+    ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]`` indexes the
+    key order of ``idiom_counts``.
     """
 
     groups: tuple[str, str]
     idiom_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     variant_counts: dict[tuple[str, ...], int] = field(default_factory=dict)
-    token_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
     streams: list[TokenSeq] = field(default_factory=list)
     span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     span_idioms: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
-    def tokens_for(self, group: str) -> dict[str, int]:
-        return {t: c[group] for t, c in self.token_counts.items() if c[group] > 0}
+    def tokens_for(self, group: str) -> Counter[str]:
+        """Token tallies over `group`'s rewritten streams."""
+        return Counter(t for stream in self.streams_for(group) for t in stream)
 
     def streams_for(self, group: str) -> list[TokenSeq]:
         """The rewritten streams of `group`'s posts, in corpus order."""
         return [s for s, post in zip(self.streams, self.posts) if post.group == group]
 
-    def combined_tokens(self) -> dict[str, int]:
-        return {t: sum(c.values()) for t, c in self.token_counts.items()}
-
-    def check_corpus(self, corpus: Corpus) -> None:
-        """Reject a corpus other than the one these counts were taken over."""
-        if self.posts != corpus.posts:
-            raise ValueError("counts were not computed over this corpus")
+    def combined_tokens(self) -> Counter[str]:
+        """Token tallies over both groups' rewritten streams."""
+        a, b = self.groups
+        return self.tokens_for(a) + self.tokens_for(b)
 
 
 def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
-    """Count idiom and token usage per group over the whole corpus."""
+    """Match every post once: idiom and surface counts, spans and streams."""
     groups = corpus.group_labels
     counts = GroupCounts(groups=groups, posts=corpus.posts)
     column = {c: j for j, c in enumerate(dict.fromkeys(matcher.patterns.values()))}
@@ -154,18 +152,13 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
     span_posts: list[int] = []
     span_idioms: list[int] = []
     for i, post in enumerate(corpus.posts):
-        g = post.group
         matches = find_matches(matcher, post.tokens)
         for m in matches:
-            counts.idiom_counts[m.canonical][g] += 1
+            counts.idiom_counts[m.canonical][post.group] += 1
             counts.variant_counts[m.surface] = counts.variant_counts.get(m.surface, 0) + 1
             span_posts.append(i)
             span_idioms.append(column[m.canonical])
-        stream = _apply_rewrite(post.tokens, matches)
-        counts.streams.append(stream)
-        for tok in stream:
-            counts.token_counts.setdefault(tok, {gr: 0 for gr in groups})[g] += 1
+        counts.streams.append(_apply_rewrite(post.tokens, matches))
     counts.span_posts = np.array(span_posts, dtype=np.intp)
     counts.span_idioms = np.array(span_idioms, dtype=np.intp)
     return counts
-

@@ -20,7 +20,7 @@ import numpy as np
 # scipy.special is imported inside the functions that use it, so that the
 # prepare and report commands never load scipy.
 
-from .corpus import Corpus, split_masks
+from .corpus import split_masks
 from .embeddings import EmbeddingSpace, nearest_neighbors
 from .lexicon import IdiomEntry, idiom_token
 from .matcher import GroupCounts
@@ -108,12 +108,12 @@ def _jsd_probs(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def divergence_gap_test(
-    corpus: Corpus, counts: GroupCounts, n_splits: int = 500, seed: int = 0
+    counts: GroupCounts, n_splits: int = 500, seed: int = 0
 ) -> DivergenceResult:
     """Compare the cross-group usage divergence with within-group baselines.
 
-    `counts` must come from `count_usages` over `corpus`.  The cross-group
-    JSD is contrasted against `n_splits` random half-half splits inside
+    Over the posts of `counts` (from `count_usages`), the cross-group JSD
+    is contrasted against `n_splits` random half-half splits inside
     each group.  Every split draws its own child seed; `split_masks`
     applies the greedy rule of `split_halves` to all of a group's splits in
     one walk, and each split's halves are then two `bincount`s over the
@@ -123,8 +123,7 @@ def divergence_gap_test(
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
-    counts.check_corpus(corpus)
-    ga, gb = corpus.group_labels
+    ga, gb = counts.groups
     # the two group distributions validate the support every half shares
     cross = jsd(usage_distribution(counts, ga), usage_distribution(counts, gb))
     n_support = len(counts.idiom_counts)
@@ -135,8 +134,8 @@ def divergence_gap_test(
     children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples: dict[str, np.ndarray] = {}
     for gi, g in enumerate((ga, gb)):
-        members = np.flatnonzero([p.group == g for p in corpus.posts])
-        lengths = [corpus.posts[i].token_count for i in members]
+        members = np.flatnonzero([p.group == g for p in counts.posts])
+        lengths = [counts.posts[i].token_count for i in members]
         in_group = np.isin(counts.span_posts, members)
         # each span's post as a position among the group's members
         span_members = np.searchsorted(members, counts.span_posts[in_group])

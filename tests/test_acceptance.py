@@ -336,7 +336,7 @@ def test_criterion_08_planted_signal_end_to_end(tmp_path):
                                counts.combined_tokens())
     z = table.z(idiom_token(idioms[0]))
 
-    result = divergence_gap_test(corpus, counts, n_splits=500, seed=9)
+    result = divergence_gap_test(counts, n_splits=500, seed=9)
     pooled_max = max(result.baseline_max.values())
     elapsed = time.monotonic() - start
 

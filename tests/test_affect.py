@@ -306,16 +306,14 @@ class TestLiteralBaseline:
             "B": ["felt over the moon", "still over the moon"],
         })
         with pytest.raises(ValueError, match="idiom-free"):
-            literal_baseline(corpus, count_usages(matcher, corpus), embedder, models, n=1, seed=0)
+            literal_baseline(count_usages(matcher, corpus), embedder, models, n=1, seed=0)
 
     def test_n_zero_gives_empty(self):
         corpus, matcher, embedder, models = self.build({
             "A": ["plain words here", "more plain text"],
             "B": ["nothing idiomatic", "just words"],
         })
-        result = literal_baseline(
-            corpus, count_usages(matcher, corpus), embedder, models, n=0, seed=0
-        )
+        result = literal_baseline(count_usages(matcher, corpus), embedder, models, n=0, seed=0)
         for triple in result.values():
             assert all(len(s.values) == 0 for s in triple)
 
@@ -332,8 +330,8 @@ class TestLiteralBaseline:
         for post in corpus.posts:
             if find_matches(matcher, list(post.tokens)):
                 continue
-        one = literal_baseline(corpus, count_usages(matcher, corpus), embedder, models, n=2, seed=5)
-        two = literal_baseline(corpus, count_usages(matcher, corpus), embedder, models, n=2, seed=5)
+        one = literal_baseline(count_usages(matcher, corpus), embedder, models, n=2, seed=5)
+        two = literal_baseline(count_usages(matcher, corpus), embedder, models, n=2, seed=5)
         for group in ("A", "B"):
             for s1, s2 in zip(one[group], two[group]):
                 np.testing.assert_array_equal(s1.values, s2.values)

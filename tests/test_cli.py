@@ -456,6 +456,38 @@ class TestMainEntry:
         assert main(["analyze", "--out", str(tmp_path), "--baseline-n", "1"]) == 2
         assert "baseline_n" in capsys.readouterr().err
 
+    def test_n_splits_below_two_exits_two(self, tmp_path, capsys):
+        # 1 would pass the load stage, then fail at divergence
+        assert main(["analyze", "--out", str(tmp_path), "--n-splits", "1"]) == 2
+        assert "n_splits" in capsys.readouterr().err
+
+    def test_equal_group_labels_exit_two(self, tmp_path, capsys):
+        # two equal labels would fail only when prepare loads the corpus
+        assert main(["prepare", "--out", str(tmp_path), "--groups", "M,M"]) == 2
+        assert "'M' twice" in capsys.readouterr().err
+
+    def test_empty_out_touches_nothing_in_the_working_directory(
+        self, analyzed, tmp_path, monkeypatch, capsys
+    ):
+        # a finished run's artifacts plus planted reports: with out unset,
+        # report would overwrite these and analyze would delete them
+        for path in Path(analyzed.out).iterdir():
+            if path.name not in ("report.json", "report.csv", "failure.json"):
+                (tmp_path / path.name).write_bytes(path.read_bytes())
+        for name in ("report.json", "report.csv"):
+            (tmp_path / name).write_text("planted\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        for argv, stage in ((["report", "--format", "json"], "report"),
+                            (["report", "--format", "csv"], "report"),
+                            (["analyze", "--vad-lexicon", analyzed.vad_lexicon], "load"),
+                            (["prepare", "--corpus", analyzed.corpus,
+                              "--lexicon", analyzed.lexicon], "load")):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"stage {stage}" in err and "out" in err
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_stage_error_exit_one(self, tmp_path, capsys):
         code = main([
             "prepare",

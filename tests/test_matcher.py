@@ -179,12 +179,12 @@ class TestCountUsages:
         corpus = make_corpus({"M": ["he was over the moon today"], "F": []},
                              labels=("M", "F"))
         counts = count_usages(matcher, corpus)
-        assert counts.token_counts[idiom_token("over the moon")]["M"] == 1
-        assert "moon" not in counts.token_counts
+        assert counts.tokens_for("M")[idiom_token("over the moon")] == 1
+        assert "moon" not in counts.combined_tokens()
         # he, was, <idiom>, today
         assert sum(counts.tokens_for("M").values()) == 4
-        assert sum(counts.tokens_for("M").values()) == sum(
-            c["M"] for c in counts.token_counts.values()
+        assert counts.tokens_for("M") == Counter(
+            ["he", "was", idiom_token("over the moon"), "today"]
         )
 
     def test_counts_match_per_post_matches(self, tmp_path):
@@ -218,11 +218,13 @@ class TestCountUsages:
         assert len(counts.streams) == len(corpus.posts)
         for stream, post in zip(counts.streams, corpus.posts):
             assert stream == rewrite_with_idiom_tokens(matcher, list(post.tokens))
+        want = {g: Counter(t for post in corpus.posts if post.group == g
+                           for t in rewrite_with_idiom_tokens(matcher, list(post.tokens)))
+                for g in ("M", "F")}
         for g in ("M", "F"):
-            want = Counter(t for stream, post in zip(counts.streams, corpus.posts)
-                           if post.group == g for t in stream)
-            assert {t: c[g] for t, c in counts.token_counts.items() if c[g]} == want
-            assert sum(counts.tokens_for(g).values()) == want.total()
+            assert counts.tokens_for(g) == want[g]
+            assert sum(counts.tokens_for(g).values()) == want[g].total()
+        assert counts.combined_tokens() == want["M"] + want["F"]
 
     def test_streams_for_keeps_a_groups_posts_in_corpus_order(self):
         matcher = Matcher(PATTERNS)

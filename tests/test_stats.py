@@ -135,7 +135,7 @@ class TestDivergenceGapTest:
             texts.append(f"w{int(rng.integers(0, 9))} {idiom} done")
         corpus, lexicon = self.make_inputs(tmp_path, texts, list(texts))
         result = divergence_gap_test(
-            corpus, count_usages(build_matcher(lexicon), corpus), n_splits=100, seed=1
+            count_usages(build_matcher(lexicon), corpus), n_splits=100, seed=1
         )
         assert result.cross_jsd == pytest.approx(0.0, abs=1e-12)
         assert abs(result.z) < 1.5
@@ -145,10 +145,10 @@ class TestDivergenceGapTest:
         texts_f = ["over the moon today"] * 30 + ["under fire now"] * 10
         corpus, lexicon = self.make_inputs(tmp_path, texts_m, texts_f)
         one = divergence_gap_test(
-            corpus, count_usages(build_matcher(lexicon), corpus), n_splits=50, seed=7
+            count_usages(build_matcher(lexicon), corpus), n_splits=50, seed=7
         )
         two = divergence_gap_test(
-            corpus, count_usages(build_matcher(lexicon), corpus), n_splits=50, seed=7
+            count_usages(build_matcher(lexicon), corpus), n_splits=50, seed=7
         )
         assert one.cross_jsd == two.cross_jsd
         assert one.p_value == two.p_value
@@ -160,7 +160,7 @@ class TestDivergenceGapTest:
         )
         with pytest.raises(ValueError, match="n_splits"):
             divergence_gap_test(
-                corpus, count_usages(build_matcher(lexicon), corpus), n_splits=1, seed=0
+                count_usages(build_matcher(lexicon), corpus), n_splits=1, seed=0
             )
 
 
@@ -226,21 +226,12 @@ class TestDivergenceOracle:
             cross, samples = reference_divergence(corpus, lexicon, n_splits=4, seed=seed)
         except ValueError:
             with pytest.raises(ValueError, match="zero idiom usage"):
-                divergence_gap_test(corpus, counts, n_splits=4, seed=seed)
+                divergence_gap_test(counts, n_splits=4, seed=seed)
             return
-        result = divergence_gap_test(corpus, counts, n_splits=4, seed=seed)
+        result = divergence_gap_test(counts, n_splits=4, seed=seed)
         assert np.float64(result.cross_jsd).tobytes() == np.float64(cross).tobytes()
         for g in ("M", "F"):
             assert result.baseline_samples[g].tobytes() == samples[g].tobytes()
-
-    def test_counts_over_another_corpus_rejected(self):
-        lexicon = oracle_lexicon()
-        corpus = make_corpus({"M": ["over the moon", "under fire"],
-                              "F": ["under fire", "on the fence"]})
-        other = corpus.subset(corpus.posts[:-1])
-        counts = count_usages(build_matcher(lexicon), other)
-        with pytest.raises(ValueError, match="not computed over this corpus"):
-            divergence_gap_test(corpus, counts, n_splits=2, seed=0)
 
 
 def oracle_log_odds(ya, na, yb, nb, aw, a0):
