@@ -54,8 +54,8 @@ for canonical, per_group in counts.idiom_counts.items():
     print(f"  {canonical!r}: {per_group}")
 
 # positive z favors the first argument (here F)
-table = log_odds_dirichlet(counts.tokens_for("F"), counts.tokens_for("M"),
-                           counts.combined_tokens())
+tokens_f, tokens_m = counts.tokens_for("F"), counts.tokens_for("M")
+table = log_odds_dirichlet(tokens_f, tokens_m, tokens_f + tokens_m)
 print("\n== association scores (positive = F, negative = M) ==")
 for entry in lexicon:
     z = table.z(idiom_token(entry.key))

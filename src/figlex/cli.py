@@ -3,8 +3,9 @@
 Configuration is a line-oriented ``key = value`` file; every key can be
 overridden by a command-line flag of the same name.  All outputs are plain
 CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
-seed).  analyze trains its two per-group embedding spaces in two
-processes; the second one is forked, which needs a POSIX system.
+seed).  analyze trains its two per-group embedding spaces in two forked
+worker processes while it runs its other analyses, which needs a POSIX
+system.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def cmd_prepare(config: RunConfig) -> None:
         tokens = {g: final_counts.tokens_for(g) for g in groups}
         _write_csv(config.out_path("counts_tokens.csv"), ["token", "group", "count"],
                    ([t, g, tokens[g][t]]
-                    for t in sorted(final_counts.combined_tokens()) for g in groups))
+                    for t in sorted(set().union(*tokens.values())) for g in groups))
         save_vectors(space, str(config.out_path("vectors_combined.txt")))
         _write_csv(config.out_path("literality_report.csv"),
                    ["canonical", "literality", "status", "note"],
@@ -283,6 +284,7 @@ def cmd_analyze(config: RunConfig) -> None:
     """
     warnings: list[str] = []
     stage = "load"
+    pool = None
     try:
         for name in ("failure.json", "report.json", "report.csv"):
             config.out_path(name).unlink(missing_ok=True)
@@ -298,6 +300,20 @@ def cmd_analyze(config: RunConfig) -> None:
         stage = "divergence"
         matcher = build_matcher(lexicon)
         counts = count_usages(matcher, corpus)
+
+        # Each group space trains on its streams as count_usages rewrote them,
+        # with its own child seed, in a forked worker while the stages below
+        # run here.  The pool forks both workers at the first submit, before it
+        # starts its threads and before scipy loads; prepare and report never
+        # import the pool modules.
+        stage = "embeddings"
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork"))
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
+        futures = {g: pool.submit(train_sgns, counts.streams_for(g), replace(config.train, seed=s))
+                   for g, s in zip((group_a, group_b), seeds)}
+        stage = "divergence"
         divergence = divergence_gap_test(counts, config.n_splits, config.seed)
         _write_json(
             config.out_path("divergence.json"),
@@ -314,9 +330,8 @@ def cmd_analyze(config: RunConfig) -> None:
         )
 
         stage = "gscore"
-        table = log_odds_dirichlet(
-            counts.tokens_for(group_a), counts.tokens_for(group_b), counts.combined_tokens()
-        )
+        tokens_a, tokens_b = counts.tokens_for(group_a), counts.tokens_for(group_b)
+        table = log_odds_dirichlet(tokens_a, tokens_b, tokens_a + tokens_b)
         _write_csv(config.out_path("gscore_tokens.csv"), ["token", "delta", "sigma", "z"],
                    ([token, _num(rec.delta), _num(rec.sigma), _num(rec.z)]
                     for token, rec in sorted(table.records.items())))
@@ -366,6 +381,7 @@ def cmd_analyze(config: RunConfig) -> None:
             },
         )
 
+        del table, tokens_a, tokens_b  # not read again: free them before the affect peak
         stage = "affect"
         models = train_vad_models(space, vad)
         save_vad_models(models, str(config.out_path("vad_models.json")))
@@ -403,23 +419,7 @@ def cmd_analyze(config: RunConfig) -> None:
         )
 
         stage = "embeddings"
-        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
-        # each group's streams as count_usages rewrote them: nothing is matched again
-        jobs = {g: (counts.streams_for(g), replace(config.train, seed=s))
-                for g, s in zip((group_a, group_b), seeds)}
-        del counts  # only its streams, now in jobs, are used from here on
-        # Group b trains in a worker while group a trains here; each space
-        # has its own seed, so the vectors do not depend on the process that
-        # trained them.  fork lets the worker inherit numpy and scipy instead
-        # of importing them again.  The pool modules are imported here because
-        # prepare and report never need them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-            future_b = pool.submit(train_sgns, *jobs[group_b])
-            spaces = {group_a: train_sgns(*jobs[group_a])}
-            spaces[group_b] = future_b.result()
+        spaces = {g: future.result() for g, future in futures.items()}
         for group, space in spaces.items():
             save_vectors(space, str(config.out_path(f"vectors_{group}.txt")))
 
@@ -472,6 +472,9 @@ def cmd_analyze(config: RunConfig) -> None:
         if config.out and Path(config.out).is_dir():
             _write_json(config.out_path("failure.json"), {"stage": stage, "error": str(exc)})
         raise StageError(stage, exc) from exc
+    finally:
+        if pool is not None:  # joins the workers, also when a stage above failed
+            pool.shutdown(cancel_futures=True)
 
 
 def _write_comparison_csv(path: Path, comparison, group_a: str, group_b: str) -> None:

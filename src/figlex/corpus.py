@@ -16,9 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Lowercase tokens, never empty.  Plain lists keep downstream code simple.
-TokenSeq = list[str]
-
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 # Runs of word characters (underscores excluded), optionally joined by
 # internal apostrophes so "don't" and "one's" survive as single tokens.
@@ -29,7 +26,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 _SPLIT_CHUNK = 128
 
 
-def tokenize(text: str) -> TokenSeq:
+def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split it into tokens.
 
     URLs are stripped before splitting; punctuation separates tokens except

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Post, TokenSeq
+from .corpus import Corpus, Post
 from .lexicon import Lexicon, idiom_token
 
 
@@ -85,8 +85,8 @@ def find_matches(matcher: Matcher, tokens: Sequence[str]) -> list[Match]:
     return selected
 
 
-def _apply_rewrite(tokens: Sequence[str], matches: list[Match]) -> TokenSeq:
-    out: TokenSeq = []
+def _apply_rewrite(tokens: Sequence[str], matches: list[Match]) -> list[str]:
+    out: list[str] = []
     pos = 0
     for m in matches:
         out.extend(tokens[pos : m.start])
@@ -96,7 +96,7 @@ def _apply_rewrite(tokens: Sequence[str], matches: list[Match]) -> TokenSeq:
     return out
 
 
-def rewrite_with_idiom_tokens(matcher: Matcher, tokens: Sequence[str]) -> TokenSeq:
+def rewrite_with_idiom_tokens(matcher: Matcher, tokens: Sequence[str]) -> list[str]:
     """Replace each matched span with the idiom's reserved single token.
 
     Idempotent: idiom tokens contain underscores, which the tokenizer never
@@ -110,11 +110,12 @@ class GroupCounts:
     """What matching found in a corpus, split by group.
 
     ``streams[i]`` is ``posts[i]`` with each matched span replaced by its
-    idiom token (`rewrite_with_idiom_tokens`); token tallies are counted
-    from these streams on request, so a matched span counts once as its
-    idiom token.  ``idiom_counts`` accumulates over all surface variants of
-    an entry, and ``variant_counts`` holds one total per surface form, over
-    both groups.  Each matched span is also recorded by where it sits:
+    idiom token (`rewrite_with_idiom_tokens`), or ``posts[i].tokens``
+    itself when nothing matched; token tallies are counted from these
+    streams on request, so a matched span counts once as its idiom token.
+    ``idiom_counts`` accumulates over all surface variants of an entry, and
+    ``variant_counts`` holds one total per surface form, over both groups.
+    Each matched span is also recorded by where it sits:
     ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]`` indexes the
     key order of ``idiom_counts``.
     """
@@ -123,7 +124,7 @@ class GroupCounts:
     idiom_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     variant_counts: dict[tuple[str, ...], int] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
-    streams: list[TokenSeq] = field(default_factory=list)
+    streams: list[Sequence[str]] = field(default_factory=list)
     span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     span_idioms: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
@@ -131,14 +132,9 @@ class GroupCounts:
         """Token tallies over `group`'s rewritten streams."""
         return Counter(t for stream in self.streams_for(group) for t in stream)
 
-    def streams_for(self, group: str) -> list[TokenSeq]:
+    def streams_for(self, group: str) -> list[Sequence[str]]:
         """The rewritten streams of `group`'s posts, in corpus order."""
         return [s for s, post in zip(self.streams, self.posts) if post.group == group]
-
-    def combined_tokens(self) -> Counter[str]:
-        """Token tallies over both groups' rewritten streams."""
-        a, b = self.groups
-        return self.tokens_for(a) + self.tokens_for(b)
 
 
 def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
@@ -158,7 +154,7 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
             counts.variant_counts[m.surface] = counts.variant_counts.get(m.surface, 0) + 1
             span_posts.append(i)
             span_idioms.append(column[m.canonical])
-        counts.streams.append(_apply_rewrite(post.tokens, matches))
+        counts.streams.append(_apply_rewrite(post.tokens, matches) if matches else post.tokens)
     counts.span_posts = np.array(span_posts, dtype=np.intp)
     counts.span_idioms = np.array(span_idioms, dtype=np.intp)
     return counts

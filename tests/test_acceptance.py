@@ -332,8 +332,8 @@ def test_criterion_08_planted_signal_end_to_end(tmp_path):
     lexicon = load_lexicon(str(lex_path))
     matcher = build_matcher(lexicon)
     counts = count_usages(matcher, corpus)
-    table = log_odds_dirichlet(counts.tokens_for("A"), counts.tokens_for("B"),
-                               counts.combined_tokens())
+    tokens_a, tokens_b = counts.tokens_for("A"), counts.tokens_for("B")
+    table = log_odds_dirichlet(tokens_a, tokens_b, tokens_a + tokens_b)
     z = table.z(idiom_token(idioms[0]))
 
     result = divergence_gap_test(counts, n_splits=500, seed=9)

@@ -1,7 +1,9 @@
+import concurrent.futures
 import csv
 import functools
 import json
 import multiprocessing
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -308,7 +310,34 @@ def _train_sgns_failing_on(bad_seed, sentences, params):
     return train_sgns(sentences, params)
 
 
+# Released once by each training call; the workers inherit it at fork, which
+# is why it lives in the module rather than in a pickled argument.
+_TRAINING_STARTED = None
+
+
+def _train_sgns_announcing(sentences, params):
+    _TRAINING_STARTED.release()
+    return train_sgns(sentences, params)
+
+
+def _wait_for_both_trainings():
+    for _ in range(2):
+        # bounded, so a run that trains only after this stage fails, not hangs
+        if not _TRAINING_STARTED.acquire(timeout=20):
+            raise AssertionError("a group space had not started training")
+
+
+def _child_seeds(config):
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
+
+
 class TestParallelEmbeddings:
+    @pytest.fixture
+    def announced(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "_TRAINING_STARTED",
+                            multiprocessing.get_context("fork").Semaphore(0))
+        monkeypatch.setattr(figlex.cli, "train_sgns", _train_sgns_announcing)
+
     def test_two_processes_write_the_serial_bytes(self, tmp_path):
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
@@ -317,21 +346,55 @@ class TestParallelEmbeddings:
         corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
         lexicon = load_lexicon(str(config.out_path("lexicon_filtered.jsonl")))
         counts = count_usages(build_matcher(lexicon), corpus)
-        # the first sorted label trains on the first child seed, in process
-        seeds = np.random.SeedSequence(config.seed).spawn(2)
-        for group, seed in zip(sorted(corpus.group_labels), seeds):
-            params = replace(config.train, seed=int(seed.generate_state(1)[0]))
+        # the sorted labels train on the child seeds in order, each in a worker
+        for group, seed in zip(sorted(corpus.group_labels), _child_seeds(config)):
+            params = replace(config.train, seed=seed)
             serial = tmp_path / f"serial_{group}.txt"
             save_vectors(train_sgns(counts.streams_for(group), params), str(serial))
             assert config.out_path(f"vectors_{group}.txt").read_bytes() == serial.read_bytes()
 
-    def test_worker_failure_names_embeddings_stage(self, tmp_path, monkeypatch):
+    def test_spaces_train_while_the_divergence_stage_runs(self, tmp_path, monkeypatch,
+                                                          announced):
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
-        # group b is the second label in sorted order and gets the second child seed
-        seed_b = int(np.random.SeedSequence(config.seed).spawn(2)[1].generate_state(1)[0])
+        divergence_gap_test = figlex.cli.divergence_gap_test
+
+        def after_training_started(*args):
+            _wait_for_both_trainings()
+            return divergence_gap_test(*args)
+
+        monkeypatch.setattr(figlex.cli, "divergence_gap_test", after_training_started)
+        cmd_analyze(config)
+        assert not config.out_path("failure.json").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stage, name", [("divergence", "divergence_gap_test"),
+                                             ("affect", "train_vad_models")])
+    def test_main_process_failure_joins_the_workers(self, tmp_path, monkeypatch, announced,
+                                                    stage, name):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+
+        def failing(*args):
+            _wait_for_both_trainings()
+            raise ValueError("planted failure")
+
+        monkeypatch.setattr(figlex.cli, name, failing)
+        with pytest.raises(StageError) as info:
+            cmd_analyze(config)
+        assert info.value.stage == stage
+        marker = json.loads((Path(config.out) / "failure.json").read_text())
+        assert marker == {"stage": stage, "error": "planted failure"}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("group_index", [0, 1], ids=["group_a", "group_b"])
+    def test_worker_failure_names_embeddings_stage(self, tmp_path, monkeypatch, group_index):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        # the sorted labels get the child seeds in order
+        bad_seed = _child_seeds(config)[group_index]
         monkeypatch.setattr(figlex.cli, "train_sgns",
-                            functools.partial(_train_sgns_failing_on, seed_b))
+                            functools.partial(_train_sgns_failing_on, bad_seed))
         with pytest.raises(StageError) as info:
             cmd_analyze(config)
         assert info.value.stage == "embeddings"
@@ -339,6 +402,25 @@ class TestParallelEmbeddings:
         assert "planted failure (in worker: True)" in str(info.value.cause)
         marker = json.loads((Path(config.out) / "failure.json").read_text())
         assert marker["stage"] == "embeddings"
+        # the stages before embeddings finished and keep their files
+        for name in ("divergence.json", "gscore_tokens.csv", "vad_models.json",
+                     "literal_baseline.csv"):
+            assert config.out_path(name).exists()
+        assert multiprocessing.active_children() == []
+
+    def test_submit_failure_names_embeddings_stage(self, tmp_path, monkeypatch):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+
+        def failing_submit(self, fn, *args):
+            raise OSError("planted fork failure")
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", failing_submit)
+        with pytest.raises(StageError) as info:
+            cmd_analyze(config)
+        assert info.value.stage == "embeddings"
+        assert json.loads((Path(config.out) / "failure.json").read_text())["stage"] == "embeddings"
+        assert not config.out_path("divergence.json").exists()
         assert multiprocessing.active_children() == []
 
 

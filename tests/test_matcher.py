@@ -180,7 +180,7 @@ class TestCountUsages:
                              labels=("M", "F"))
         counts = count_usages(matcher, corpus)
         assert counts.tokens_for("M")[idiom_token("over the moon")] == 1
-        assert "moon" not in counts.combined_tokens()
+        assert "moon" not in counts.tokens_for("M") + counts.tokens_for("F")
         # he, was, <idiom>, today
         assert sum(counts.tokens_for("M").values()) == 4
         assert counts.tokens_for("M") == Counter(
@@ -217,14 +217,15 @@ class TestCountUsages:
         counts = count_usages(matcher, corpus)
         assert len(counts.streams) == len(corpus.posts)
         for stream, post in zip(counts.streams, corpus.posts):
-            assert stream == rewrite_with_idiom_tokens(matcher, list(post.tokens))
+            assert list(stream) == rewrite_with_idiom_tokens(matcher, list(post.tokens))
+            # a post with no match is not copied
+            assert (stream is post.tokens) == (not find_matches(matcher, post.tokens))
         want = {g: Counter(t for post in corpus.posts if post.group == g
                            for t in rewrite_with_idiom_tokens(matcher, list(post.tokens)))
                 for g in ("M", "F")}
         for g in ("M", "F"):
             assert counts.tokens_for(g) == want[g]
             assert sum(counts.tokens_for(g).values()) == want[g].total()
-        assert counts.combined_tokens() == want["M"] + want["F"]
 
     def test_streams_for_keeps_a_groups_posts_in_corpus_order(self):
         matcher = Matcher(PATTERNS)
@@ -237,7 +238,7 @@ class TestCountUsages:
         moon, bucket, fight = map(idiom_token, ("over the moon", "kick the bucket",
                                                 "pick a fight"))
         assert counts.streams_for("M") == [[moon, "x"], [bucket]]
-        assert counts.streams_for("F") == [["y"], ["x", fight]]
+        assert counts.streams_for("F") == [("y",), ["x", fight]]
 
     def test_variant_counts_sum_to_idiom_counts(self, tmp_path):
         lexicon = self.make_lexicon(tmp_path)
