@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-# scipy.special is imported inside the functions that use it, so that the
-# prepare and report commands never load scipy.
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, _sigmoid
 from .lexicon import Lexicon
 from .matcher import GroupCounts
 from .stats import cohens_d, wilcoxon_ranksum
@@ -111,8 +109,104 @@ class VadComparison:
     n_b: int
 
 
-def _design(features: np.ndarray) -> np.ndarray:
-    return np.hstack([np.ones((features.shape[0], 1)), features])
+# Coefficients of 1/z, 1/z^3, ... in Stirling's series for ln Gamma(z)
+# (Abramowitz & Stegun 6.1.41) and of 1/z^2, 1/z^4, ... in the asymptotic
+# series for digamma(z) (A&S 6.3.18).  At z >= 8 the first omitted term of
+# either is below 2e-15.
+_LGAMMA_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _horner(r2: np.ndarray | float, coeffs: tuple[float, ...]) -> np.ndarray | float:
+    """coeffs[0] + coeffs[1] * r2 + coeffs[2] * r2**2 + ..."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * r2 + c
+    return acc
+
+
+# Both functions below shift every argument by 8 with the recurrence, so
+# that the series is evaluated at z = x + 8 without a branch per entry.  The
+# eight factors x, x + 1, ..., x + 7 pair up around x + 3.5: with
+# u = x (x + 7), the pairs' products are u, u + 6, u + 10 and u + 12, and
+# each pair's two reciprocals sum to (2x + 7) / (its product).
+
+def _gammaln(x: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) elementwise, for 0 < x < 1e30:
+    ln Gamma(x + 8) - ln(x (x + 1) ... (x + 7))."""
+    u = x * (x + 7.0)
+    prod = u * (u + 6.0) * (u + 10.0) * (u + 12.0)
+    z = x + 8.0
+    r = 1.0 / z
+    return ((z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
+            + r * _horner(r * r, _LGAMMA_SERIES) - np.log(prod))
+
+
+def _digamma(x: np.ndarray | float) -> np.ndarray | float:
+    """digamma(x) for x > 0, elementwise on an array or on one float:
+    digamma(x + 8) - (1/x + 1/(x + 1) + ... + 1/(x + 7)).  A float takes
+    the same arithmetic in Python floats and `math.log`."""
+    log = math.log if isinstance(x, float) else np.log
+    u = x * (x + 7.0)
+    acc = (2.0 * x + 7.0) * (1.0 / u + 1.0 / (u + 6.0) + 1.0 / (u + 10.0) + 1.0 / (u + 12.0))
+    z = x + 8.0
+    r2 = 1.0 / (z * z)
+    return log(z) - 0.5 / z - r2 * _horner(r2, _DIGAMMA_SERIES) - acc
+
+
+def _beta_data(features: np.ndarray, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the likelihood reads of a fit's data, computed once per fit:
+    the design matrix (an intercept column, then the features), log y and
+    log(1 - y)."""
+    design = np.hstack([np.ones((features.shape[0], 1)), features])
+    return design, np.log(targets), np.log(1.0 - targets)
+
+
+def _mean_and_shapes(params: np.ndarray, design: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """phi, mu, and every row's two beta shapes stacked in one array,
+    mu * phi for all rows and then (1 - mu) * phi, so each special function
+    is one call per evaluation."""
+    phi = math.exp(params[-1])
+    mu = np.clip(_sigmoid(design @ params[:-1]), 1e-12, 1.0 - 1e-12)
+    return phi, mu, np.concatenate((mu, 1.0 - mu)) * phi
+
+
+def _log_likelihood(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
+                    log_1my: np.ndarray) -> float:
+    phi, mu, shapes = _mean_and_shapes(params, design)
+    n = len(mu)
+    lg = _gammaln(shapes)
+    ll = (
+        math.lgamma(phi)
+        - lg[:n]
+        - lg[n:]
+        + (shapes[:n] - 1.0) * log_y
+        + (shapes[n:] - 1.0) * log_1my
+    )
+    return float(ll.mean())
+
+
+def _log_likelihood_grad(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
+                         log_1my: np.ndarray) -> np.ndarray:
+    phi, mu, shapes = _mean_and_shapes(params, design)
+    n = len(mu)
+    psi = _digamma(shapes)
+    psi_a, psi_b = psi[:n], psi[n:]
+
+    dll_dmu = phi * ((log_y - log_1my) - psi_a + psi_b)
+    grad_coeffs = design.T @ (dll_dmu * mu * (1.0 - mu)) / n
+
+    dll_dphi = (
+        _digamma(phi)
+        - mu * psi_a
+        - (1.0 - mu) * psi_b
+        + mu * log_y
+        + (1.0 - mu) * log_1my
+    )
+    grad_log_phi = float(dll_dphi.mean()) * phi
+    return np.concatenate([grad_coeffs, [grad_log_phi]])
 
 
 def beta_log_likelihood(params: np.ndarray, features: np.ndarray, targets: np.ndarray) -> float:
@@ -121,45 +215,14 @@ def beta_log_likelihood(params: np.ndarray, features: np.ndarray, targets: np.nd
     The mean scale keeps gradient magnitudes comparable across sample
     sizes, which is what the convergence tolerance is measured against.
     """
-    from scipy.special import expit, gammaln
-
-    coeffs, log_phi = params[:-1], params[-1]
-    phi = math.exp(log_phi)
-    mu = np.clip(expit(_design(features) @ coeffs), 1e-12, 1.0 - 1e-12)
-    ll = (
-        gammaln(phi)
-        - gammaln(mu * phi)
-        - gammaln((1.0 - mu) * phi)
-        + (mu * phi - 1.0) * np.log(targets)
-        + ((1.0 - mu) * phi - 1.0) * np.log(1.0 - targets)
-    )
-    return float(ll.mean())
+    return _log_likelihood(params, *_beta_data(features, targets))
 
 
 def beta_log_likelihood_grad(
     params: np.ndarray, features: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Analytic gradient of `beta_log_likelihood` in coefficients and log phi."""
-    from scipy.special import digamma, expit
-
-    coeffs, log_phi = params[:-1], params[-1]
-    phi = math.exp(log_phi)
-    X = _design(features)
-    mu = np.clip(expit(X @ coeffs), 1e-12, 1.0 - 1e-12)
-    log_ratio = np.log(targets) - np.log(1.0 - targets)
-
-    dll_dmu = phi * (log_ratio - digamma(mu * phi) + digamma((1.0 - mu) * phi))
-    grad_coeffs = X.T @ (dll_dmu * mu * (1.0 - mu)) / len(targets)
-
-    dll_dphi = (
-        digamma(phi)
-        - mu * digamma(mu * phi)
-        - (1.0 - mu) * digamma((1.0 - mu) * phi)
-        + mu * np.log(targets)
-        + (1.0 - mu) * np.log(1.0 - targets)
-    )
-    grad_log_phi = float(dll_dphi.mean()) * phi
-    return np.concatenate([grad_coeffs, [grad_log_phi]])
+    return _log_likelihood_grad(params, *_beta_data(features, targets))
 
 
 def fit_beta_regression(
@@ -180,8 +243,6 @@ def fit_beta_regression(
     targets, whose likelihood is unbounded in phi, still terminate.
     Raises if the iteration limit is hit first.
     """
-    from scipy.special import logit
-
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
@@ -208,10 +269,11 @@ def fit_beta_regression(
     var_y = float(y.var()) + 1e-8
     phi0 = max(mean_y * (1.0 - mean_y) / var_y - 1.0, 1.0)
     params = np.zeros(Z.shape[1] + 2, dtype=np.float64)
-    params[0] = float(logit(mean_y))
+    params[0] = math.log(mean_y / (1.0 - mean_y))
     params[-1] = min(math.log(phi0), _LOG_PHI_MAX)
 
-    ll = beta_log_likelihood(params, Z, y)
+    data = _beta_data(Z, y)
+    ll = _log_likelihood(params, *data)
     history = [ll]
     step = 1.0
     converged = False
@@ -220,7 +282,7 @@ def fit_beta_regression(
     prev_grad: np.ndarray | None = None
     it = 0
     for it in range(1, max_iter + 1):
-        grad = beta_log_likelihood_grad(params, Z, y)
+        grad = _log_likelihood_grad(params, *data)
         if params[-1] >= _LOG_PHI_MAX and grad[-1] > 0:
             grad[-1] = 0.0  # projected: the cap is active
         grad_norm = float(np.max(np.abs(grad)))
@@ -248,7 +310,7 @@ def fit_beta_regression(
         while step > 1e-20:
             trial = params + step * grad
             trial[-1] = min(trial[-1], _LOG_PHI_MAX)
-            trial_ll = beta_log_likelihood(trial, Z, y)
+            trial_ll = _log_likelihood(trial, *data)
             if np.isfinite(trial_ll) and trial_ll >= ll + 1e-4 * step * gsq:
                 params, ll = trial, trial_ll
                 history.append(ll)
@@ -276,15 +338,13 @@ def fit_beta_regression(
 
 def predict_beta(model: VadModel, feature: Sequence[float]) -> float:
     """Inverse-logit prediction, clamped strictly inside (0, 1)."""
-    from scipy.special import expit
-
     f = np.asarray(feature, dtype=np.float64)
     if f.shape != (len(model.coefficients) - 1,):
         raise ValueError(
             f"feature dimension {f.shape} does not match model ({len(model.coefficients) - 1})"
         )
     eta = float(model.coefficients[0] + model.coefficients[1:] @ f)
-    return float(np.clip(expit(eta), _PREDICT_EPS, 1.0 - _PREDICT_EPS))
+    return float(np.clip(_sigmoid(eta), _PREDICT_EPS, 1.0 - _PREDICT_EPS))
 
 
 def train_vad_models(space: EmbeddingSpace, vad: VadLexicon) -> dict[str, VadModel]:

@@ -304,8 +304,7 @@ def cmd_analyze(config: RunConfig) -> None:
         # Each group space trains on its streams as count_usages rewrote them,
         # with its own child seed, in a forked worker while the stages below
         # run here.  The pool forks both workers at the first submit, before it
-        # starts its threads and before scipy loads; prepare and report never
-        # import the pool modules.
+        # starts its threads; prepare and report never import the pool modules.
         stage = "embeddings"
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -17,8 +17,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-# scipy.special is imported inside the functions that use it, so that the
-# prepare and report commands never load scipy.
 
 from .corpus import split_masks
 from .embeddings import EmbeddingSpace, nearest_neighbors
@@ -266,8 +264,6 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
 
     p-value by the t approximation with n-2 degrees of freedom.
     """
-    from scipy.special import stdtr
-
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -288,8 +284,52 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
+        p = _t_two_sided_p(t, n - 2)
     return TestResult(statistic=rho, p_value=min(p, 1.0), n_a=n, n_b=n)
+
+
+def _t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's T with `df` > 0 degrees of freedom.
+
+    This is the regularized incomplete beta function I_x(df/2, 1/2) at
+    x = df / (df + t^2).  Its continued fraction converges fast for
+    x < (a + 1) / (a + b + 2); above that, I_x(a, b) = 1 - I_y(b, a) with
+    y = 1 - x (Numerical Recipes, 3rd ed., 6.4).  y is computed as
+    t^2 / (df + t^2), not rounded as 1 - x.
+    """
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    if y == 0.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        m2 = 2 * m
+        # even step, then odd step of the fraction
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= tiny else tiny
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge at a={a}, b={b}")
 
 
 def _normal_sf(z: float) -> float:
@@ -450,8 +490,11 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
     grid = np.linspace(data.min() - 3 * h, data.max() + 3 * h, 256)
     density = np.zeros_like(grid)
     norm = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
-    for start in range(0, n, 4096):
-        chunk = data[start : start + 4096]
-        zsq = ((grid[:, None] - chunk[None, :]) / h) ** 2
-        density += np.exp(-0.5 * zsq).sum(axis=1)
+    # 32 grid points by 4096 values at a time, so each temporary is 1 MB;
+    # a grid point's sum over a chunk does not depend on the other rows
+    for row in range(0, grid.size, 32):
+        points = grid[row : row + 32, None]
+        for start in range(0, n, 4096):
+            zsq = ((points - data[None, start : start + 4096]) / h) ** 2
+            density[row : row + 32] += np.exp(-0.5 * zsq).sum(axis=1)
     return KdeCurve(x=grid, density=density * norm, bandwidth=h)

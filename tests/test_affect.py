@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma, expit, gammaln, logit
 
+import figlex.affect
 from figlex.affect import (
     DIMENSIONS,
     VadModel,
@@ -18,8 +23,10 @@ from figlex.affect import (
     score_definitions,
     train_vad_models,
     usage_vad_series,
+    _digamma,
+    _gammaln,
 )
-from figlex.embeddings import EmbeddingSpace
+from figlex.embeddings import EmbeddingSpace, _sigmoid
 from figlex.lexicon import Lexicon, IdiomEntry
 from figlex.matcher import GroupCounts, Matcher, count_usages
 
@@ -106,6 +113,109 @@ class TestBetaRegression:
         X, y = synthetic_beta_data(400, beta, phi=30.0, seed=13)
         with pytest.raises(ValueError, match="gradient max-norm"):
             fit_beta_regression(X, y, max_iter=2)
+
+
+def within(got, want, tol):
+    """|got - want| <= tol, an absolute bound where |want| < 1 and a
+    relative one above."""
+    return np.abs(got - want) <= tol * np.maximum(np.abs(want), 1.0)
+
+
+# the fit evaluates both functions at mu * phi and (1 - mu) * phi, with mu in
+# [1e-12, 1 - 1e-12] and phi capped at 1e8
+SHAPES = st.floats(min_value=1e-12, max_value=3e8)
+
+
+class TestSpecialFunctions:
+    """`_gammaln`, `_digamma`, the fit's logit and `_sigmoid` against
+    scipy.special."""
+
+    def test_log_uniform_sweep(self):
+        x = np.concatenate([np.geomspace(1e-12, 3e8, 300_001), np.linspace(0.5, 20.0, 39_001)])
+        assert within(_gammaln(x), gammaln(x), 1e-13).all()
+        assert within(_digamma(x), digamma(x), 1e-13).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SHAPES, min_size=1, max_size=64))
+    def test_arrays_match_scipy(self, values):
+        x = np.array(values)
+        assert within(_gammaln(x), gammaln(x), 1e-13).all()
+        assert within(_digamma(x), digamma(x), 1e-13).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES)
+    @example(1.0)
+    @example(2.0)
+    @example(1.4616321449683622)  # digamma's positive root
+    @example(1e8)
+    def test_scalar_paths_match_scipy(self, x):
+        # the fit's scalar arguments: ln Gamma(phi) and digamma(phi)
+        assert within(math.lgamma(x), gammaln(x), 1e-13)
+        value = _digamma(x)
+        assert isinstance(value, float)
+        assert within(value, digamma(x), 1e-13)
+
+    def test_sigmoid_matches_expit(self):
+        x = np.linspace(-700.0, 700.0, 200_001)
+        np.testing.assert_allclose(_sigmoid(x), expit(x), rtol=1e-15, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=40))
+    def test_fit_starts_at_the_logit_of_the_mean_target(self, targets):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def first_call(params, *data):
+            seen.append(params.copy())
+            raise Stop
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(figlex.affect, "_log_likelihood", first_call)
+            with pytest.raises(Stop):
+                fit_beta_regression(np.zeros((len(targets), 0)), targets)
+        mean_y = float(np.clip(targets, 1e-4, 1 - 1e-4).mean())
+        assert within(seen[0][0], logit(mean_y), 1e-15)
+        assert _sigmoid(seen[0][0]) == pytest.approx(mean_y, rel=1e-14)
+
+
+def scipy_log_likelihood(params, X, y):
+    """`beta_log_likelihood` written with scipy.special."""
+    phi = math.exp(params[-1])
+    mu = np.clip(expit(params[0] + X @ params[1:-1]), 1e-12, 1 - 1e-12)
+    return float(np.mean(gammaln(phi) - gammaln(mu * phi) - gammaln((1 - mu) * phi)
+                         + (mu * phi - 1) * np.log(y) + ((1 - mu) * phi - 1) * np.log(1 - y)))
+
+
+def scipy_log_likelihood_grad(params, X, y):
+    """`beta_log_likelihood_grad` written with scipy.special."""
+    phi = math.exp(params[-1])
+    design = np.hstack([np.ones((len(y), 1)), X])
+    mu = np.clip(expit(design @ params[:-1]), 1e-12, 1 - 1e-12)
+    psi_a, psi_b = digamma(mu * phi), digamma((1 - mu) * phi)
+    dll_dmu = phi * (np.log(y) - np.log(1 - y) - psi_a + psi_b)
+    dll_dphi = (digamma(phi) - mu * psi_a - (1 - mu) * psi_b
+                + mu * np.log(y) + (1 - mu) * np.log(1 - y))
+    return np.concatenate([design.T @ (dll_dmu * mu * (1 - mu)) / len(y),
+                           [dll_dphi.mean() * phi]])
+
+
+class TestLikelihoodAgainstScipy:
+    # log phi up to 5 (phi ~ 150; the fits on the fixture and on both
+    # benchmark workloads end at phi 6-50).  Above that both versions lose
+    # digits to the cancellation of ln Gamma(phi) against the shape terms: at
+    # phi ~ 1500 each is ~4e-12 off a 50-digit mpmath value.
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 80), d=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradient(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = rng.uniform(1e-4, 1 - 1e-4, n)
+        params = np.concatenate([rng.normal(scale=1.5, size=d + 1), [rng.uniform(-2.0, 5.0)]])
+        assert within(beta_log_likelihood(params, X, y), scipy_log_likelihood(params, X, y), 1e-12)
+        assert within(beta_log_likelihood_grad(params, X, y),
+                      scipy_log_likelihood_grad(params, X, y), 1e-12).all()
 
 
 class TestPredictBeta:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from scipy.spatial.distance import jensenshannon
+from scipy.special import stdtr
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from figlex.stats import (
     spearman,
     usage_distribution,
     wilcoxon_ranksum,
+    _t_two_sided_p,
 )
 
 from conftest import DATA_DIR, make_corpus, write_jsonl
@@ -374,6 +376,25 @@ class TestSpearman:
             assert ours.statistic == pytest.approx(theirs.statistic, abs=1e-12)
             assert ours.p_value == pytest.approx(theirs.pvalue, abs=1e-9)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 5000), st.floats(min_value=-316.0, max_value=316.0))
+    @example(1, 316.0)
+    @example(5000, 316.0)  # underflows to 0
+    @example(5000, 10.0)
+    @example(2, 0.0)
+    @example(3, 1e-8)
+    @example(1, 1e-8)
+    def test_t_tail_matches_scipy(self, df, t):
+        if df == 1:
+            # the Cauchy tail in closed form: at one degree of freedom and
+            # |t| < 1e-5, stdtr is off by up to 5e-9 relative (checked at 40
+            # digits with mpmath)
+            want = 2.0 / math.pi * math.atan2(1.0, abs(t))
+        else:
+            want = 2.0 * float(stdtr(df, -abs(t)))
+        # below 1e-300 the reference itself is subnormal or has underflowed
+        assert math.isclose(_t_two_sided_p(t, df), want, rel_tol=1e-9, abs_tol=1e-300)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             spearman([1, 2], [1, 2])
@@ -612,3 +633,16 @@ class TestKde:
     def test_too_few_values(self):
         with pytest.raises(ValueError):
             kde([1.0])
+
+    @pytest.mark.parametrize("n", [50, 1800, 4096, 5000, 9000])
+    def test_blocks_match_the_whole_grid_formula_bit_for_bit(self, n):
+        values = np.random.default_rng(n).gamma(2.0, size=n)
+        curve = kde(values)
+        # all 256 grid points against each chunk of 4096 values at once
+        h = curve.bandwidth
+        want = np.zeros_like(curve.x)
+        for start in range(0, n, 4096):
+            chunk = values[start : start + 4096]
+            want += np.exp(-0.5 * ((curve.x[:, None] - chunk[None, :]) / h) ** 2).sum(axis=1)
+        want *= 1.0 / (n * h * math.sqrt(2.0 * math.pi))
+        assert curve.density.tobytes() == want.tobytes()
