@@ -58,7 +58,7 @@ tokens_f, tokens_m = counts.tokens_for("F"), counts.tokens_for("M")
 table = log_odds_dirichlet(tokens_f, tokens_m, tokens_f + tokens_m)
 print("\n== association scores (positive = F, negative = M) ==")
 for entry in lexicon:
-    z = table.z(idiom_token(entry.key))
+    z = table[idiom_token(entry.key)].z
     print(f"  {entry.key!r}: idiom z = {z:+.2f}, "
           f"surface mean = {gscore_surface(entry, table):+.2f}, "
           f"definition mean = {gscore_definition(entry, table):+.2f}")

@@ -18,7 +18,6 @@ from figlex import (
     load_lexicon,
     load_vad_lexicon,
     score_definitions,
-    sentence_embedding,
     train_sgns,
     train_vad_models,
     usage_vad_series,
@@ -37,10 +36,9 @@ models = train_vad_models(space, vad)
 for dim, model in models.items():
     print(f"fit {dim}: {model.n_iter} iterations, precision {model.precision:.1f}")
 
-scores = score_definitions(lexicon, lambda toks: sentence_embedding(space, toks), models)
+scores = score_definitions(lexicon, space, models)
 print("\n== induced affect of definitions ==")
-for canonical in sorted(scores.values):
-    v, a, d = scores.values[canonical]
+for canonical, (v, a, d) in sorted(scores.items()):
     print(f"  {canonical:>28}: V={v:.3f} A={a:.3f} D={d:.3f}")
 
 series = {g: usage_vad_series(counts, scores, g) for g in ("F", "M")}

@@ -10,9 +10,7 @@ overlap across per-group semantic spaces.
 
 from .affect import (
     VadComparison,
-    VadLexicon,
     VadModel,
-    VadScores,
     UsageSeries,
     beta_log_likelihood,
     beta_log_likelihood_grad,
@@ -25,10 +23,9 @@ from .affect import (
     train_vad_models,
     usage_vad_series,
 )
-from .corpus import Corpus, Post, balance_groups, load_corpus, random_halves, save_corpus, tokenize
+from .corpus import Corpus, Post, balance_groups, load_corpus, save_corpus, tokenize
 from .embeddings import (
     EmbeddingSpace,
-    NeighborList,
     TrainParams,
     cosine,
     load_vectors,
@@ -62,7 +59,7 @@ from .matcher import (
 from .stats import (
     Distribution,
     DivergenceResult,
-    GScoreTable,
+    GScore,
     KdeCurve,
     NeighborhoodOverlap,
     TestResult,

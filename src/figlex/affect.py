@@ -13,11 +13,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _sigmoid
+from .embeddings import EmbeddingSpace, _embedded_rows, _sigmoid, sentence_embedding
 from .lexicon import Lexicon
 from .matcher import GroupCounts
 from .stats import cohens_d, wilcoxon_ranksum
@@ -28,24 +28,11 @@ _TARGET_EPS = 1e-4      # beta log-likelihood diverges at {0, 1}
 _PREDICT_EPS = 1e-12
 _LOG_PHI_MAX = math.log(1e8)
 
-Embedder = Callable[[Sequence[str]], np.ndarray]
 
-
-@dataclass
-class VadLexicon:
-    """word -> (valence, arousal, dominance), each rated in [0, 1]."""
-
-    ratings: dict[str, tuple[float, float, float]]
-
-    def __len__(self) -> int:
-        return len(self.ratings)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.ratings
-
-
-def load_vad_lexicon(path: str) -> VadLexicon:
-    """Read a CSV with header columns word, valence, arousal, dominance."""
+def load_vad_lexicon(path: str) -> dict[str, tuple[float, float, float]]:
+    """Read a CSV with header columns word, valence, arousal, dominance into
+    word -> (valence, arousal, dominance), each rated in [0, 1].  Every
+    word is nonempty and on one row only."""
     ratings: dict[str, tuple[float, float, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -54,11 +41,18 @@ def load_vad_lexicon(path: str) -> VadLexicon:
             raise ValueError(f"VAD lexicon must have columns {sorted(required)}")
         for row_no, row in enumerate(reader, start=2):
             word = row["word"].strip()
-            vals = tuple(float(row[d]) for d in DIMENSIONS)
+            if not word:
+                raise ValueError(f"row {row_no}: empty word")
+            if word in ratings:
+                raise ValueError(f"row {row_no}: duplicate word {word!r}")
+            try:
+                vals = tuple(float(row[d]) for d in DIMENSIONS)
+            except (TypeError, ValueError):  # a missing cell reads as None
+                raise ValueError(f"row {row_no}: ratings must be three numbers") from None
             if any(not 0.0 <= v <= 1.0 for v in vals):
                 raise ValueError(f"row {row_no}: ratings must lie in [0, 1]")
             ratings[word] = vals  # type: ignore[assignment]
-    return VadLexicon(ratings=ratings)
+    return ratings
 
 
 @dataclass
@@ -66,7 +60,6 @@ class VadModel:
     dimension: str
     coefficients: np.ndarray  # length dim+1, intercept first
     precision: float
-    link: str = "logit"
     ll_history: list[float] = field(default_factory=list, repr=False)
     n_iter: int = 0
 
@@ -75,19 +68,6 @@ class VadModel:
             raise ValueError("precision must be positive")
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
-
-
-@dataclass
-class VadScores:
-    """canonical -> (valence, arousal, dominance), predicted from definitions."""
-
-    values: dict[str, tuple[float, float, float]]
-
-    def __contains__(self, canonical: str) -> bool:
-        return canonical in self.values
-
-    def get(self, canonical: str) -> tuple[float, float, float]:
-        return self.values[canonical]
 
 
 @dataclass
@@ -347,41 +327,45 @@ def predict_beta(model: VadModel, feature: Sequence[float]) -> float:
     return float(np.clip(_sigmoid(eta), _PREDICT_EPS, 1.0 - _PREDICT_EPS))
 
 
-def train_vad_models(space: EmbeddingSpace, vad: VadLexicon) -> dict[str, VadModel]:
-    """Fit the three affect models on embeddings of in-vocabulary words."""
-    words = sorted(w for w in vad.ratings if w in space)
+def train_vad_models(
+    space: EmbeddingSpace, vad: Mapping[str, tuple[float, float, float]]
+) -> dict[str, VadModel]:
+    """Fit the three affect models on embeddings of in-vocabulary words of
+    `vad` (see `load_vad_lexicon`)."""
+    words = sorted(w for w in vad if w in space)
     if not words:
         raise ValueError("no VAD lexicon word is in the embedding vocabulary")
     X = np.stack([space.vector(w).astype(np.float64) for w in words])
     return {
-        dim: fit_beta_regression(X, np.array([vad.ratings[w][i] for w in words]), dimension=dim)
+        dim: fit_beta_regression(X, np.array([vad[w][i] for w in words]), dimension=dim)
         for i, dim in enumerate(DIMENSIONS)
     }
 
 
 def score_definitions(
-    lexicon: Lexicon, embedder: Embedder, models: Mapping[str, VadModel]
-) -> VadScores:
-    """Predict (valence, arousal, dominance) for every idiom definition."""
+    lexicon: Lexicon, space: EmbeddingSpace, models: Mapping[str, VadModel]
+) -> dict[str, tuple[float, float, float]]:
+    """Predict canonical -> (valence, arousal, dominance) from the sentence
+    embedding of every idiom definition."""
     values: dict[str, tuple[float, float, float]] = {}
     failures: list[str] = []
     for entry in lexicon:
         try:
-            vec = embedder(list(entry.definition))
-        except (ValueError, KeyError):
+            vec = sentence_embedding(space, entry.definition)
+        except ValueError:
             failures.append(entry.key)
             continue
         values[entry.key] = tuple(predict_beta(models[d], vec) for d in DIMENSIONS)  # type: ignore[assignment]
     if failures:
         raise ValueError(f"definitions could not be embedded for: {', '.join(failures)}")
-    return VadScores(values=values)
+    return values
 
 
 def usage_vad_series(
-    counts: GroupCounts, scores: VadScores, group: str
+    counts: GroupCounts, scores: Mapping[str, tuple[float, float, float]], group: str
 ) -> tuple[UsageSeries, UsageSeries, UsageSeries]:
-    """One value series per affect dimension, with each idiom's score
-    repeated once per usage in the group."""
+    """One value series per affect dimension, with each idiom's score (see
+    `score_definitions`) repeated once per usage in the group."""
     if group not in counts.groups:
         raise ValueError(f"unknown group {group!r}")
     columns: list[list[float]] = [[], [], []]
@@ -391,7 +375,7 @@ def usage_vad_series(
         c = per_group[group]
         if c <= 0:
             continue
-        triple = scores.get(canonical)
+        triple = scores[canonical]
         for i in range(3):
             columns[i].extend([triple[i]] * c)
     return tuple(
@@ -434,7 +418,7 @@ def compare_vad(
 
 def literal_baseline(
     counts: GroupCounts,
-    embedder: Embedder,
+    space: EmbeddingSpace,
     models: Mapping[str, VadModel],
     n: int,
     seed: int,
@@ -442,30 +426,26 @@ def literal_baseline(
     """Affect series over idiom-free posts, `n` sampled per group.
 
     Candidate posts of `counts` (from `count_usages`) contain no idiom match
-    and at least one embeddable token; sampling is deterministic given the
-    seed.
+    and at least one token `sentence_embedding` embeds; sampling is
+    deterministic given the seed, and only the sampled posts are embedded.
     """
     matched = set(counts.span_posts.tolist())
     rng = np.random.default_rng(seed)
     out: dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]] = {}
     for group in counts.groups:
-        candidates = []
-        for i, post in enumerate(counts.posts):
-            if post.group != group or i in matched:
-                continue
-            try:
-                vec = embedder(list(post.tokens))
-            except (ValueError, KeyError):
-                continue
-            candidates.append(vec)
+        candidates = [
+            post.tokens for i, post in enumerate(counts.posts)
+            if post.group == group and i not in matched and _embedded_rows(space, post.tokens)
+        ]
         if len(candidates) < n:
             raise ValueError(
                 f"group {group!r} has only {len(candidates)} idiom-free embeddable posts, "
                 f"need {n}"
             )
-        chosen = rng.choice(len(candidates), size=n, replace=False)
+        chosen = [sentence_embedding(space, candidates[i])
+                  for i in rng.choice(len(candidates), size=n, replace=False)]
         preds = {
-            dim: np.array([predict_beta(models[dim], candidates[i]) for i in chosen])
+            dim: np.array([predict_beta(models[dim], vec) for vec in chosen])
             for dim in DIMENSIONS
         }
         out[group] = tuple(
@@ -481,7 +461,7 @@ def save_vad_models(models: Mapping[str, VadModel], path: str) -> None:
                 "dimension": dim,
                 "coefficients": [float(c) for c in models[dim].coefficients],
                 "precision": models[dim].precision,
-                "link": models[dim].link,
+                "link": "logit",
             }
             for dim in DIMENSIONS
             if dim in models
@@ -490,17 +470,3 @@ def save_vad_models(models: Mapping[str, VadModel], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def load_vad_models(path: str) -> dict[str, VadModel]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    models = {}
-    for rec in payload["models"]:
-        models[rec["dimension"]] = VadModel(
-            dimension=rec["dimension"],
-            coefficients=np.array(rec["coefficients"], dtype=np.float64),
-            precision=float(rec["precision"]),
-            link=rec.get("link", "logit"),
-        )
-    return models

@@ -32,7 +32,7 @@ from .affect import (
     usage_vad_series,
 )
 from .corpus import balance_groups, load_corpus, save_corpus
-from .embeddings import TrainParams, load_vectors, save_vectors, sentence_embedding, train_sgns
+from .embeddings import TrainParams, load_vectors, save_vectors, train_sgns
 from .lexicon import filter_literal, idiom_token, load_lexicon, prune_variants, save_lexicon
 from .matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
 from .stats import (
@@ -111,7 +111,10 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"config line {lineno}: key {key!r} set twice")
+            values[key] = value.strip()
     return values
 
 
@@ -145,6 +148,8 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
             setattr(config, key, value)
     config.train = TrainParams(seed=config.seed, **train_kwargs)  # type: ignore[arg-type]
 
+    if config.seed < 0:
+        raise ValueError("seed must be nonnegative")
     if config.min_count < 0:
         raise ValueError("min_count must be nonnegative (0 disables pruning)")
     if config.rbo_depth <= 0:
@@ -333,13 +338,13 @@ def cmd_analyze(config: RunConfig) -> None:
         table = log_odds_dirichlet(tokens_a, tokens_b, tokens_a + tokens_b)
         _write_csv(config.out_path("gscore_tokens.csv"), ["token", "delta", "sigma", "z"],
                    ([token, _num(rec.delta), _num(rec.sigma), _num(rec.z)]
-                    for token, rec in sorted(table.records.items())))
+                    for token, rec in sorted(table.items())))
 
         idiom_rows = []
         for canonical in lexicon.canonicals():
             entry = lexicon.get(canonical)
             tok = idiom_token(canonical)
-            gi = table.z(tok) if tok in table else None
+            gi = table[tok].z if tok in table else None
             try:
                 gs = gscore_surface(entry, table)
             except ValueError:
@@ -384,14 +389,10 @@ def cmd_analyze(config: RunConfig) -> None:
         stage = "affect"
         models = train_vad_models(space, vad)
         save_vad_models(models, str(config.out_path("vad_models.json")))
-
-        def embedder(tokens):
-            return sentence_embedding(space, tokens)
-
-        scores = score_definitions(lexicon, embedder, models)
+        scores = score_definitions(lexicon, space, models)
         _write_csv(config.out_path("vad_scores.csv"), ["canonical", *DIMENSIONS],
                    ([canonical, *map(_num, values)]
-                    for canonical, values in sorted(scores.values.items())))
+                    for canonical, values in sorted(scores.items())))
 
         series_a = usage_vad_series(counts, scores, group_a)
         series_b = usage_vad_series(counts, scores, group_b)
@@ -411,7 +412,7 @@ def cmd_analyze(config: RunConfig) -> None:
         _write_csv(config.out_path("kde_curves.csv"), ["dimension", "group", "x", "density"],
                    kde_rows)
 
-        literal = literal_baseline(counts, embedder, models, config.baseline_n, config.seed)
+        literal = literal_baseline(counts, space, models, config.baseline_n, config.seed)
         literal_cmp = compare_vad(literal[group_a], literal[group_b])
         _write_comparison_csv(
             config.out_path("literal_baseline.csv"), literal_cmp, group_a, group_b

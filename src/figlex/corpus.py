@@ -63,10 +63,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.posts)
 
-    def group_posts(self, group: str) -> list[Post]:
-        self._check_group(group)
-        return [p for p in self.posts if p.group == group]
-
     def totals(self) -> dict[str, dict[str, int]]:
         """Exact per-group post and token counts."""
         out = {g: {"posts": 0, "tokens": 0} for g in self.group_labels}
@@ -77,13 +73,6 @@ class Corpus:
 
     def token_totals(self) -> dict[str, int]:
         return {g: t["tokens"] for g, t in self.totals().items()}
-
-    def subset(self, posts: list[Post] | tuple[Post, ...]) -> "Corpus":
-        return Corpus(posts=tuple(posts), group_labels=self.group_labels)
-
-    def _check_group(self, group: str) -> None:
-        if group not in self.group_labels:
-            raise ValueError(f"unknown group {group!r}; labels are {self.group_labels}")
 
 
 def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpus:
@@ -181,7 +170,10 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
         i = larger_idx[j]
         removed.add(i)
         diff -= corpus.posts[i].token_count
-    return corpus.subset([p for i, p in enumerate(corpus.posts) if i not in removed])
+    return Corpus(
+        posts=tuple(p for i, p in enumerate(corpus.posts) if i not in removed),
+        group_labels=corpus.group_labels,
+    )
 
 
 def _greedy_splits(
@@ -245,11 +237,3 @@ def split_halves(token_counts: Sequence[int], seed: int) -> tuple[list[int], lis
     perms, first = _greedy_splits(token_counts, [seed])
     perm, in_first = perms[:, 0], first[:, 0]
     return perm[in_first].tolist(), perm[~in_first].tolist()
-
-
-def random_halves(corpus: Corpus, group: str, seed: int) -> tuple[Corpus, Corpus]:
-    """Partition one group's posts into two halves of near-equal token totals
-    (see `split_halves`)."""
-    posts = corpus.group_posts(group)
-    first, second = split_halves([p.token_count for p in posts], seed)
-    return corpus.subset([posts[j] for j in first]), corpus.subset([posts[j] for j in second])

@@ -84,12 +84,6 @@ class EmbeddingSpace:
         return self.vectors[self.vocab[token]]
 
 
-@dataclass
-class NeighborList:
-    anchor: str
-    neighbors: list[tuple[str, float]]  # (token, cosine), cosine non-increasing
-
-
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding."""
     u = np.asarray(u, dtype=np.float64)
@@ -316,8 +310,8 @@ def load_vectors(path: str) -> EmbeddingSpace:
     return EmbeddingSpace(vocab=vocab, vectors=vectors)
 
 
-def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> NeighborList:
-    """Top-k most cosine-similar tokens, descending; ties broken by token.
+def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> list[tuple[str, float]]:
+    """Top-k (token, cosine) pairs, cosine descending; ties broken by token.
 
     The anchor itself is excluded.
     """
@@ -326,7 +320,7 @@ def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> NeighborList
     if k > len(space.vocab) - 1:
         raise ValueError(f"k={k} exceeds vocabulary size minus one ({len(space.vocab) - 1})")
     if k <= 0:
-        return NeighborList(anchor=token, neighbors=[])
+        return []
 
     mat = space.vectors.astype(np.float64)
     norms = np.linalg.norm(mat, axis=1)
@@ -348,15 +342,21 @@ def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> NeighborList
         ((tokens[i], float(sims[i])) for i in np.flatnonzero(keys <= kth).tolist()),
         key=lambda pair: (-pair[1], pair[0]),
     )
-    return NeighborList(anchor=token, neighbors=ranked[:k])
+    return ranked[:k]
+
+
+def _embedded_rows(space: EmbeddingSpace, tokens: Sequence[str]) -> list[int]:
+    """Vocabulary rows of the in-vocabulary, non-stopword tokens; a token
+    sequence can be embedded exactly when this is not empty."""
+    from .lexicon import STOPWORDS
+
+    return [space.vocab[t] for t in tokens if t not in STOPWORDS and t in space.vocab]
 
 
 def sentence_embedding(space: EmbeddingSpace, tokens: Sequence[str]) -> np.ndarray:
     """Bag-of-vectors sentence representation: the mean of in-vocabulary,
     non-stopword token vectors."""
-    from .lexicon import STOPWORDS
-
-    rows = [space.vocab[t] for t in tokens if t not in STOPWORDS and t in space.vocab]
+    rows = _embedded_rows(space, tokens)
     if not rows:
         raise ValueError("no in-vocabulary, non-stopword token to embed")
     return space.vectors[rows].astype(np.float64).mean(axis=0)

@@ -172,13 +172,9 @@ class IdiomEntry:
     def key(self) -> str:
         return " ".join(self.canonical)
 
-    @property
-    def token(self) -> str:
-        """Single-token name used when the idiom is rewritten into streams."""
-        return idiom_token(self.canonical)
-
 
 def idiom_token(canonical: tuple[str, ...] | str) -> str:
+    """Single-token name of an idiom in the rewritten streams."""
     parts = canonical.split() if isinstance(canonical, str) else canonical
     return IDIOM_TOKEN_PREFIX + "_".join(parts)
 
@@ -370,7 +366,7 @@ def literality_score(entry: IdiomEntry, space: EmbeddingSpace) -> float:
     Mean cosine similarity between the idiom's single-token vector and the
     vectors of its in-vocabulary, non-stopword constituent words.
     """
-    token = entry.token
+    token = idiom_token(entry.canonical)
     if token not in space:
         raise ValueError(f"idiom token {token!r} absent from embedding space")
     anchor = space.vector(token)

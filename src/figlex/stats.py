@@ -169,32 +169,22 @@ def divergence_gap_test(
 
 @dataclass(frozen=True)
 class GScore:
+    """One token's group-association score; positive favors corpus a."""
+
     delta: float
     sigma: float
     z: float
-
-
-@dataclass
-class GScoreTable:
-    """Per-token group-association scores; positive favors corpus a."""
-
-    records: dict[str, GScore]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.records
-
-    def z(self, token: str) -> float:
-        return self.records[token].z
 
 
 def log_odds_dirichlet(
     counts_a: Mapping[str, int],
     counts_b: Mapping[str, int],
     prior: Mapping[str, float],
-) -> GScoreTable:
+) -> dict[str, GScore]:
     """Log-odds ratio of two corpora with an informative Dirichlet prior.
 
-    For every scored token w (the union of the three key sets):
+    Returns token -> GScore, in sorted token order, for every scored token
+    w (the union of the three key sets):
 
         delta_w = ln((y_w^a + a_w) / (n^a + a_0 - y_w^a - a_w))
                 - ln((y_w^b + a_w) / (n^b + a_0 - y_w^b - a_w))
@@ -225,23 +215,23 @@ def log_odds_dirichlet(
         delta = math.log((ya + aw) / rest_a) - math.log((yb + aw) / rest_b)
         sigma = math.sqrt(1.0 / (ya + aw) + 1.0 / (yb + aw))
         records[t] = GScore(delta=delta, sigma=sigma, z=delta / sigma)
-    return GScoreTable(records=records)
+    return records
 
 
-def _mean_word_score(words: Sequence[str], table: GScoreTable, what: str) -> float:
+def _mean_word_score(words: Sequence[str], table: Mapping[str, GScore], what: str) -> float:
     unique = list(dict.fromkeys(words))
-    scored = [table.z(w) for w in unique if w in table]
+    scored = [table[w].z for w in unique if w in table]
     if not scored:
         raise ValueError(f"no {what} word present in the score table")
     return float(sum(scored) / len(scored))
 
 
-def gscore_surface(entry: IdiomEntry, table: GScoreTable) -> float:
+def gscore_surface(entry: IdiomEntry, table: Mapping[str, GScore]) -> float:
     """Mean association score over the canonical-form word set."""
     return _mean_word_score(entry.canonical, table, "surface")
 
 
-def gscore_definition(entry: IdiomEntry, table: GScoreTable) -> float:
+def gscore_definition(entry: IdiomEntry, table: Mapping[str, GScore]) -> float:
     """Mean association score over the definition word set."""
     return _mean_word_score(entry.definition, table, "definition")
 
@@ -451,8 +441,8 @@ def neighborhood_overlap(
         tok = idiom_token(canonical)
         if any(tok not in s or len(s.vocab) - 1 < depth for s in (space_a, space_b)):
             continue
-        ranked_a = nearest_neighbors(space_a, tok, depth).neighbors
-        ranked_b = nearest_neighbors(space_b, tok, depth).neighbors
+        ranked_a = nearest_neighbors(space_a, tok, depth)
+        ranked_b = nearest_neighbors(space_b, tok, depth)
         score = sim_rbo([t for t, _ in ranked_a], [t for t, _ in ranked_b], depth)
         rows.append(NeighborhoodOverlap(canonical, score, {group_a: ranked_a, group_b: ranked_b}))
     return rows

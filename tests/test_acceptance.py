@@ -114,12 +114,12 @@ def test_criterion_02_log_odds_oracle():
         for t in vocab:
             delta, sigma, z = oracle_log_odds(counts_a[t], na, counts_b[t], nb,
                                               prior[t], a0)
-            rec = table.records[t]
+            rec = table[t]
             for got, want in ((rec.delta, delta), (rec.sigma, sigma), (rec.z, z)):
                 worst = max(worst, abs(got - want))
                 ok &= abs(got - want) <= 1e-10
-            ok &= swapped.records[t].delta == -rec.delta
-            ok &= swapped.records[t].z == -rec.z
+            ok &= swapped[t].delta == -rec.delta
+            ok &= swapped[t].z == -rec.z
     criterion(2, "log-odds delta/sigma/z match hand formula; swap antisymmetry exact",
               ok, f"worst abs diff {worst:.2e}")
 
@@ -131,7 +131,7 @@ def test_criterion_02_worked_example():
     #   z     = delta / sigma                  = 1.9514607
     table = log_odds_dirichlet({"w": 5, "rest": 5}, {"w": 1, "rest": 9},
                                {"w": 0.1, "rest": 0.9})
-    rec = table.records["w"]
+    rec = table["w"]
     ok = (abs(rec.delta - 2.051513) < 5e-7) and (abs(rec.z - 1.951461) < 5e-7)
     criterion(
         2, "worked example delta=2.051513, z=1.951461 to 6 decimals", ok,
@@ -334,7 +334,7 @@ def test_criterion_08_planted_signal_end_to_end(tmp_path):
     counts = count_usages(matcher, corpus)
     tokens_a, tokens_b = counts.tokens_for("A"), counts.tokens_for("B")
     table = log_odds_dirichlet(tokens_a, tokens_b, tokens_a + tokens_b)
-    z = table.z(idiom_token(idioms[0]))
+    z = table[idiom_token(idioms[0])].z
 
     result = divergence_gap_test(counts, n_splits=500, seed=9)
     pooled_max = max(result.baseline_max.values())

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +12,12 @@ import figlex.affect
 from figlex.affect import (
     DIMENSIONS,
     VadModel,
-    VadScores,
     beta_log_likelihood,
     beta_log_likelihood_grad,
     compare_vad,
     fit_beta_regression,
     literal_baseline,
     load_vad_lexicon,
-    load_vad_models,
     predict_beta,
     save_vad_models,
     score_definitions,
@@ -26,11 +26,12 @@ from figlex.affect import (
     _digamma,
     _gammaln,
 )
-from figlex.embeddings import EmbeddingSpace, _sigmoid
+from figlex.corpus import Corpus
+from figlex.embeddings import EmbeddingSpace, _sigmoid, sentence_embedding
 from figlex.lexicon import Lexicon, IdiomEntry
 from figlex.matcher import GroupCounts, Matcher, count_usages
 
-from conftest import make_corpus
+from conftest import make_corpus, make_post
 
 
 def synthetic_beta_data(n, beta, phi, seed):
@@ -45,8 +46,20 @@ class TestVadLexiconFile:
         path = tmp_path / "vad.csv"
         path.write_text("word,valence,arousal,dominance\nhappy,0.9,0.6,0.7\nsad,0.1,0.4,0.2\n")
         vad = load_vad_lexicon(str(path))
-        assert len(vad) == 2
-        assert vad.ratings["happy"] == (0.9, 0.6, 0.7)
+        assert vad == {"happy": (0.9, 0.6, 0.7), "sad": (0.1, 0.4, 0.2)}
+
+    @pytest.mark.parametrize("row, message", [
+        ("happy,0.2,0.2,0.2", "row 3: duplicate word 'happy'"),
+        (",0.5,0.5,0.5", "row 3: empty word"),
+        ("  ,0.5,0.5,0.5", "row 3: empty word"),
+        ("sad,0.1,0.4", "row 3: ratings must be three numbers"),
+        ("sad,abc,0.4,0.2", "row 3: ratings must be three numbers"),
+    ])
+    def test_bad_row_is_named(self, tmp_path, row, message):
+        path = tmp_path / "vad.csv"
+        path.write_text(f"word,valence,arousal,dominance\nhappy,0.9,0.6,0.7\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_vad_lexicon(str(path))
 
     def test_range_validation(self, tmp_path):
         path = tmp_path / "vad.csv"
@@ -270,23 +283,18 @@ class TestScoreDefinitions:
             models[dim_name] = fit_beta_regression(X, y, dimension=dim_name)
         return models
 
-    def embedder(self, space):
-        from figlex.embeddings import sentence_embedding
-
-        return lambda tokens: sentence_embedding(space, tokens)
-
     def test_single_word_definition_matches_word_prediction(self):
         space = word_space(WORD_POOL, dim=4)
         models = self.setup_models(space)
         lexicon = Lexicon()
         entry = IdiomEntry(canonical=("x", "y"), definition=("sunrise",))
         lexicon.entries[entry.key] = entry
-        scores = score_definitions(lexicon, self.embedder(space), models)
+        scores = score_definitions(lexicon, space, models)
         direct = tuple(
             predict_beta(models[d], space.vector("sunrise").astype(np.float64))
             for d in DIMENSIONS
         )
-        assert scores.get("x y") == pytest.approx(direct, abs=1e-12)
+        assert scores["x y"] == pytest.approx(direct, abs=1e-12)
 
     def test_identical_definitions_identical_scores(self):
         space = word_space(WORD_POOL, dim=4)
@@ -295,8 +303,8 @@ class TestScoreDefinitions:
         for key in (("a", "b"), ("c", "d")):
             entry = IdiomEntry(canonical=key, definition=("quarrel", "thunder"))
             lexicon.entries[entry.key] = entry
-        scores = score_definitions(lexicon, self.embedder(space), models)
-        assert scores.get("a b") == scores.get("c d")
+        scores = score_definitions(lexicon, space, models)
+        assert scores["a b"] == scores["c d"]
 
     def test_unembeddable_definition_lists_canonical(self):
         space = word_space(WORD_POOL, dim=4)
@@ -305,11 +313,7 @@ class TestScoreDefinitions:
         entry = IdiomEntry(canonical=("odd", "one"), definition=("zzz",))
         lexicon.entries[entry.key] = entry
         with pytest.raises(ValueError, match="odd one"):
-            score_definitions(lexicon, self.embedder(space), models)
-
-
-def scores_of(values: dict[str, tuple[float, float, float]]) -> VadScores:
-    return VadScores(values=values)
+            score_definitions(lexicon, space, models)
 
 
 class TestUsageSeries:
@@ -318,25 +322,25 @@ class TestUsageSeries:
 
     def test_repetition(self):
         counts = self.counts({"i1": {"A": 3, "B": 0}})
-        scores = scores_of({"i1": (0.9, 0.5, 0.4)})
+        scores = {"i1": (0.9, 0.5, 0.4)}
         v, a, d = usage_vad_series(counts, scores, "A")
         np.testing.assert_allclose(v.values, [0.9, 0.9, 0.9])
         np.testing.assert_allclose(a.values, [0.5, 0.5, 0.5])
 
     def test_empty(self):
-        triple = usage_vad_series(self.counts({}), scores_of({}), "A")
+        triple = usage_vad_series(self.counts({}), {}, "A")
         assert all(len(s.values) == 0 for s in triple)
 
     def test_multiset_assembly(self):
         counts = self.counts({"i1": {"A": 2, "B": 0}, "i2": {"A": 1, "B": 0}})
-        scores = scores_of({"i1": (0.2, 0.1, 0.3), "i2": (0.8, 0.9, 0.7)})
+        scores = {"i1": (0.2, 0.1, 0.3), "i2": (0.8, 0.9, 0.7)}
         v, _, _ = usage_vad_series(counts, scores, "A")
         assert sorted(v.values.tolist()) == [0.2, 0.2, 0.8]
 
     def test_length_matches_total_count(self):
         rng = np.random.default_rng(2)
         idiom_counts = {f"i{k}": {"A": int(rng.integers(0, 9)), "B": 0} for k in range(6)}
-        scores = scores_of({f"i{k}": tuple(rng.uniform(0.1, 0.9, 3)) for k in range(6)})
+        scores = {f"i{k}": tuple(rng.uniform(0.1, 0.9, 3)) for k in range(6)}
         triple = usage_vad_series(self.counts(idiom_counts), scores, "A")
         expected = sum(c["A"] for c in idiom_counts.values())
         assert all(len(s.values) == expected for s in triple)
@@ -344,7 +348,7 @@ class TestUsageSeries:
     def test_missing_scores_error(self):
         counts = self.counts({"i1": {"A": 1, "B": 0}})
         with pytest.raises(ValueError, match="no affect scores"):
-            usage_vad_series(counts, scores_of({}), "A")
+            usage_vad_series(counts, {}, "A")
 
 
 def series_triple(values, group="A"):
@@ -391,39 +395,109 @@ class TestCompareVad:
         assert _stars(0.0009) == "**"
 
 
+def baseline_models(space):
+    rng = np.random.default_rng(9)
+    models = {}
+    X = space.vectors.astype(np.float64)
+    for dim_name in DIMENSIONS:
+        w = rng.normal(scale=0.3, size=X.shape[1] + 1)
+        y = np.clip(expit(w[0] + X @ w[1:]) + rng.normal(scale=0.08, size=len(X)),
+                    0.05, 0.95)
+        models[dim_name] = fit_beta_regression(X, y, dimension=dim_name)
+    return models
+
+
+@pytest.fixture(scope="module")
+def oracle_space_and_models():
+    space = word_space(["over", "the", "moon"] + WORD_POOL, dim=3, seed=8)
+    return space, baseline_models(space)
+
+
+def reference_literal_baseline(counts, space, models, n, seed):
+    """The baseline as first written: embed every idiom-free post of a
+    group, then sample `n` of the embeddings."""
+    matched = set(counts.span_posts.tolist())
+    rng = np.random.default_rng(seed)
+    out = {}
+    for group in counts.groups:
+        candidates = []
+        for i, post in enumerate(counts.posts):
+            if post.group != group or i in matched:
+                continue
+            try:
+                candidates.append(sentence_embedding(space, list(post.tokens)))
+            except ValueError:
+                continue
+        if len(candidates) < n:
+            raise ValueError("too few idiom-free embeddable posts")
+        chosen = rng.choice(len(candidates), size=n, replace=False)
+        out[group] = [np.array([predict_beta(models[dim], candidates[i]) for i in chosen])
+                      for dim in DIMENSIONS]
+    return out
+
+
+# "the" has a vector but is a stopword, and "zzz" has no vector: a post of
+# only these two cannot be embedded; "over the moon" is the idiom
+_baseline_posts = st.lists(
+    st.tuples(
+        st.sampled_from(("A", "B")),
+        st.lists(st.sampled_from(("the", "zzz", "over the moon", "over", "moon", "anchor",
+                                  "sunrise", "quarrel", "harvest")),
+                 min_size=1, max_size=3).map(" ".join),
+    ),
+    min_size=6, max_size=20,
+)
+
+
 class TestLiteralBaseline:
     def build(self, texts_by_group, pattern_words=("over", "the", "moon")):
         corpus = make_corpus(texts_by_group)
         matcher = Matcher({tuple(pattern_words): " ".join(pattern_words)})
         words = sorted({t for p in corpus.posts for t in p.tokens} - {"the"})
         space = word_space(words + WORD_POOL, dim=3, seed=8)
-        rng = np.random.default_rng(9)
-        models = {}
-        X = space.vectors.astype(np.float64)
-        for dim_name in DIMENSIONS:
-            w = rng.normal(scale=0.3, size=X.shape[1] + 1)
-            y = np.clip(expit(w[0] + X @ w[1:]) + rng.normal(scale=0.08, size=len(X)),
-                        0.05, 0.95)
-            models[dim_name] = fit_beta_regression(X, y, dimension=dim_name)
+        return corpus, matcher, space, baseline_models(space)
 
-        from figlex.embeddings import sentence_embedding
-
-        return corpus, matcher, (lambda toks: sentence_embedding(space, toks)), models
+    @settings(max_examples=60, deadline=None)
+    @given(posts=_baseline_posts, n=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @example(posts=[("A", "anchor"), ("A", "zzz the"), ("B", "the"), ("A", "over the moon"),
+                    ("A", "sunrise"), ("B", "quarrel"), ("A", "zzz"), ("B", "moon zzz"),
+                    ("A", "harvest over"), ("B", "the zzz"), ("B", "anchor anchor")],
+             n=2, seed=7)
+    def test_bitwise_equal_to_embedding_every_candidate(self, oracle_space_and_models,
+                                                        posts, n, seed):
+        space, models = oracle_space_and_models
+        corpus = Corpus(posts=tuple(make_post(text, group=g, author=f"p{i}")
+                                    for i, (g, text) in enumerate(posts)),
+                        group_labels=("A", "B"))
+        counts = count_usages(Matcher({("over", "the", "moon"): "over the moon"}), corpus)
+        try:
+            expected = reference_literal_baseline(counts, space, models, n, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="idiom-free embeddable posts"):
+                literal_baseline(counts, space, models, n, seed)
+            return
+        result = literal_baseline(counts, space, models, n, seed)
+        assert list(result) == ["A", "B"]
+        for group in ("A", "B"):
+            assert [s.dimension for s in result[group]] == list(DIMENSIONS)
+            for series, values in zip(result[group], expected[group]):
+                assert series.group == group
+                assert series.values.tobytes() == values.tobytes()
 
     def test_every_post_idiomatic_is_error(self):
-        corpus, matcher, embedder, models = self.build({
+        corpus, matcher, space, models = self.build({
             "A": ["over the moon twice", "over the moon again"],
             "B": ["felt over the moon", "still over the moon"],
         })
         with pytest.raises(ValueError, match="idiom-free"):
-            literal_baseline(count_usages(matcher, corpus), embedder, models, n=1, seed=0)
+            literal_baseline(count_usages(matcher, corpus), space, models, n=1, seed=0)
 
     def test_n_zero_gives_empty(self):
-        corpus, matcher, embedder, models = self.build({
+        corpus, matcher, space, models = self.build({
             "A": ["plain words here", "more plain text"],
             "B": ["nothing idiomatic", "just words"],
         })
-        result = literal_baseline(count_usages(matcher, corpus), embedder, models, n=0, seed=0)
+        result = literal_baseline(count_usages(matcher, corpus), space, models, n=0, seed=0)
         for triple in result.values():
             assert all(len(s.values) == 0 for s in triple)
 
@@ -436,12 +510,12 @@ class TestLiteralBaseline:
             "B": ["felt over the moon", "quiet garden rest", "steady long road",
                   "cold river stone"],
         }
-        corpus, matcher, embedder, models = self.build(texts)
+        corpus, matcher, space, models = self.build(texts)
         for post in corpus.posts:
             if find_matches(matcher, list(post.tokens)):
                 continue
-        one = literal_baseline(count_usages(matcher, corpus), embedder, models, n=2, seed=5)
-        two = literal_baseline(count_usages(matcher, corpus), embedder, models, n=2, seed=5)
+        one = literal_baseline(count_usages(matcher, corpus), space, models, n=2, seed=5)
+        two = literal_baseline(count_usages(matcher, corpus), space, models, n=2, seed=5)
         for group in ("A", "B"):
             for s1, s2 in zip(one[group], two[group]):
                 np.testing.assert_array_equal(s1.values, s2.values)
@@ -469,11 +543,15 @@ class TestModelPersistence:
         }
         path = tmp_path / "models.json"
         save_vad_models(models, str(path))
-        again = load_vad_models(str(path))
-        for dim in DIMENSIONS:
-            np.testing.assert_allclose(again[dim].coefficients, models[dim].coefficients)
-            assert again[dim].precision == models[dim].precision
-            assert again[dim].link == "logit"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert list(payload) == ["models"]
+        assert [list(rec) for rec in payload["models"]] == [
+            ["dimension", "coefficients", "precision", "link"]] * 3
+        for rec, dim in zip(payload["models"], DIMENSIONS):
+            assert rec["dimension"] == dim
+            assert rec["coefficients"] == models[dim].coefficients.tolist()
+            assert rec["precision"] == models[dim].precision
+            assert rec["link"] == "logit"
 
 
 class TestTrainVadModels:
@@ -493,8 +571,6 @@ class TestTrainVadModels:
         assert set(models) == set(DIMENSIONS)
 
     def test_no_overlap_error(self):
-        from figlex.affect import VadLexicon
-
         space = word_space(["aaa", "bbb", "ccc"], dim=2)
         with pytest.raises(ValueError, match="vocabulary"):
-            train_vad_models(space, VadLexicon(ratings={"zzz": (0.5, 0.5, 0.5)}))
+            train_vad_models(space, {"zzz": (0.5, 0.5, 0.5)})

@@ -573,6 +573,25 @@ class TestMainEntry:
             assert f"stage {stage}" in err and "out" in err
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_negative_seed_exits_two_before_any_file(self, tmp_path, capsys):
+        overrides = tiny_overrides(tmp_path, seed=-1)
+        argv = ["prepare"]
+        for key, value in overrides.items():
+            argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        assert main(argv) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not Path(overrides["out"]).exists()
+
+    def test_duplicate_config_key_exits_two_naming_its_line(self, tmp_path, capsys):
+        overrides = tiny_overrides(tmp_path)
+        lines = [f"{key} = {value}" for key, value in overrides.items()]
+        conf = tmp_path / "run.conf"
+        conf.write_text("\n".join([*lines, "# the last one used to win", "seed = 6"]) + "\n")
+        assert main(["prepare", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert f"config line {len(lines) + 2}: key 'seed' set twice" in err
+        assert not Path(overrides["out"]).exists()
+
     def test_stage_error_exit_one(self, tmp_path, capsys):
         code = main([
             "prepare",

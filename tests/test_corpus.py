@@ -9,7 +9,6 @@ from figlex.corpus import (
     _SPLIT_CHUNK,
     balance_groups,
     load_corpus,
-    random_halves,
     save_corpus,
     split_halves,
     split_masks,
@@ -141,7 +140,8 @@ class TestBalanceGroups:
             totals = corpus.token_totals()
             smaller = "A" if totals["A"] <= totals["B"] else "B"
             balanced = balance_groups(corpus, seed=trial)
-            assert balanced.group_posts(smaller) == corpus.group_posts(smaller)
+            assert ([p for p in balanced.posts if p.group == smaller]
+                    == [p for p in corpus.posts if p.group == smaller])
             removed = [p for p in corpus.posts if p not in balanced.posts]
             if removed:
                 new_totals = balanced.token_totals()
@@ -155,29 +155,12 @@ class TestBalanceGroups:
 
 
 class TestRandomHalves:
-    def test_partition_property(self):
-        corpus = make_corpus({"A": [f"w{i} x y" for i in range(10)], "B": ["z"]})
-        h1, h2 = random_halves(corpus, "A", seed=1)
-        ids1 = {p.author_id for p in h1.posts}
-        ids2 = {p.author_id for p in h2.posts}
-        assert not ids1 & ids2
-        assert ids1 | ids2 == {p.author_id for p in corpus.group_posts("A")}
-
-    def test_deterministic(self):
-        corpus = make_corpus({"A": [f"w{i}" for i in range(9)], "B": ["z"]})
-        first = random_halves(corpus, "A", seed=4)
-        second = random_halves(corpus, "A", seed=4)
-        assert [p.author_id for p in first[0].posts] == [p.author_id for p in second[0].posts]
-
-    def test_equal_length_posts_balance(self):
-        corpus = make_corpus({"A": ["w x y z"] * 1000, "B": ["z"]})
-        h1, h2 = random_halves(corpus, "A", seed=2)
-        assert abs(h1.token_totals()["A"] - h2.token_totals()["A"]) <= 4
-
     def test_too_few_posts(self):
+        # the divergence test splits each group's posts on their own
         corpus = make_corpus({"A": ["only one"], "B": ["z z"]})
+        lengths = [p.token_count for p in corpus.posts if p.group == "A"]
         with pytest.raises(ValueError, match="fewer than 2"):
-            random_halves(corpus, "A", seed=0)
+            split_halves(lengths, seed=0)
 
 
 def reference_split_halves(token_counts, seed):
@@ -197,6 +180,18 @@ def reference_split_halves(token_counts, seed):
 
 
 class TestSplitHalves:
+    def test_partition_property(self):
+        first, second = split_halves([3] * 10, seed=1)
+        assert not set(first) & set(second)
+        assert sorted(first + second) == list(range(10))
+
+    def test_deterministic(self):
+        assert split_halves([1] * 9, seed=4) == split_halves([1] * 9, seed=4)
+
+    def test_equal_length_posts_balance(self):
+        first, second = split_halves([4] * 1000, seed=2)
+        assert abs(4 * len(first) - 4 * len(second)) <= 4
+
     # few distinct lengths, zeros included, so (tokens, posts) ties are common
     @settings(max_examples=200, deadline=None)
     @given(

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 import figlex.embeddings
 from figlex.embeddings import (
     EmbeddingSpace,
-    NeighborList,
     TrainParams,
     _center_losses,
     _sigmoid,
@@ -389,17 +388,17 @@ def toy_space():
 
 class TestNearestNeighbors:
     def test_k_zero(self):
-        assert nearest_neighbors(toy_space(), "apple", 0).neighbors == []
+        assert nearest_neighbors(toy_space(), "apple", 0) == []
 
     def test_hand_ranked(self):
         ranked = nearest_neighbors(toy_space(), "apple", 3)
-        assert [t for t, _ in ranked.neighbors] == ["brick", "cloud", "dune"]
-        sims = [s for _, s in ranked.neighbors]
+        assert [t for t, _ in ranked] == ["brick", "cloud", "dune"]
+        sims = [s for _, s in ranked]
         assert sims == sorted(sims, reverse=True)
 
     def test_prefix_property(self):
-        shorter = nearest_neighbors(toy_space(), "apple", 2).neighbors
-        longer = nearest_neighbors(toy_space(), "apple", 3).neighbors
+        shorter = nearest_neighbors(toy_space(), "apple", 2)
+        longer = nearest_neighbors(toy_space(), "apple", 3)
         assert longer[:2] == shorter
 
     def test_tie_broken_lexicographically(self):
@@ -408,15 +407,15 @@ class TestNearestNeighbors:
             vectors=np.array([[1, 0], [1, 1], [2, 2]], dtype=np.float32),
         )
         ranked = nearest_neighbors(space, "a", 2)
-        assert [t for t, _ in ranked.neighbors] == ["m", "z"]
+        assert [t for t, _ in ranked] == ["m", "z"]
 
     def test_tie_straddling_rank_k(self):
         space = EmbeddingSpace(
             vocab={"a": 0, "z": 1, "m": 2, "q": 3},
             vectors=np.array([[1, 0], [1, 1], [2, 2], [0, 1]], dtype=np.float32),
         )
-        assert [t for t, _ in nearest_neighbors(space, "a", 1).neighbors] == ["m"]
-        assert [t for t, _ in nearest_neighbors(space, "a", 2).neighbors] == ["m", "z"]
+        assert [t for t, _ in nearest_neighbors(space, "a", 1)] == ["m"]
+        assert [t for t, _ in nearest_neighbors(space, "a", 2)] == ["m", "z"]
 
     def test_matches_full_sort(self):
         # integer vectors on a small grid: many exact cosine ties, zero rows
@@ -436,7 +435,7 @@ class TestNearestNeighbors:
             full = sorted(((t, float(sims[j])) for t, j in space.vocab.items() if j != 0),
                           key=lambda pair: (-pair[1], pair[0]))
             for k in range(size):
-                assert nearest_neighbors(space, anchor, k) == NeighborList(anchor, full[:k])
+                assert nearest_neighbors(space, anchor, k) == full[:k]
 
     def test_oov_error(self):
         with pytest.raises(KeyError):

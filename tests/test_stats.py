@@ -12,14 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import figlex.stats
-from figlex.corpus import balance_groups, load_corpus, random_halves
+from figlex.corpus import balance_groups, load_corpus, split_halves
 from figlex.embeddings import TrainParams, nearest_neighbors, train_sgns
 from figlex.lexicon import IdiomEntry, Lexicon, idiom_token, load_lexicon
 from figlex.matcher import GroupCounts, build_matcher, count_usages, find_matches
 from figlex.stats import (
     Distribution,
     GScore,
-    GScoreTable,
     cohens_d,
     divergence_gap_test,
     gscore_definition,
@@ -180,9 +179,17 @@ def oracle_lexicon() -> Lexicon:
     return lexicon
 
 
+def group_halves(corpus, group, seed):
+    """One group's posts in corpus order, split into two post lists by
+    `split_halves` over their token counts."""
+    posts = [p for p in corpus.posts if p.group == group]
+    first, second = split_halves([p.token_count for p in posts], seed)
+    return [posts[j] for j in first], [posts[j] for j in second]
+
+
 def reference_divergence(corpus, lexicon, n_splits, seed):
     """Cross JSD and baseline samples by matching every post and splitting
-    whole Corpus objects with random_halves."""
+    each group's whole posts with `group_halves`."""
     matcher = build_matcher(lexicon)
     support = tuple(lexicon.canonicals())
     per_post = {p: Counter(m.canonical for m in find_matches(matcher, list(p.tokens)))
@@ -198,15 +205,15 @@ def reference_divergence(corpus, lexicon, n_splits, seed):
         return Distribution(support=support, probs=raw / raw.sum())
 
     ga, gb = corpus.group_labels
-    cross = jsd(distribution(corpus.group_posts(ga)), distribution(corpus.group_posts(gb)))
+    cross = jsd(*(distribution([p for p in corpus.posts if p.group == g]) for g in (ga, gb)))
     children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples = {}
     for gi, g in enumerate((ga, gb)):
         vals = []
         for s in range(n_splits):
             child_seed = int(children[gi * n_splits + s].generate_state(1)[0])
-            h1, h2 = random_halves(corpus, g, child_seed)
-            vals.append(jsd(distribution(h1.posts), distribution(h2.posts)))
+            h1, h2 = group_halves(corpus, g, child_seed)
+            vals.append(jsd(distribution(h1), distribution(h2)))
         samples[g] = np.array(vals, dtype=np.float64)
     return cross, samples
 
@@ -248,7 +255,7 @@ class TestLogOddsDirichlet:
     def test_identical_corpora_zero(self):
         counts = {"x": 4, "y": 6}
         table = log_odds_dirichlet(counts, dict(counts), {"x": 1.0, "y": 1.0})
-        for rec in table.records.values():
+        for rec in table.values():
             assert rec.delta == pytest.approx(0.0, abs=1e-14)
 
     def test_agrees_with_direct_formula(self):
@@ -262,7 +269,7 @@ class TestLogOddsDirichlet:
             na, nb, a0 = sum(counts_a.values()), sum(counts_b.values()), sum(prior.values())
             for t in vocab:
                 expected = oracle_log_odds(counts_a[t], na, counts_b[t], nb, prior[t], a0)
-                rec = table.records[t]
+                rec = table[t]
                 assert rec.delta == pytest.approx(expected[0], abs=1e-12)
                 assert rec.sigma == pytest.approx(expected[1], abs=1e-12)
                 assert rec.z == pytest.approx(expected[2], abs=1e-12)
@@ -281,10 +288,10 @@ class TestLogOddsDirichlet:
         prior = {f"t{k}": a for k, a in enumerate(columns[2])}
         fwd = log_odds_dirichlet(counts_a, counts_b, prior)
         rev = log_odds_dirichlet(counts_b, counts_a, prior)
-        assert fwd.records.keys() == rev.records.keys() == prior.keys()
+        assert fwd.keys() == rev.keys() == prior.keys()
         for t in prior:
-            assert fwd.records[t].delta == -rev.records[t].delta
-            assert fwd.records[t].z == -rev.records[t].z
+            assert fwd[t].delta == -rev[t].delta
+            assert fwd[t].z == -rev[t].z
 
     def test_prior_positivity_required(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -306,12 +313,11 @@ class TestLogOddsDirichlet:
                 {t: c * factor for t, c in prior.items()},
             )
             for t in vocab:
-                assert np.sign(scaled.records[t].delta) == np.sign(base.records[t].delta)
+                assert np.sign(scaled[t].delta) == np.sign(base[t].delta)
 
 
-def table_from_z(scores: dict[str, float]) -> GScoreTable:
-    records = {t: GScore(delta=z, sigma=1.0, z=z) for t, z in scores.items()}
-    return GScoreTable(records=records)
+def table_from_z(scores: dict[str, float]) -> dict[str, GScore]:
+    return {t: GScore(delta=z, sigma=1.0, z=z) for t, z in scores.items()}
 
 
 class TestGscoreAggregation:
@@ -576,7 +582,7 @@ def inline_overlap(spaces, canonicals, depth, nearest):
         tok = idiom_token(canonical)
         if any(tok not in spaces[g] or len(spaces[g].vocab) - 1 < depth for g in (ga, gb)):
             continue
-        ranked = {g: nearest(spaces[g], tok, depth).neighbors for g in (ga, gb)}
+        ranked = {g: nearest(spaces[g], tok, depth) for g in (ga, gb)}
         lists = {g: [t for t, _ in ranked[g]] for g in (ga, gb)}
         rows.append((canonical, sim_rbo(lists[ga], lists[gb], depth), ranked))
     return rows
