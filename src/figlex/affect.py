@@ -205,12 +205,25 @@ def beta_log_likelihood_grad(
     return _log_likelihood_grad(params, *_beta_data(features, targets))
 
 
+def _whiten(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means of X, the whitening matrix of the centered X (from its
+    SVD, dropping null directions), and the whitened features."""
+    col_mean = X.mean(axis=0)
+    centered = X - col_mean
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)  # (0, 0) with no columns
+    keep = svals > (svals[0] * 1e-10 if svals.size and svals[0] > 0 else math.inf)
+    whiten = vt[keep].T * (math.sqrt(len(X)) / svals[keep])
+    return col_mean, whiten, centered @ whiten
+
+
 def fit_beta_regression(
     features: np.ndarray,
     targets: Sequence[float],
     dimension: str = "value",
     max_iter: int = 500,
     tol: float = 1e-6,
+    *,
+    _whitened: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> VadModel:
     """Maximum-likelihood beta regression with a logit mean link.
 
@@ -221,7 +234,8 @@ def fit_beta_regression(
     correlated features.  Converges when the working-space gradient
     max-norm drops below `tol`; log phi is capped above so zero-residual
     targets, whose likelihood is unbounded in phi, still terminate.
-    Raises if the iteration limit is hit first.
+    Raises if the iteration limit is hit first.  `_whitened` is
+    `_whiten(features)` when the caller fits one matrix several times.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -235,15 +249,7 @@ def fit_beta_regression(
     if n < d + 2:
         raise ValueError(f"need at least {d + 2} rows to fit {d} features, got {n}")
 
-    col_mean = X.mean(axis=0) if d > 0 else np.zeros(0)
-    centered = X - col_mean
-    if d > 0:
-        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        keep = svals > (svals[0] * 1e-10 if svals.size and svals[0] > 0 else math.inf)
-        whiten = vt[keep].T * (math.sqrt(n) / svals[keep])
-    else:
-        whiten = np.zeros((0, 0))
-    Z = centered @ whiten
+    col_mean, whiten, Z = _whiten(X) if _whitened is None else _whitened
 
     mean_y = float(y.mean())
     var_y = float(y.var()) + 1e-8
@@ -336,8 +342,10 @@ def train_vad_models(
     if not words:
         raise ValueError("no VAD lexicon word is in the embedding vocabulary")
     X = np.stack([space.vector(w).astype(np.float64) for w in words])
+    whitened = _whiten(X)  # once for the three fits
     return {
-        dim: fit_beta_regression(X, np.array([vad[w][i] for w in words]), dimension=dim)
+        dim: fit_beta_regression(X, np.array([vad[w][i] for w in words]), dimension=dim,
+                                 _whitened=whitened)
         for i, dim in enumerate(DIMENSIONS)
     }
 

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .affect import (
     DIMENSIONS,
     compare_vad,
@@ -310,7 +311,9 @@ def cmd_analyze(config: RunConfig) -> None:
         # with its own child seed, in a forked worker while the stages below
         # run here.  The pool forks both workers at the first submit, before it
         # starts its threads; prepare and report never import the pool modules.
+        # The kernel library loads first, so that both workers inherit it.
         stage = "embeddings"
+        _kernels.load()
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork"))

@@ -2,9 +2,9 @@
 
 A corpus is an ordered collection of posts, each tagged with one of two
 group labels.  All randomized operations take an explicit seed and are
-pure functions of (input, seed).  The greedy half split is written once
-and applied to many seeds in one vectorised walk (`split_masks`), so a
-split test's hundreds of splits cost a few numpy calls per post.
+pure functions of (input, seed).  The greedy half split draws each seed's
+permutation with numpy and walks it in the C kernel of `_kernels.c`
+(`split_masks`); `split_halves` is the same rule as a plain loop.
 """
 
 from __future__ import annotations
@@ -16,14 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
+
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 # Runs of word characters (underscores excluded), optionally joined by
 # internal apostrophes so "don't" and "one's" survive as single tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
-# seeds per walk of `split_masks`.  A walk holds 5 bytes per (post, seed) and
-# costs a few numpy calls per post; 128 capped the peak memory as well as 64
-# did, with half as many walks
-_SPLIT_CHUNK = 128
 
 
 def tokenize(text: str) -> list[str]:
@@ -176,18 +174,13 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
     )
 
 
-def _greedy_splits(
-    token_counts: Sequence[int], seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the greedy half-split rule once per seed, all seeds at once.
+def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """First-half masks of one greedy split per seed (see `split_halves`).
 
-    Each seed draws its own permutation of positions 0..n-1 (stacked as
-    column s of the int32 `perms`, shape (n, len(seeds))).  Positions are
-    assigned in that order to the first half while its (tokens, posts) is
-    lexicographically <= the second half's, else to the second.  Per split
-    the walk keeps one int64 key, tokens_0 - tokens_1 scaled by 2n + 1
-    plus posts_0 - posts_1, which is <= 0 exactly when the first half is
-    not ahead.  `first[i, s]` says whether `perms[i, s]` went first.
+    Row s is `split_halves(token_counts, seeds[s])[0]` as a boolean mask
+    over positions, shape (len(seeds), n).  numpy draws each permutation
+    and the kernel walks it with an int64 key, whose range bounds the
+    token counts.
     """
     n = len(token_counts)
     if n < 2:
@@ -195,34 +188,12 @@ def _greedy_splits(
     scale = 2 * n + 1
     if scale * (sum(abs(int(t)) for t in token_counts) + 1) >= 2**63:
         raise ValueError("token counts too large to split")
-    perms = np.empty((n, len(seeds)), dtype=np.int32)
-    for s, seed in enumerate(seeds):
-        perms[:, s] = np.random.default_rng(seed).permutation(n)
-    step = np.asarray(token_counts, dtype=np.int64) * scale + 1
-    signed_step = np.concatenate([-step, step])  # index j + n: j joins the first half
-    key = np.zeros(len(seeds), dtype=np.int64)
-    first = np.empty(perms.shape, dtype=bool)
-    for i, row in enumerate(perms):
-        np.less_equal(key, 0, out=first[i])
-        key += signed_step[row + n * first[i]]
-    return perms, first
-
-
-def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
-    """First-half masks of one greedy split per seed (see `split_halves`).
-
-    Row s is `split_halves(token_counts, seeds[s])[0]` as a boolean mask
-    over positions, shape (len(seeds), n).
-    """
-    masks = np.empty((len(seeds), len(token_counts)), dtype=bool)
-    # seeds are independent, so walking them a chunk at a time caps the
-    # (n, chunk) permutations and flags without changing any mask; with no
-    # seeds there is still one walk, to validate the token counts
-    for lo in range(0, max(len(seeds), 1), _SPLIT_CHUNK):
-        perms, first = _greedy_splits(token_counts, seeds[lo : lo + _SPLIT_CHUNK])
-        for s in range(perms.shape[1]):
-            masks[lo + s, perms[:, s]] = first[:, s]
-        del perms, first  # free this chunk before the next one is drawn
+    steps = np.asarray(token_counts, dtype=np.int64) * scale + 1
+    walk = _kernels.load().split_walk
+    masks = np.empty((len(seeds), n), dtype=bool)
+    for mask, seed in zip(masks, seeds):
+        perm = np.random.default_rng(seed).permutation(n)
+        walk(steps.ctypes.data, perm.ctypes.data, n, mask.ctypes.data)
     return masks
 
 
@@ -232,8 +203,15 @@ def split_halves(token_counts: Sequence[int], seed: int) -> tuple[list[int], lis
     The partition is exhaustive and disjoint; positions are assigned in
     random order to whichever half currently has fewer (tokens, posts),
     ties going to the first.  Each half lists its positions in assignment
-    order.  `split_masks` applies the same rule to many seeds at once.
+    order.  `split_masks` applies the same rule in C; this loop is its
+    oracle.
     """
-    perms, first = _greedy_splits(token_counts, [seed])
-    perm, in_first = perms[:, 0], first[:, 0]
-    return perm[in_first].tolist(), perm[~in_first].tolist()
+    if len(token_counts) < 2:
+        raise ValueError("fewer than 2 posts to split")
+    halves: tuple[list[int], list[int]] = ([], [])
+    totals = [(0, 0), (0, 0)]  # (tokens, posts) per half
+    for j in np.random.default_rng(seed).permutation(len(token_counts)).tolist():
+        side = 0 if totals[0] <= totals[1] else 1
+        halves[side].append(j)
+        totals[side] = (totals[side][0] + token_counts[j], totals[side][1] + 1)
+    return halves

@@ -1,28 +1,18 @@
 """Skip-gram negative-sampling embeddings trained from scratch, plus a
 plain-text vector store and nearest-neighbor queries.
 
-Training is single-threaded and fully deterministic given the seed: same
-corpus + same params -> bitwise-identical vectors.  Frequent-token
-subsampling is deliberately omitted (corpora here are desk scale).
+Training is single-threaded and deterministic given the seed: same corpus
++ same params -> the same vectors, byte for byte, whatever the CPU's vector
+units or BLAS.  Frequent-token subsampling is deliberately omitted
+(corpora here are desk scale).
 
-The trainer updates one center token at a time, in float32 and corpus
-order.  It walks the corpus in blocks of sentences holding up to
-`_BLOCK_ROWS` context and noise rows.  For each sentence of a block it
-first draws the window sizes, then one double per noise token: the same
-generator calls in the same order as one sentence at a time, and the same
-stream as drawing per center.  Once per block it maps all the doubles to
-noise tokens with one `searchsorted`, lays out every center's rows (its
-context, then its noise) in one array, and sums the loss.  That
-bookkeeping moves no arithmetic: each center's update and each center's
-loss are the same float32 operations on the same values in the same order,
-so the block size never changes a bit.
-
-Per center it gathers the context and noise rows of the output matrix
-once, for both the scores and the center's gradient, and scatter-adds the
-row updates with a 1-D `np.add.at` on the flat matrix, which applies a
-repeated row's updates in order.  Updating several centers at once would
-change the arithmetic; measured, it broke the non-increasing epoch loss,
-diverged at large batches and raised peak memory.
+The arithmetic runs in the C kernel of `_kernels.c`, one center token at a
+time in corpus order, in float32 with fixed-order sums and word2vec's
+sigmoid and log tables.  numpy draws the randomness from two generators:
+one window size per center, and one double per noise row, which the kernel
+maps to a token through the unigram^0.75 CDF.  Both streams are drawn a
+block of sentences at a time; as each stream is the same however it is cut,
+the block size never changes a bit.
 """
 
 from __future__ import annotations
@@ -33,9 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-# cap on the context and noise rows of one block of sentences (a block holds
-# at least one sentence)
-_BLOCK_ROWS = 1 << 12
+from . import _kernels
+
+# a block holds the sentences whose first token lies in one run of this many
+# tokens; it draws about (window + 1) * negatives noise doubles per token
+_BLOCK_TOKENS = 1 << 10
 
 
 @dataclass
@@ -104,72 +96,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1, e) / (1 + e)
 
 
-def _center_losses(scores: np.ndarray, ks: np.ndarray, neg: int) -> np.ndarray:
-    """Per-center loss -(sum log s_pos + sum log(1 - s_neg)) of centers
-    whose scores lie center after center, ks[c] positives then ks[c] * neg
-    negatives.
-
-    np.add.reduceat seeds each segment with its first element where
-    ndarray.sum starts from 0, so every segment gets a leading 0: each
-    float32 sum is then bitwise that segment's own .sum().
-    """
-    seg_len = np.stack((ks, ks * neg), axis=1).ravel()
-    starts = np.cumsum(seg_len) - seg_len
-    is_neg = np.repeat(np.tile((False, True), len(ks)), seg_len)
-    terms = np.log(np.clip(np.where(is_neg, 1.0 - scores, scores), 1e-10, None))
-    sums = np.add.reduceat(np.insert(terms, starts, 0), starts + np.arange(starts.size))
-    return -(sums[0::2] + sums[1::2])
-
-
-def _next_block(
-    rng: np.random.Generator,
-    id_sentences: list[np.ndarray],
-    start: int,
-    window: int,
-    neg: int,
-    noise_cdf: np.ndarray,
-    positions: np.ndarray,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw and lay out the block of sentences from `start` (see the module
-    docstring): sentences join until their context and noise rows reach
-    `_BLOCK_ROWS`, at least one.
-
-    Returns the index after the block, its center ids, each center's context
-    count k, and every center's rows, center after center: its k context
-    tokens in sentence order, skipping the center, then its k * neg noise
-    tokens.
-    """
-    n_lefts, n_ctxs, uniforms = [], [], []
-    n_rows = 0
-    stop = start
-    while stop < len(id_sentences) and n_rows < _BLOCK_ROWS:
-        n = len(id_sentences[stop])
-        windows = rng.integers(1, window + 1, size=n)
-        at = positions[:n]
-        n_left = np.minimum(windows, at)
-        ks = n_left + np.minimum(windows, n - 1 - at)  # >= 1: n >= 2
-        n_ctx = int(ks.sum())
-        uniforms.append(rng.random(n_ctx * neg))
-        n_lefts.append(n_left)
-        n_ctxs.append(ks)
-        n_rows += n_ctx * (1 + neg)
-        stop += 1
-    block_ids = np.concatenate(id_sentences[start:stop])
-    n_left = np.concatenate(n_lefts)
-    ks = np.concatenate(n_ctxs)
-
-    # each context row's position in block_ids
-    ctx_pos = np.repeat(np.arange(block_ids.size) - n_left, ks)
-    offset = np.arange(ctx_pos.size) - np.repeat(np.cumsum(ks) - ks, ks)
-    ctx_pos += offset + (offset >= np.repeat(n_left, ks))
-    seg_len = np.stack((ks, ks * neg), axis=1).ravel()
-    is_ctx = np.repeat(np.tile((True, False), ks.size), seg_len)
-    rows = np.empty(n_rows, dtype=np.int64)
-    rows[is_ctx] = block_ids[ctx_pos]
-    rows[~is_ctx] = np.searchsorted(noise_cdf, np.concatenate(uniforms))
-    return stop, block_ids, ks, rows
-
-
 def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> EmbeddingSpace:
     """Train embeddings on token sequences, one per sentence.
 
@@ -189,80 +115,62 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
         raise ValueError("corpus too small: no token reaches min_count")
     vocab = {t: i for i, t in enumerate(vocab_tokens)}
 
-    id_sentences = []
-    for sent in sentences:
-        ids = np.array([vocab[t] for t in sent if t in vocab], dtype=np.int64)
-        if ids.size >= 2:
-            id_sentences.append(ids)
+    id_sentences = [[vocab[t] for t in sent if t in vocab] for sent in sentences]
+    id_sentences = [ids for ids in id_sentences if len(ids) >= 2]
     if not id_sentences:
         raise ValueError("corpus too small: no sentence with 2 in-vocabulary tokens")
+    lengths = np.array([len(ids) for ids in id_sentences], dtype=np.int64)
+    ids = np.array([i for sent in id_sentences for i in sent], dtype=np.int64)
+    del id_sentences
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    starts = offsets[:-1] // _BLOCK_TOKENS
+    bounds = [*np.flatnonzero(np.diff(starts, prepend=-1)).tolist(), len(lengths)]
 
     freq = np.array([counts[t] for t in vocab_tokens], dtype=np.float64) ** 0.75
     noise_cdf = np.cumsum(freq / freq.sum())
     noise_cdf[-1] = 1.0
+    guide = _kernels.noise_guide(noise_cdf)
+    tables = _kernels.score_tables()
+    kernel = _kernels.load().sgns_block
 
     init_rng = np.random.default_rng(params.seed)
     dim = params.dim
     syn0 = ((init_rng.random((len(vocab), dim)) - 0.5) / dim).astype(np.float32)
     syn1 = np.zeros((len(vocab), dim), dtype=np.float32)
 
-    n_centers = sum(len(ids) for ids in id_sentences)
-    total_steps = params.epochs * n_centers
+    total_steps = params.epochs * int(offsets[-1])
     min_lr = params.initial_lr * 1e-4
     neg = params.negatives
-
-    flat1 = syn1.reshape(-1)
-    # column offsets of the widest update, tiled row after row: a prefix of
-    # it, plus each row's start, is the flat index of any smaller update
-    longest = max(len(ids) for ids in id_sentences)
-    max_rows = min(2 * params.window, longest - 1) * (1 + neg)
-    tiled_cols = np.tile(np.arange(dim), max_rows)
-    positions = np.arange(longest)
-    labels_by_k: dict[int, np.ndarray] = {}
 
     step = 0
     epoch_losses: list[float] = []
     for _ in range(params.epochs):
-        # identical draw stream every epoch: the per-epoch mean loss is then
+        # identical draw streams every epoch: the per-epoch mean loss is then
         # measured on the same sampled objective, so it decreases under the
         # decaying learning rate instead of wobbling with sampling noise
-        rng = np.random.default_rng([params.seed, 0x5E9])
+        window_rng = np.random.default_rng([params.seed, 0x5E9, 0])
+        noise_rng = np.random.default_rng([params.seed, 0x5E9, 1])
         loss_sum = 0.0
         n_pairs = 0
-        start = 0
-        while start < len(id_sentences):
-            start, block_ids, ks, all_rows = _next_block(
-                rng, id_sentences, start, params.window, neg, noise_cdf, positions
+        for a, b in zip(bounds, bounds[1:]):
+            lo, hi = int(offsets[a]), int(offsets[b])
+            windows = window_rng.integers(1, params.window + 1, size=hi - lo)
+            # each center's position in its sentence, and the tokens after it
+            at = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, lengths[a:b])
+            after = np.repeat(lengths[a:b] - 1, lengths[a:b]) - at
+            n_ctx = int(np.minimum(windows, at).sum() + np.minimum(windows, after).sum())
+            uniforms = noise_rng.random(n_ctx * neg)
+            loss_sum = kernel(
+                syn0.ctypes.data, syn1.ctypes.data, dim, ids[lo:hi].ctypes.data,
+                lengths[a:b].ctypes.data, b - a, windows.ctypes.data, uniforms.ctypes.data,
+                neg, noise_cdf.ctypes.data, len(vocab), guide.ctypes.data, tables.ctypes.data,
+                params.initial_lr, min_lr, step, total_steps, loss_sum,
             )
-            n_pairs += all_rows.size
-            all_flat = all_rows * dim
-            ends = np.cumsum(ks * (1 + neg))
-
-            block_scores = []
-            for center, b, k in zip(block_ids.tolist(), ends.tolist(), ks.tolist()):
-                lr = max(min_lr, params.initial_lr * (1.0 - step / total_steps))
-                step += 1
-                a = b - k * (1 + neg)
-                rows = all_rows[a:b]
-                labels = labels_by_k.get(k)
-                if labels is None:
-                    labels = labels_by_k[k] = np.zeros(rows.size, dtype=np.float32)
-                    labels[:k] = 1.0
-
-                v = syn0[center]  # a view: `v +=` updates syn0
-                w1 = syn1.take(rows, axis=0)
-                scores = _sigmoid(w1 @ v)
-                block_scores.append(scores)
-                g = (labels - scores) * lr
-                grad_center = g @ w1
-                # scatter-add on the flat view: numpy's fast 1-D path, applying
-                # each element's additions in row order like the 2-D form
-                flat_idx = all_flat[a:b].repeat(dim) + tiled_cols[: rows.size * dim]
-                np.add.at(flat1, flat_idx, (g[:, None] * v).ravel())
-                v += grad_center
-            for loss in _center_losses(np.concatenate(block_scores), ks, neg).tolist():
-                loss_sum += loss
-        epoch_losses.append(loss_sum / max(n_pairs, 1))
+            if loss_sum < 0:
+                raise MemoryError("SGNS kernel: no memory for a block's scratch rows")
+            n_pairs += n_ctx * (1 + neg)
+            step += hi - lo
+        epoch_losses.append(loss_sum / n_pairs)
 
     return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
 

@@ -18,6 +18,16 @@ settings.register_profile("figlex", print_blob=True)
 settings.load_profile("figlex")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the C kernels into this session's temporary directory, not the
+    user's cache; child processes inherit the variable."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 def make_post(text: str, group: str = "A", author: str = "a0") -> Post:
     return Post(author_id=author, group=group, text=text, tokens=tuple(tokenize(text)))
 

@@ -501,9 +501,7 @@ class TestLiteralBaseline:
         for triple in result.values():
             assert all(len(s.values) == 0 for s in triple)
 
-    def test_samples_are_idiom_free_and_deterministic(self):
-        from figlex.matcher import find_matches
-
+    def test_deterministic_with_n_samples_per_group(self):
         texts = {
             "A": ["over the moon today", "plain happy words", "calm evening walk",
                   "bright morning sun"],
@@ -511,9 +509,6 @@ class TestLiteralBaseline:
                   "cold river stone"],
         }
         corpus, matcher, space, models = self.build(texts)
-        for post in corpus.posts:
-            if find_matches(matcher, list(post.tokens)):
-                continue
         one = literal_baseline(count_usages(matcher, corpus), space, models, n=2, seed=5)
         two = literal_baseline(count_usages(matcher, corpus), space, models, n=2, seed=5)
         for group in ("A", "B"):

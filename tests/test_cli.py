@@ -502,6 +502,15 @@ class TestColdStart:
     # analyze's alone; no command loads scipy
     ANALYZE_ONLY = {"multiprocessing", "concurrent"}
 
+    def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
+        # numpy itself imports ctypes, so the check is on the library
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        proc = run_python("-c", "import figlex.cli, figlex._kernels as k, sys; "
+                                "print(k._lib is None, '_kernels' in open('/proc/self/maps').read())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+        assert not (tmp_path / "cache").exists()
+
     def test_no_command_loads_scipy_and_only_analyze_loads_the_pool(self, tmp_path):
         assert not ({"scipy"} | self.ANALYZE_ONLY) & _packages_loaded_by()
         overrides = medium_inputs(tmp_path)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from figlex.corpus import (
-    _SPLIT_CHUNK,
     balance_groups,
     load_corpus,
     save_corpus,
@@ -163,22 +162,6 @@ class TestRandomHalves:
             split_halves(lengths, seed=0)
 
 
-def reference_split_halves(token_counts, seed):
-    """The greedy split as a plain loop over one permutation: each position
-    goes to the half with fewer (tokens, posts), ties to the first."""
-    if len(token_counts) < 2:
-        raise ValueError("fewer than 2 posts to split")
-    rng = np.random.default_rng(seed)
-    halves = ([], [])
-    tot = [(0, 0), (0, 0)]  # (tokens, posts) per half
-    for j in rng.permutation(len(token_counts)):
-        side = 0 if tot[0] <= tot[1] else 1
-        halves[side].append(int(j))
-        tok, cnt = tot[side]
-        tot[side] = (tok + token_counts[j], cnt + 1)
-    return halves
-
-
 class TestSplitHalves:
     def test_partition_property(self):
         first, second = split_halves([3] * 10, seed=1)
@@ -192,30 +175,24 @@ class TestSplitHalves:
         first, second = split_halves([4] * 1000, seed=2)
         assert abs(4 * len(first) - 4 * len(second)) <= 4
 
-    # few distinct lengths, zeros included, so (tokens, posts) ties are common
+    # few distinct lengths, zeros included, so (tokens, posts) ties are common;
+    # the large ones take the walk's int64 key near its range
     @settings(max_examples=200, deadline=None)
     @given(
-        lengths=st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 40]), min_size=2, max_size=40),
+        lengths=st.lists(st.one_of(st.sampled_from([0, 0, 1, 2, 3, 5, 40]),
+                                   st.integers(0, 10**15)), min_size=2, max_size=40),
         seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
     )
     @example(lengths=[7, 7], seeds=[0])
     @example(lengths=[0, 0, 0], seeds=[1, 2])
     def test_batch_equals_reference_loop(self, lengths, seeds):
+        # split_halves is the rule as a plain loop, the kernel walk's oracle
         masks = split_masks(lengths, seeds)
         assert masks.shape == (len(seeds), len(lengths))
         for seed, mask in zip(seeds, masks):
-            first, second = reference_split_halves(lengths, seed)
-            assert split_halves(lengths, seed) == (first, second)
+            first, second = split_halves(lengths, seed)
             assert np.flatnonzero(mask).tolist() == sorted(first)
-
-    @pytest.mark.parametrize("n_seeds", [_SPLIT_CHUNK + 1, 2 * _SPLIT_CHUNK + 3])
-    def test_seeds_across_chunks_equal_reference_loop(self, n_seeds):
-        lengths = np.random.default_rng(3).choice([0, 1, 2, 3, 5, 40], size=30).tolist()
-        seeds = list(range(1000, 1000 + n_seeds))
-        masks = split_masks(lengths, seeds)
-        assert masks.shape == (n_seeds, len(lengths))
-        for seed, mask in zip(seeds, masks):
-            assert np.flatnonzero(mask).tolist() == sorted(reference_split_halves(lengths, seed)[0])
+            assert np.flatnonzero(~mask).tolist() == sorted(second)
 
     @pytest.mark.parametrize("lengths", [[], [3]])
     def test_fewer_than_two_posts(self, lengths):

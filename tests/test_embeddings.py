@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import figlex.embeddings
+from figlex import _kernels
 from figlex.embeddings import (
     EmbeddingSpace,
     TrainParams,
-    _center_losses,
     _sigmoid,
     cosine,
     load_vectors,
@@ -52,10 +53,37 @@ def reference_sigmoid(x):
     return out
 
 
+f32 = np.float32
+SCORE_ZERO = _kernels.EXP_TABLE_SIZE + 1
+SCORE_ONE = _kernels.EXP_TABLE_SIZE + 2
+
+
+def lane_dot(a, b):
+    """float32 dot product in 8 fixed lanes (lane q sums the products at
+    j = q mod 8 in order), the lanes summed in a fixed tree."""
+    lanes = np.zeros(8, dtype=f32)
+    for j in range(0, a.size, 8):
+        part = a[j:j + 8] * b[j:j + 8]
+        lanes[:part.size] += part
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+
+
+def score_index(f):
+    """The table entry of sigmoid(f): saturated beyond +-MAX_EXP, else
+    word2vec's grid entry under f, computed in float32."""
+    if f > _kernels.MAX_EXP:
+        return SCORE_ONE
+    if not f >= -_kernels.MAX_EXP:
+        return SCORE_ZERO
+    scale = f32(_kernels.EXP_TABLE_SIZE) / f32(2 * _kernels.MAX_EXP)
+    return int((f + f32(_kernels.MAX_EXP)) * scale)
+
+
 def reference_train_sgns(corpus, matcher, params):
-    """Plain per-center SGNS loop: one numpy call per step, noise drawn per
-    center, 2-D scatter-add.  `train_sgns` must match its vocabulary and
-    vectors bit for bit."""
+    """Scalar float32 SGNS loop: windows drawn per sentence, noise per
+    center through `searchsorted`, one row at a time.  `train_sgns` must
+    match its vocabulary, vectors and epoch losses bit for bit."""
     sentences = []
     for post in corpus.posts:
         tokens = list(post.tokens)
@@ -78,6 +106,7 @@ def reference_train_sgns(corpus, matcher, params):
     freq = np.array([counts[t] for t in vocab_tokens], dtype=np.float64) ** 0.75
     noise_cdf = np.cumsum(freq / freq.sum())
     noise_cdf[-1] = 1.0
+    score, log_score, log_rest = _kernels.score_tables()
 
     init_rng = np.random.default_rng(params.seed)
     dim = params.dim
@@ -92,40 +121,36 @@ def reference_train_sgns(corpus, matcher, params):
     step = 0
     epoch_losses = []
     for _ in range(params.epochs):
-        rng = np.random.default_rng([params.seed, 0x5E9])
+        window_rng = np.random.default_rng([params.seed, 0x5E9, 0])
+        noise_rng = np.random.default_rng([params.seed, 0x5E9, 1])
         loss_sum = 0.0
         n_pairs = 0
         for ids in id_sentences:
             n = len(ids)
-            windows = rng.integers(1, params.window + 1, size=n)
+            windows = window_rng.integers(1, params.window + 1, size=n)
             for i in range(n):
-                lr = max(min_lr, params.initial_lr * (1.0 - step / total_steps))
+                lr = f32(max(min_lr, params.initial_lr * (1.0 - step / total_steps)))
                 step += 1
                 b = windows[i]
-                lo = max(0, i - b)
-                ctx = np.concatenate((ids[lo:i], ids[i + 1 : i + 1 + b]))
+                ctx = np.concatenate((ids[max(0, i - b):i], ids[i + 1:i + 1 + b]))
                 k = ctx.size
-                if k == 0:
-                    continue
-                center = ids[i]
-                noise = np.searchsorted(noise_cdf, rng.random(k * neg))
-                rows = np.concatenate((ctx, noise))
-                labels = np.zeros(rows.size, dtype=np.float32)
-                labels[:k] = 1.0
-
-                v = syn0[center]
-                scores = reference_sigmoid(syn1[rows] @ v)
-                loss_sum += -float(
-                    np.log(np.clip(scores[:k], 1e-10, None)).sum()
-                    + np.log(np.clip(1.0 - scores[k:], 1e-10, None)).sum()
-                )
+                rows = np.concatenate((ctx, np.searchsorted(noise_cdf, noise_rng.random(k * neg))))
                 n_pairs += rows.size
 
-                g = (labels - scores) * lr
-                grad_center = g @ syn1[rows]
-                np.add.at(syn1, rows, g[:, None] * v[None, :])
-                syn0[center] += grad_center
-        epoch_losses.append(loss_sum / max(n_pairs, 1))
+                v = syn0[ids[i]]  # a view: `v +=` updates syn0
+                g = np.empty(rows.size, dtype=f32)
+                grad = np.zeros(dim, dtype=f32)
+                loss = f32(0)
+                for r, row in enumerate(rows):
+                    t = score_index(lane_dot(syn1[row], v))
+                    loss = loss + (log_score[t] if r < k else log_rest[t])
+                    g[r] = (f32(r < k) - score[t]) * lr
+                    grad += g[r] * syn1[row]
+                for r, row in enumerate(rows):
+                    syn1[row] += g[r] * v
+                v += grad
+                loss_sum -= float(loss)
+        epoch_losses.append(loss_sum / n_pairs)
 
     return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
 
@@ -250,7 +275,7 @@ class TestTrainSgns:
             assert "__idiom__under_fire" in got.vocab
         assert got.vectors.dtype == want.vectors.dtype == np.float32
         assert np.array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
-        np.testing.assert_allclose(got.epoch_losses, want.epoch_losses, rtol=1e-9, atol=0)
+        assert [x.hex() for x in got.epoch_losses] == [x.hex() for x in want.epoch_losses]
 
     @pytest.mark.parametrize("dim", [2, 100])
     def test_block_size_never_changes_bits(self, dim, monkeypatch):
@@ -263,14 +288,30 @@ class TestTrainSgns:
         corpus = make_corpus({"A": texts, "B": ["w0 w1"]})
         params = TrainParams(dim=dim, window=4, negatives=3, min_count=1, epochs=2, seed=5)
         runs = []
-        for block_rows in (1, 7, 64, figlex.embeddings._BLOCK_ROWS):
-            monkeypatch.setattr(figlex.embeddings, "_BLOCK_ROWS", block_rows)
+        for block_tokens in (1, 7, 64, figlex.embeddings._BLOCK_TOKENS):
+            monkeypatch.setattr(figlex.embeddings, "_BLOCK_TOKENS", block_tokens)
             runs.append(train_sgns([p.tokens for p in corpus.posts], params))
         for space in runs[1:]:
             assert space.vocab == runs[0].vocab
             assert np.array_equal(space.vectors.view(np.uint32), runs[0].vectors.view(np.uint32))
             assert ([x.hex() for x in space.epoch_losses]
                     == [x.hex() for x in runs[0].epoch_losses])
+
+    def test_bytes_are_pinned(self):
+        # one set of bytes on every CPU and compiler setting: a dot product
+        # summed in another order moves a score across a table cell within
+        # this many updates, and so moves the digest
+        rng = np.random.default_rng(21)
+        words = [f"w{j}" for j in range(400)]
+        sentences = [[words[j] for j in np.minimum(rng.integers(0, 400, 40),
+                                                   rng.integers(0, 400, 40))]
+                     for _ in range(500)]
+        space = train_sgns(sentences, TrainParams(dim=100, window=5, negatives=5, min_count=1,
+                                                  epochs=2, seed=3))
+        assert hashlib.sha256(space.vectors.tobytes()).hexdigest() == (
+            "e0958e0e77665d9dfe315442ae4c86790fe17aa4ce913749b337d99b659395d3")
+        assert [x.hex() for x in space.epoch_losses] == ["0x1.1e8d72274666fp-1",
+                                                         "0x1.ce2dbe745b9d9p-2"]
 
     def test_empty_vocab_error(self):
         corpus = make_corpus({"A": ["one two"], "B": ["three"]})
@@ -296,31 +337,6 @@ class TestSigmoid:
         nan = np.isnan(x)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
-
-
-def sentence_scores(neg):
-    """Per-center positive counts and float32 scores (edges included) of one
-    sentence laid out as `_center_losses` expects."""
-    scores = st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1 - 2**-24, 0.5]),
-                       st.floats(0, 1, width=32))
-    return st.lists(st.integers(1, 6), min_size=1, max_size=12).flatmap(
-        lambda ks: st.tuples(
-            st.just(np.array(ks, dtype=np.int64)),
-            arrays(np.float32, sum(ks) * (1 + neg), elements=scores),
-        )
-    )
-
-
-class TestCenterLosses:
-    @settings(max_examples=200, deadline=None)
-    @given(neg=st.integers(1, 4), data=st.data())
-    def test_concatenation_is_bitwise_per_sentence(self, neg, data):
-        ks1, sc1 = data.draw(sentence_scores(neg))
-        ks2, sc2 = data.draw(sentence_scores(neg))
-        joined = _center_losses(np.concatenate((sc1, sc2)), np.concatenate((ks1, ks2)), neg)
-        apart = np.concatenate((_center_losses(sc1, ks1, neg), _center_losses(sc2, ks2, neg)))
-        assert joined.dtype == apart.dtype == np.float32
-        assert np.array_equal(joined.view(np.uint32), apart.view(np.uint32))
 
 
 class TestVectorFile:

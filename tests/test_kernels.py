@@ -1,0 +1,133 @@
+"""The C kernels' tables, their noise mapping, and how they are built and
+cached.  The SGNS kernel is checked against a scalar loop in
+test_embeddings.py and the split walk against `split_halves` in
+test_corpus.py."""
+
+import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import figlex
+from figlex import _kernels
+
+from conftest import write_jsonl
+
+SCORE_ZERO = _kernels.EXP_TABLE_SIZE + 1
+SCORE_ONE = _kernels.EXP_TABLE_SIZE + 2
+
+# sha256 of the float32 bytes of the score table and its two log tables
+TABLE_SHA256 = (
+    "d2b39ca77645820668dce9e87c9e85df0c395758b862d35dccdc75e092d20d64",
+    "d0c7053cb5aa6672f20d8f36ddce58998bec8d6aac570ef4016a3b294dc74939",
+    "fbc0f30d430ba83b191af853b721e49fa032f78512fa303095a3d389baba0220",
+)
+
+
+def kernel_noise_rows(cdf, uniforms):
+    """The kernel's noise mapping of `uniforms` through `cdf`."""
+    guide = _kernels.noise_guide(cdf)
+    out = np.empty(uniforms.size, dtype=np.int64)
+    _kernels.load().noise_rows(cdf.ctypes.data, cdf.size, guide.ctypes.data,
+                               uniforms.ctypes.data, uniforms.size, out.ctypes.data)
+    return out
+
+
+class TestTables:
+    def test_tables_are_pinned(self):
+        tables = _kernels.score_tables()
+        assert tables.dtype == np.float32
+        assert tables.shape == (3, _kernels.EXP_TABLE_SIZE + 3)
+        assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == TABLE_SHA256
+
+    def test_saturated_entries(self):
+        score, log_score, log_rest = _kernels.score_tables()
+        assert score[SCORE_ZERO] == 0 and score[SCORE_ONE] == 1
+        assert log_score[SCORE_ONE] == 0 and log_rest[SCORE_ZERO] == 0
+        assert log_score[SCORE_ZERO] == log_rest[SCORE_ONE] == np.float32(np.log(1e-10))
+        assert score[_kernels.EXP_TABLE_SIZE // 2] == 0.5
+
+
+class TestNoiseMapping:
+    # weights spanning many decades, so the CDF has tiny steps and repeats
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.floats(1e-30, 1e6), st.integers(1, 10**9)),
+                            min_size=1, max_size=60),
+           drawn=arrays(np.float64, st.integers(0, 40),
+                        elements=st.floats(0.0, 1.0, exclude_max=True)))
+    # CDF entries u whose guide bucket int(u * n) starts past their index
+    @example(weights=[1, 2, 1, 2, 4, 2], drawn=np.zeros(0))
+    @example(weights=[4, 2, 3, 4, 3, 2, 4, 4, 1, 3], drawn=np.zeros(0))
+    def test_guide_table_equals_searchsorted(self, weights, drawn):
+        weights = np.array(weights, dtype=np.float64)
+        cdf = np.cumsum(weights / weights.sum())
+        cdf[-1] = 1.0
+        below = np.nextafter(cdf, 0.0)
+        # 0, the largest double below 1, every CDF entry and its neighbours
+        edges = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf, below,
+                                np.nextafter(below, 0.0), np.nextafter(cdf, 2.0)))
+        uniforms = np.concatenate((edges[edges <= 1.0], drawn))
+        assert np.array_equal(kernel_noise_rows(cdf, uniforms), np.searchsorted(cdf, uniforms))
+
+
+def child_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "CC"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(figlex.__file__).parents[1]), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def _load_after(barrier, queue):
+    _kernels._lib = None  # forget the library this process inherited
+    barrier.wait()
+    queue.put(_kernels.load()._name)
+
+
+class TestBuildAndCache:
+    def test_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert _kernels.cache_dir() == tmp_path / "xdg" / "figlex"
+        monkeypatch.setenv("XDG_CACHE_HOME", "")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert _kernels.cache_dir() == tmp_path / "home" / ".cache" / "figlex"
+
+    def test_prepare_without_a_compiler_fails_at_embed_and_writes_nothing(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", [
+            {"author_id": f"{g}{i}", "group": g, "text": "we saw the moon over the hill"}
+            for g in "MF" for i in range(3)])
+        lexicon = write_jsonl(tmp_path / "lexicon.jsonl",
+                              [{"canonical": "over the moon", "definition": "very happy"}])
+        (tmp_path / "bin").mkdir()
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "figlex.cli", "prepare", "--corpus", str(corpus),
+             "--lexicon", str(lexicon), "--out", str(out), "--min-count", "0",
+             "--dim", "4", "--epochs", "1", "--train-min-count", "1"],
+            env=child_env(PATH=str(tmp_path / "bin"), XDG_CACHE_HOME=str(tmp_path / "cache")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "error in stage embed: no C compiler" in proc.stderr
+        assert not out.exists()
+
+    def test_two_forked_processes_build_one_empty_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        ctx = multiprocessing.get_context("fork")
+        barrier, queue = ctx.Barrier(2), ctx.Queue()
+        procs = [ctx.Process(target=_load_after, args=(barrier, queue)) for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        names = [queue.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        built = list((tmp_path / "figlex").iterdir())  # no temporary file left
+        assert len(built) == 1
+        assert names == [str(built[0])] * 2
