@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _embedded_rows, _sigmoid, sentence_embedding
+from .embeddings import EmbeddingSpace, _embedded_rows, sentence_embedding
 from .lexicon import Lexicon
 from .matcher import GroupCounts
 from .stats import cohens_d, wilcoxon_ranksum
@@ -133,6 +133,13 @@ def _digamma(x: np.ndarray | float) -> np.ndarray | float:
     z = x + 8.0
     r2 = 1.0 / (z * z)
     return log(z) - 0.5 / z - r2 * _horner(r2, _DIGAMMA_SERIES) - acc
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # the inverse logit; exp(-|x|) never overflows: this is 1/(1+exp(-x)) for
+    # x >= 0 and exp(x)/(1+exp(x)) below, the same float operations either side
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def _beta_data(features: np.ndarray, targets: np.ndarray

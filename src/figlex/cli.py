@@ -3,9 +3,7 @@
 Configuration is a line-oriented ``key = value`` file; every key can be
 overridden by a command-line flag of the same name.  All outputs are plain
 CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
-seed).  analyze trains its two per-group embedding spaces in two forked
-worker processes while it runs its other analyses, which needs a POSIX
-system.
+seed).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .affect import (
     DIMENSIONS,
     compare_vad,
@@ -290,7 +287,6 @@ def cmd_analyze(config: RunConfig) -> None:
     """
     warnings: list[str] = []
     stage = "load"
-    pool = None
     try:
         for name in ("failure.json", "report.json", "report.csv"):
             config.out_path(name).unlink(missing_ok=True)
@@ -306,21 +302,6 @@ def cmd_analyze(config: RunConfig) -> None:
         stage = "divergence"
         matcher = build_matcher(lexicon)
         counts = count_usages(matcher, corpus)
-
-        # Each group space trains on its streams as count_usages rewrote them,
-        # with its own child seed, in a forked worker while the stages below
-        # run here.  The pool forks both workers at the first submit, before it
-        # starts its threads; prepare and report never import the pool modules.
-        # The kernel library loads first, so that both workers inherit it.
-        stage = "embeddings"
-        _kernels.load()
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork"))
-        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
-        futures = {g: pool.submit(train_sgns, counts.streams_for(g), replace(config.train, seed=s))
-                   for g, s in zip((group_a, group_b), seeds)}
-        stage = "divergence"
         divergence = divergence_gap_test(counts, config.n_splits, config.seed)
         _write_json(
             config.out_path("divergence.json"),
@@ -421,8 +402,12 @@ def cmd_analyze(config: RunConfig) -> None:
             config.out_path("literal_baseline.csv"), literal_cmp, group_a, group_b
         )
 
+        # Each group space trains on its streams as count_usages rewrote them,
+        # with its own child seed; the sorted labels take the seeds in order.
         stage = "embeddings"
-        spaces = {g: future.result() for g, future in futures.items()}
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
+        spaces = {g: train_sgns(counts.streams_for(g), replace(config.train, seed=s))
+                  for g, s in zip((group_a, group_b), seeds)}
         for group, space in spaces.items():
             save_vectors(space, str(config.out_path(f"vectors_{group}.txt")))
 
@@ -475,9 +460,6 @@ def cmd_analyze(config: RunConfig) -> None:
         if config.out and Path(config.out).is_dir():
             _write_json(config.out_path("failure.json"), {"stage": stage, "error": str(exc)})
         raise StageError(stage, exc) from exc
-    finally:
-        if pool is not None:  # joins the workers, also when a stage above failed
-            pool.shutdown(cancel_futures=True)
 
 
 def _write_comparison_csv(path: Path, comparison, group_a: str, group_b: str) -> None:

@@ -89,13 +89,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: this is 1/(1+exp(-x)) for x >= 0 and
-    # exp(x)/(1+exp(x)) below, the same float operations on either side
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1, e) / (1 + e)
-
-
 def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> EmbeddingSpace:
     """Train embeddings on token sequences, one per sentence.
 

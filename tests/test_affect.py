@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import digamma, expit, gammaln, logit
 
 import figlex.affect
@@ -25,9 +26,10 @@ from figlex.affect import (
     usage_vad_series,
     _digamma,
     _gammaln,
+    _sigmoid,
 )
 from figlex.corpus import Corpus
-from figlex.embeddings import EmbeddingSpace, _sigmoid, sentence_embedding
+from figlex.embeddings import EmbeddingSpace, sentence_embedding
 from figlex.lexicon import Lexicon, IdiomEntry
 from figlex.matcher import GroupCounts, Matcher, count_usages
 
@@ -191,6 +193,35 @@ class TestSpecialFunctions:
         mean_y = float(np.clip(targets, 1e-4, 1 - 1e-4).mean())
         assert within(seen[0][0], logit(mean_y), 1e-15)
         assert _sigmoid(seen[0][0]) == pytest.approx(mean_y, rel=1e-14)
+
+
+def reference_sigmoid(x):
+    """The masked two-sided logistic that `_sigmoid` must equal bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 1e30, -1e30,
+                 1e-45, -1e-45, 1e-40, -1e-40, np.inf, -np.inf, np.nan]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float32, st.integers(0, 40),
+                  elements=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(width=32))))
+    @example(np.array(SIGMOID_EDGES, dtype=np.float32))
+    def test_bitwise_equals_masked_formula(self, x):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _sigmoid(x)
+            want = reference_sigmoid(x)
+        assert got.dtype == np.float32
+        nan = np.isnan(x)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
 
 
 def scipy_log_likelihood(params, X, y):

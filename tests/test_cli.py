@@ -1,9 +1,5 @@
-import concurrent.futures
 import csv
-import functools
 import json
-import multiprocessing
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -266,6 +262,23 @@ class TestAnalyze:
         cmd_analyze(config)
         assert not (Path(config.out) / "failure.json").exists()
 
+    @pytest.mark.parametrize("stage, name", [("divergence", "divergence_gap_test"),
+                                             ("gscore", "log_odds_dirichlet"),
+                                             ("affect", "train_vad_models")])
+    def test_stage_failure_names_the_stage(self, tmp_path, monkeypatch, stage, name):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+
+        def failing(*args):
+            raise ValueError("planted failure")
+
+        monkeypatch.setattr(figlex.cli, name, failing)
+        with pytest.raises(StageError) as info:
+            cmd_analyze(config)
+        assert info.value.stage == stage
+        marker = json.loads((Path(config.out) / "failure.json").read_text())
+        assert marker == {"stage": stage, "error": "planted failure"}
+
     def test_failed_run_removes_earlier_reports(self, tmp_path):
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
@@ -302,126 +315,49 @@ class TestMatchOnce:
         assert len(calls) == len(corpus)
 
 
-def _train_sgns_failing_on(bad_seed, sentences, params):
-    """train_sgns that fails for one seed and says which process it ran in."""
-    if params.seed == bad_seed:
-        in_worker = multiprocessing.parent_process() is not None
-        raise ValueError(f"planted failure (in worker: {in_worker})")
-    return train_sgns(sentences, params)
-
-
-# Released once by each training call; the workers inherit it at fork, which
-# is why it lives in the module rather than in a pickled argument.
-_TRAINING_STARTED = None
-
-
-def _train_sgns_announcing(sentences, params):
-    _TRAINING_STARTED.release()
-    return train_sgns(sentences, params)
-
-
-def _wait_for_both_trainings():
-    for _ in range(2):
-        # bounded, so a run that trains only after this stage fails, not hangs
-        if not _TRAINING_STARTED.acquire(timeout=20):
-            raise AssertionError("a group space had not started training")
-
-
 def _child_seeds(config):
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
 
 
-class TestParallelEmbeddings:
-    @pytest.fixture
-    def announced(self, monkeypatch):
-        monkeypatch.setattr(sys.modules[__name__], "_TRAINING_STARTED",
-                            multiprocessing.get_context("fork").Semaphore(0))
-        monkeypatch.setattr(figlex.cli, "train_sgns", _train_sgns_announcing)
-
-    def test_two_processes_write_the_serial_bytes(self, tmp_path):
+class TestGroupEmbeddings:
+    def test_group_spaces_write_the_serial_bytes(self, tmp_path):
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
         cmd_analyze(config)
-        assert multiprocessing.active_children() == []
         corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
         lexicon = load_lexicon(str(config.out_path("lexicon_filtered.jsonl")))
         counts = count_usages(build_matcher(lexicon), corpus)
-        # the sorted labels train on the child seeds in order, each in a worker
+        # the sorted labels train on the child seeds in order
         for group, seed in zip(sorted(corpus.group_labels), _child_seeds(config)):
             params = replace(config.train, seed=seed)
             serial = tmp_path / f"serial_{group}.txt"
             save_vectors(train_sgns(counts.streams_for(group), params), str(serial))
             assert config.out_path(f"vectors_{group}.txt").read_bytes() == serial.read_bytes()
 
-    def test_spaces_train_while_the_divergence_stage_runs(self, tmp_path, monkeypatch,
-                                                          announced):
-        config = build_config({}, medium_inputs(tmp_path))
-        cmd_prepare(config)
-        divergence_gap_test = figlex.cli.divergence_gap_test
-
-        def after_training_started(*args):
-            _wait_for_both_trainings()
-            return divergence_gap_test(*args)
-
-        monkeypatch.setattr(figlex.cli, "divergence_gap_test", after_training_started)
-        cmd_analyze(config)
-        assert not config.out_path("failure.json").exists()
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("stage, name", [("divergence", "divergence_gap_test"),
-                                             ("affect", "train_vad_models")])
-    def test_main_process_failure_joins_the_workers(self, tmp_path, monkeypatch, announced,
-                                                    stage, name):
-        config = build_config({}, medium_inputs(tmp_path))
-        cmd_prepare(config)
-
-        def failing(*args):
-            _wait_for_both_trainings()
-            raise ValueError("planted failure")
-
-        monkeypatch.setattr(figlex.cli, name, failing)
-        with pytest.raises(StageError) as info:
-            cmd_analyze(config)
-        assert info.value.stage == stage
-        marker = json.loads((Path(config.out) / "failure.json").read_text())
-        assert marker == {"stage": stage, "error": "planted failure"}
-        assert multiprocessing.active_children() == []
-
     @pytest.mark.parametrize("group_index", [0, 1], ids=["group_a", "group_b"])
-    def test_worker_failure_names_embeddings_stage(self, tmp_path, monkeypatch, group_index):
+    def test_training_failure_names_embeddings_stage(self, tmp_path, monkeypatch, group_index):
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
         # the sorted labels get the child seeds in order
         bad_seed = _child_seeds(config)[group_index]
-        monkeypatch.setattr(figlex.cli, "train_sgns",
-                            functools.partial(_train_sgns_failing_on, bad_seed))
+
+        def failing_on_bad_seed(sentences, params):
+            if params.seed == bad_seed:
+                raise ValueError("planted failure")
+            return train_sgns(sentences, params)
+
+        monkeypatch.setattr(figlex.cli, "train_sgns", failing_on_bad_seed)
         with pytest.raises(StageError) as info:
             cmd_analyze(config)
         assert info.value.stage == "embeddings"
         assert isinstance(info.value.cause, ValueError)
-        assert "planted failure (in worker: True)" in str(info.value.cause)
+        assert "planted failure" in str(info.value.cause)
         marker = json.loads((Path(config.out) / "failure.json").read_text())
         assert marker["stage"] == "embeddings"
         # the stages before embeddings finished and keep their files
         for name in ("divergence.json", "gscore_tokens.csv", "vad_models.json",
                      "literal_baseline.csv"):
             assert config.out_path(name).exists()
-        assert multiprocessing.active_children() == []
-
-    def test_submit_failure_names_embeddings_stage(self, tmp_path, monkeypatch):
-        config = build_config({}, medium_inputs(tmp_path))
-        cmd_prepare(config)
-
-        def failing_submit(self, fn, *args):
-            raise OSError("planted fork failure")
-
-        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", failing_submit)
-        with pytest.raises(StageError) as info:
-            cmd_analyze(config)
-        assert info.value.stage == "embeddings"
-        assert json.loads((Path(config.out) / "failure.json").read_text())["stage"] == "embeddings"
-        assert not config.out_path("divergence.json").exists()
-        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
@@ -498,9 +434,8 @@ def _packages_loaded_by(*argv):
 
 
 class TestColdStart:
-    # the process pool, whose import costs about a tenth of a cold start, is
-    # analyze's alone; no command loads scipy
-    ANALYZE_ONLY = {"multiprocessing", "concurrent"}
+    # every command runs in one process, and scipy is a test oracle only
+    UNLOADED = {"scipy", "multiprocessing", "concurrent"}
 
     def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
         # numpy itself imports ctypes, so the check is on the library
@@ -511,19 +446,17 @@ class TestColdStart:
         assert proc.stdout.split() == ["True", "False"]
         assert not (tmp_path / "cache").exists()
 
-    def test_no_command_loads_scipy_and_only_analyze_loads_the_pool(self, tmp_path):
-        assert not ({"scipy"} | self.ANALYZE_ONLY) & _packages_loaded_by()
+    def test_no_command_loads_scipy_or_a_process_pool(self, tmp_path):
+        assert not self.UNLOADED & _packages_loaded_by()
         overrides = medium_inputs(tmp_path)
         argv = []
         for key, value in overrides.items():
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
-        loaded = _packages_loaded_by("prepare", *argv)
-        assert not ({"scipy"} | self.ANALYZE_ONLY) & loaded
-        loaded = _packages_loaded_by("analyze", *argv)
-        assert "scipy" not in loaded
-        assert self.ANALYZE_ONLY <= loaded  # the check sees what analyze imports
+        for command in ("prepare", "analyze"):
+            loaded = _packages_loaded_by(command, *argv)
+            assert not self.UNLOADED & loaded
         loaded = _packages_loaded_by("report", "--out", overrides["out"], "--format", "json")
-        assert not ({"scipy"} | self.ANALYZE_ONLY) & loaded
+        assert not self.UNLOADED & loaded
         assert (Path(overrides["out"]) / "report.json").exists()
 
 

@@ -3,16 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import figlex.embeddings
 from figlex import _kernels
 from figlex.embeddings import (
     EmbeddingSpace,
     TrainParams,
-    _sigmoid,
     cosine,
     load_vectors,
     nearest_neighbors,
@@ -41,16 +37,6 @@ def small_corpus(n_sent=120, seed=0):
         picks = [pool[j] for j in rng.integers(0, len(pool), size=4)]
         texts.append(" ".join(picks[:2] + [word] + picks[2:]))
     return make_corpus({"A": texts, "B": ["filler"]})
-
-
-def reference_sigmoid(x):
-    """The masked two-sided logistic that `_sigmoid` must equal bit for bit."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 f32 = np.float32
@@ -318,25 +304,6 @@ class TestTrainSgns:
         with pytest.raises(ValueError, match="min_count"):
             train_sgns([p.tokens for p in corpus.posts],
                        TrainParams(dim=4, min_count=99, epochs=1, seed=0))
-
-
-SIGMOID_EDGES = [0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 1e30, -1e30,
-                 1e-45, -1e-45, 1e-40, -1e-40, np.inf, -np.inf, np.nan]
-
-
-class TestSigmoid:
-    @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float32, st.integers(0, 40),
-                  elements=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(width=32))))
-    @example(np.array(SIGMOID_EDGES, dtype=np.float32))
-    def test_bitwise_equals_masked_formula(self, x):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            got = _sigmoid(x)
-            want = reference_sigmoid(x)
-        assert got.dtype == np.float32
-        nan = np.isnan(x)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
 
 
 class TestVectorFile:
