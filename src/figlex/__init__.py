@@ -57,7 +57,6 @@ from .matcher import (
     rewrite_with_idiom_tokens,
 )
 from .stats import (
-    Distribution,
     DivergenceResult,
     GScore,
     KdeCurve,
@@ -73,7 +72,6 @@ from .stats import (
     neighborhood_overlap,
     sim_rbo,
     spearman,
-    usage_distribution,
     wilcoxon_ranksum,
 )
 

@@ -130,6 +130,8 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
         kind = _CONFIG_KEYS[key][0]
         if kind is not str:
             value = kind(value)
+        if kind is float and not math.isfinite(value):  # type: ignore[arg-type]
+            raise ValueError(f"{key} must be finite, not {value}")
         if not hasattr(config, key):
             train_kwargs[_TRAIN_RENAME.get(key, key)] = value
         elif key == "groups":

@@ -17,6 +17,7 @@ the block size never changes a bit.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,8 +47,8 @@ class TrainParams:
         for name in ("window", "negatives", "min_count", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError("initial_lr must be positive and finite")
 
 
 @dataclass

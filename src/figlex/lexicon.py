@@ -228,13 +228,13 @@ def expand_entry(entry: IdiomEntry) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(forms))
 
 
-def _infer_slot_kind(slot_token: str) -> str:
+def _infer_slot_kind(slot_token: str, lineno: int) -> str:
     if slot_token in POSSESSIVE_SLOTS:
         return "possessive"
     if slot_token in OBJECTIVE_SLOTS:
         return "objective"
     raise ValueError(
-        f"slot token {slot_token!r} is not an indefinite pronoun "
+        f"line {lineno}: slot token {slot_token!r} is not an indefinite pronoun "
         f"({sorted(POSSESSIVE_SLOTS | OBJECTIVE_SLOTS)})"
     )
 
@@ -266,6 +266,10 @@ def load_lexicon(path: str) -> Lexicon:
                 if key not in rec or not isinstance(rec[key], str):
                     raise ValueError(f"line {lineno}: missing or non-string key {key!r}")
 
+            for key in ("verb_index", "slot_index"):
+                # json booleans are ints to Python, and True would index token 1
+                if rec.get(key) is not None and type(rec[key]) is not int:
+                    raise ValueError(f"line {lineno}: {key} must be an integer")
             canonical = tuple(tokenize(rec["canonical"]))
             if not canonical:
                 raise ValueError(f"line {lineno}: empty canonical form")
@@ -292,7 +296,7 @@ def load_lexicon(path: str) -> Lexicon:
                     raise ValueError(f"line {lineno}: slot_index {entry.slot_index} out of range")
                 if entry.slot_index == entry.verb_index:
                     raise ValueError(f"line {lineno}: verb_index and slot_index coincide")
-                inferred = _infer_slot_kind(canonical[entry.slot_index])
+                inferred = _infer_slot_kind(canonical[entry.slot_index], lineno)
                 if entry.slot_kind is None:
                     entry.slot_kind = inferred
                 elif entry.slot_kind not in ("possessive", "objective"):

@@ -1,7 +1,7 @@
 """Closed-form statistics for contrasting two groups' idiom usage.
 
-Contents: usage distributions and Jensen-Shannon divergence (base 2, so
-values live in [0, 1]) with a random-split baseline test; log-odds ratio
+Contents: Jensen-Shannon divergence (base 2, so values live in [0, 1])
+of idiom usage with a random-split baseline test; log-odds ratio
 with an informative Dirichlet prior and the derived per-idiom association
 scores; Spearman rank correlation; Wilcoxon rank-sum with exact
 enumeration at small sizes; Cohen's d; rank-weighted prefix overlap of
@@ -22,24 +22,6 @@ from .corpus import split_masks
 from .embeddings import EmbeddingSpace, nearest_neighbors
 from .lexicon import IdiomEntry, idiom_token
 from .matcher import GroupCounts
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability distribution over an ordered support of idiom keys."""
-
-    support: tuple[str, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.support) != len(set(self.support)):
-            raise ValueError("support entries must be unique")
-        if self.probs.shape != (len(self.support),):
-            raise ValueError("probs must parallel support")
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {float(self.probs.sum())}, not 1")
 
 
 @dataclass(frozen=True)
@@ -67,34 +49,27 @@ class DivergenceResult:
 def _normalized(raw: np.ndarray, what: str) -> np.ndarray:
     raw = raw.astype(np.float64)
     total = float(raw.sum())
+    # a nan or infinite weight makes the total nan or infinite
+    if not math.isfinite(total) or (raw.size and raw.min() < 0):
+        raise ValueError(f"{what} must be finite and nonnegative")
     if total <= 0:
         raise ValueError(f"{what} has zero idiom usage")
     return raw / total
 
 
-def usage_distribution(counts: GroupCounts, group: str) -> Distribution:
-    """Normalize one group's idiom counts over the lexicon's canonical list."""
-    if group not in counts.groups:
-        raise ValueError(f"unknown group {group!r}")
-    support = tuple(counts.idiom_counts.keys())
-    raw = np.array([counts.idiom_counts[c][group] for c in support])
-    return Distribution(support=support, probs=_normalized(raw, f"group {group!r}"))
+def jsd(p: np.ndarray, q: np.ndarray) -> float:
+    """Jensen-Shannon divergence in base 2 of two weight vectors, 0*log(0) := 0.
 
-
-def jsd(p: Distribution, q: Distribution) -> float:
-    """Jensen-Shannon divergence in base 2, with 0*log(0) := 0."""
-    if p.support != q.support:
-        raise ValueError("distributions must share an identical support")
-    return _jsd_probs(p.probs, q.probs)
-
-
-def _jsd_probs(p: np.ndarray, q: np.ndarray) -> float:
-    """`jsd` of two probability vectors over one support.
-
-    Each term is ``a * log2(2a / (a + b))``, not ``a * log2(a / m)`` with
-    the mixture ``m = (a + b) / 2``: halving the smallest subnormal
-    underflows to 0, and ``a / m`` would then be infinite.
+    `p` and `q` are one-dimensional, of one length, finite and nonnegative,
+    each with a positive total; each is divided by its total first, as
+    scipy's ``jensenshannon`` does.  Each term is ``a * log2(2a / (a + b))``,
+    not ``a * log2(a / m)`` with the mixture ``m = (a + b) / 2``: halving the
+    smallest subnormal underflows to 0, and ``a / m`` would then be infinite.
     """
+    p, q = np.asarray(p), np.asarray(q)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValueError("p and q must be one-dimensional and of equal length")
+    p, q = _normalized(p, "p"), _normalized(q, "q")
     total = p + q
 
     def _kl(a: np.ndarray) -> float:
@@ -110,41 +85,46 @@ def divergence_gap_test(
 ) -> DivergenceResult:
     """Compare the cross-group usage divergence with within-group baselines.
 
-    Over the posts of `counts` (from `count_usages`), the cross-group JSD
-    is contrasted against `n_splits` random half-half splits inside
-    each group.  Every split draws its own child seed; `split_masks`
-    applies the greedy rule of `split_halves` to all of a group's splits in
-    one walk, and each split's halves are then two `bincount`s over the
-    group's spans.  The reported p-value is the smoothed fraction of pooled
+    Over the posts of `counts` (from `count_usages`), the JSD of the two
+    groups' idiom counts is contrasted against `n_splits` random half-half
+    splits inside each group.  Every split draws its own child seed;
+    `split_masks` applies the greedy rule of `split_halves` to all of a
+    group's splits in one walk.  A split's first half is one `bincount`
+    over the group's spans and its second is the group total minus the
+    first.  The reported p-value is the smoothed fraction of pooled
     baseline samples at least as large as the observed value; z is measured
     against a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
     ga, gb = counts.groups
-    # the two group distributions validate the support every half shares
-    cross = jsd(usage_distribution(counts, ga), usage_distribution(counts, gb))
     n_support = len(counts.idiom_counts)
-
-    def half(idioms: np.ndarray) -> np.ndarray:
-        return _normalized(np.bincount(idioms, minlength=n_support), "a post sample")
+    spans, total = {}, {}
+    for g in (ga, gb):
+        members = np.flatnonzero([p.group == g for p in counts.posts])
+        in_group = np.isin(counts.span_posts, members)
+        idioms = counts.span_idioms[in_group]
+        total[g] = np.bincount(idioms, minlength=n_support)
+        if total[g].sum() == 0:
+            raise ValueError(f"group {g!r} has zero idiom usage")
+        # each span's post as a position among the group's members
+        spans[g] = (members, np.searchsorted(members, counts.span_posts[in_group]), idioms)
+    cross = jsd(total[ga], total[gb])
 
     children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples: dict[str, np.ndarray] = {}
     for gi, g in enumerate((ga, gb)):
-        members = np.flatnonzero([p.group == g for p in counts.posts])
+        members, span_members, idioms = spans[g]
         lengths = [counts.posts[i].token_count for i in members]
-        in_group = np.isin(counts.span_posts, members)
-        # each span's post as a position among the group's members
-        span_members = np.searchsorted(members, counts.span_posts[in_group])
-        span_idioms = counts.span_idioms[in_group]
-
         group_children = children[gi * n_splits:(gi + 1) * n_splits]
         masks = split_masks(lengths, [int(c.generate_state(1)[0]) for c in group_children])
         vals = np.empty(n_splits, dtype=np.float64)
         for s in range(n_splits):
-            span_first = masks[s][span_members]
-            vals[s] = _jsd_probs(half(span_idioms[span_first]), half(span_idioms[~span_first]))
+            first = np.bincount(idioms[masks[s][span_members]], minlength=n_support)
+            try:
+                vals[s] = jsd(first, total[g] - first)
+            except ValueError as exc:  # a half without idiom usage
+                raise ValueError(f"group {g!r}, split {s}: {exc}") from None
         samples[g] = vals
 
     pooled = np.concatenate([samples[ga], samples[gb]])
@@ -455,6 +435,19 @@ class KdeCurve:
     bandwidth: float
 
 
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """numpy's default ("linear") quantile of n >= 2 sorted values, for 0 <= q < 1.
+
+    The same arithmetic as ``np.quantile``, which imports ``numpy.ma`` on
+    its first call: the virtual index ``(n - 1) * q`` and a lerp between its
+    two neighbours, taken from the upper one when the weight is >= 0.5.
+    """
+    index = (ordered.size - 1) * q
+    lo = math.floor(index)
+    a, b, t = float(ordered[lo]), float(ordered[lo + 1]), index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
     """Gaussian kernel density estimate on 256 grid points.
 
@@ -468,7 +461,8 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
     n = data.size
     if bandwidth is None:
         sd = float(data.std(ddof=1))
-        iqr = float(np.percentile(data, 75) - np.percentile(data, 25))
+        ordered = np.sort(data)
+        iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
         spread = min(sd, iqr / 1.34) if iqr > 0 else sd
         if spread <= 0:
             raise ValueError("zero variance; pass an explicit bandwidth")

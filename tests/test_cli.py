@@ -148,6 +148,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="two labels"):
             build_config({"groups": "M"}, {})
 
+    @pytest.mark.parametrize("key", ["initial_lr", "literality_threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_exits_two(self, tmp_path, capsys, key, value):
+        overrides = tiny_overrides(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        argv = ["prepare", "--corpus", overrides["corpus"], "--lexicon", overrides["lexicon"],
+                "--out", overrides["out"]]
+        for extra in (["--" + key.replace("_", "-"), value], ["--config", str(conf)]):
+            assert main(argv + extra) == 2
+            assert f"{key} must be finite" in capsys.readouterr().err
+        assert not Path(overrides["out"]).exists()
+
     def test_bad_line_reports_number(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("seed = 1\nnot a pair\n")
@@ -416,26 +429,28 @@ class TestReport:
                             "vad_comparison", "literal_baseline", "simrbo", "figures"}
 
 
-# Runs the CLI's main() on argv and prints the top-level packages it loaded.
-_LOADED_PACKAGES = """
+# Runs the CLI's main() on argv and prints the modules it loaded.
+_LOADED_MODULES = """
 import json, sys
 from figlex.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps({"code": code, "packages": sorted({m.split(".")[0] for m in sys.modules})}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _packages_loaded_by(*argv):
-    proc = run_python("-c", _LOADED_PACKAGES, *argv)
+def _modules_loaded_by(*argv):
+    proc = run_python("-c", _LOADED_MODULES, *argv)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["code"] == 0, proc.stderr
-    return set(doc["packages"])
+    # every module by its full name and by its top-level package
+    return set(doc["modules"]) | {m.split(".")[0] for m in doc["modules"]}
 
 
 class TestColdStart:
-    # every command runs in one process, and scipy is a test oracle only
-    UNLOADED = {"scipy", "multiprocessing", "concurrent"}
+    # every command runs in one process, scipy is a test oracle only, and
+    # numpy.ma (which np.percentile imports) costs ~10 ms to load
+    UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy.ma"}
 
     def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
         # numpy itself imports ctypes, so the check is on the library
@@ -447,15 +462,15 @@ class TestColdStart:
         assert not (tmp_path / "cache").exists()
 
     def test_no_command_loads_scipy_or_a_process_pool(self, tmp_path):
-        assert not self.UNLOADED & _packages_loaded_by()
+        assert not self.UNLOADED & _modules_loaded_by()
         overrides = medium_inputs(tmp_path)
         argv = []
         for key, value in overrides.items():
             argv.extend([f"--{key.replace('_', '-')}", str(value)])
         for command in ("prepare", "analyze"):
-            loaded = _packages_loaded_by(command, *argv)
+            loaded = _modules_loaded_by(command, *argv)
             assert not self.UNLOADED & loaded
-        loaded = _packages_loaded_by("report", "--out", overrides["out"], "--format", "json")
+        loaded = _modules_loaded_by("report", "--out", overrides["out"], "--format", "json")
         assert not self.UNLOADED & loaded
         assert (Path(overrides["out"]) / "report.json").exists()
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -166,6 +167,7 @@ class TestTrainParams:
     @pytest.mark.parametrize("kwargs", [
         {"dim": 1}, {"window": 0}, {"negatives": 0}, {"min_count": 0},
         {"epochs": 0}, {"initial_lr": 0.0},
+        {"initial_lr": math.nan}, {"initial_lr": math.inf},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):

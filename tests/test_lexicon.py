@@ -187,6 +187,16 @@ class TestLoadLexicon:
         with pytest.raises(ValueError, match="verb_index 5 out of range"):
             load_lexicon(str(path))
 
+    @pytest.mark.parametrize("key", ["verb_index", "slot_index"])
+    @pytest.mark.parametrize("value", [True, False, 0.0, "0", [0]])
+    def test_index_must_be_an_integer(self, tmp_path, key, value):
+        path = write_jsonl(tmp_path / "lex.jsonl", [
+            {"canonical": "at odds", "definition": "x"},
+            {"canonical": "spill the beans", "definition": "y", key: value},
+        ])
+        with pytest.raises(ValueError, match=f"line 2: {key} must be an integer"):
+            load_lexicon(str(path))
+
     def test_slot_kind_inferred(self, tmp_path):
         path = write_jsonl(tmp_path / "lex.jsonl", [{
             "canonical": "swallow one's pride", "definition": "x",
@@ -195,10 +205,11 @@ class TestLoadLexicon:
         assert load_lexicon(str(path)).get("swallow one's pride").slot_kind == "possessive"
 
     def test_bad_slot_token(self, tmp_path):
-        path = write_jsonl(tmp_path / "lex.jsonl", [{
-            "canonical": "kick the bucket", "definition": "x", "slot_index": 1,
-        }])
-        with pytest.raises(ValueError, match="not an indefinite pronoun"):
+        path = write_jsonl(tmp_path / "lex.jsonl", [
+            {"canonical": "at odds", "definition": "x"},
+            {"canonical": "kick the bucket", "definition": "x", "slot_index": 1},
+        ])
+        with pytest.raises(ValueError, match="line 2: slot token 'the' is not an indefinite pronoun"):
             load_lexicon(str(path))
 
     def test_cross_entry_surface_collision(self, tmp_path):

@@ -15,9 +15,8 @@ import figlex.stats
 from figlex.corpus import balance_groups, load_corpus, split_halves
 from figlex.embeddings import TrainParams, nearest_neighbors, train_sgns
 from figlex.lexicon import IdiomEntry, Lexicon, idiom_token, load_lexicon
-from figlex.matcher import GroupCounts, build_matcher, count_usages, find_matches
+from figlex.matcher import build_matcher, count_usages, find_matches
 from figlex.stats import (
-    Distribution,
     GScore,
     cohens_d,
     divergence_gap_test,
@@ -29,70 +28,58 @@ from figlex.stats import (
     neighborhood_overlap,
     sim_rbo,
     spearman,
-    usage_distribution,
     wilcoxon_ranksum,
+    _sorted_quantile,
     _t_two_sided_p,
 )
 
 from conftest import DATA_DIR, make_corpus, write_jsonl
 
 
-def dist(probs, support=None):
-    probs = np.asarray(probs, dtype=np.float64)
-    support = tuple(support or (f"i{k}" for k in range(len(probs))))
-    return Distribution(support=support, probs=probs)
-
-
-class TestUsageDistribution:
-    def counts(self, idiom_counts):
-        return GroupCounts(groups=("A", "B"), idiom_counts=idiom_counts)
-
-    def test_normalization(self):
-        counts = self.counts({"i1": {"A": 3, "B": 0}, "i2": {"A": 1, "B": 0}})
-        np.testing.assert_allclose(usage_distribution(counts, "A").probs, [0.75, 0.25])
-
-    def test_single_idiom(self):
-        counts = self.counts({"i1": {"A": 7, "B": 0}})
-        np.testing.assert_allclose(usage_distribution(counts, "A").probs, [1.0])
-
-    def test_uniform(self):
-        counts = self.counts({f"i{k}": {"A": 5, "B": 0} for k in range(4)})
-        np.testing.assert_allclose(usage_distribution(counts, "A").probs, [0.25] * 4)
-
-    def test_zero_total_error(self):
-        counts = self.counts({"i1": {"A": 0, "B": 2}})
-        with pytest.raises(ValueError, match="zero idiom usage"):
-            usage_distribution(counts, "A")
-
-
 class TestJsd:
     def test_identical_zero(self):
-        p = dist([0.2, 0.3, 0.5])
+        p = np.array([0.2, 0.3, 0.5])
         assert jsd(p, p) == 0.0
 
     def test_disjoint_support_is_one(self):
-        assert jsd(dist([1.0, 0.0]), dist([0.0, 1.0])) == pytest.approx(1.0)
+        assert jsd(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        assert jsd(dist([1.0, 0.0]), dist([0.5, 0.5])) == pytest.approx(0.311278, abs=1e-6)
+        assert jsd(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(0.311278, abs=1e-6)
+
+    def test_weights_are_normalized(self):
+        assert jsd(np.array([3, 1]), np.array([1, 0])) == jsd(np.array([0.75, 0.25]),
+                                                              np.array([1.0, 0.0]))
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(2, 12))
-            p = dist(rng.dirichlet(np.ones(n)))
-            q = Distribution(support=p.support, probs=rng.dirichlet(np.ones(n)))
+            p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
             forward, backward = jsd(p, q), jsd(q, p)
             assert forward == pytest.approx(backward, abs=1e-12)
             assert 0.0 <= forward <= 1.0
 
-    def test_support_mismatch(self):
-        with pytest.raises(ValueError, match="identical support"):
-            jsd(dist([1.0], support=["x"]), dist([1.0], support=["y"]))
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            jsd(np.array([1.0]), np.array([0.5, 0.5]))
+
+    def test_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            jsd(np.ones((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_and_non_finite(self, bad):
+        with pytest.raises(ValueError, match="q must be finite and nonnegative"):
+            jsd(np.array([1.0, 1.0]), np.array([1.0, bad]))
+
+    def test_zero_total(self):
+        with pytest.raises(ValueError, match="p has zero idiom usage"):
+            jsd(np.array([0, 0]), np.array([1, 0]))
 
     def test_subnormal_probability(self):
         # the mixture (0 + 5e-324) / 2 underflows to 0
-        assert jsd(dist([1.0, 0.0]), dist([1.0, 5e-324])) == pytest.approx(0.0, abs=1e-12)
+        assert jsd(np.array([1.0, 0.0]), np.array([1.0, 5e-324])) == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[
@@ -102,16 +89,17 @@ class TestJsd:
     ])))
     @example(weights=([1e-09, 0.0], [1.0, 5e-324]))
     def test_matches_scipy_jensenshannon(self, weights):
-        p, q = (dist(np.array(w) / np.sum(w)) for w in weights)
-        got = jsd(p, q)
+        wp, wq = (np.array(w) for w in weights)
+        got = jsd(wp, wq)
         # each ratio 2a / (a + b) exact, rounded once before the log
+        p, q = wp / np.sum(wp), wq / np.sum(wq)
         exact = sum(
             0.5 * a * math.log2(2 * Fraction(a) / (Fraction(a) + Fraction(b)))
-            for x, y in ((p.probs, q.probs), (q.probs, p.probs))
+            for x, y in ((p, q), (q, p))
             for a, b in zip(x.tolist(), y.tolist()) if a > 0
         )
         assert got == pytest.approx(exact, abs=1e-12)
-        expected = float(jensenshannon(p.probs, q.probs, base=2)) ** 2
+        expected = float(jensenshannon(wp, wq, base=2)) ** 2
         # scipy's mixture underflows to 0 beside a subnormal probability (inf)
         if not math.isinf(expected):
             # a divergence that rounds below zero makes scipy's square root nan
@@ -155,6 +143,25 @@ class TestDivergenceGapTest:
         assert one.p_value == two.p_value
         np.testing.assert_array_equal(one.baseline_samples["M"], two.baseline_samples["M"])
 
+    def test_zero_usage_group_is_named(self, tmp_path):
+        corpus, lexicon = self.make_inputs(
+            tmp_path, ["over the moon", "under fire"], ["calm day", "quiet night"]
+        )
+        with pytest.raises(ValueError, match="group 'F' has zero idiom usage"):
+            divergence_gap_test(
+                count_usages(build_matcher(lexicon), corpus), n_splits=2, seed=0
+            )
+
+    def test_split_half_without_usage_names_the_group(self, tmp_path):
+        # all of M's usage sits in one post, so each split leaves a half without it
+        corpus, lexicon = self.make_inputs(
+            tmp_path, ["over the moon", "calm day", "quiet night"], ["over the moon", "under fire"]
+        )
+        with pytest.raises(ValueError, match=r"group 'M', split 0: [pq] has zero idiom usage"):
+            divergence_gap_test(
+                count_usages(build_matcher(lexicon), corpus), n_splits=2, seed=0
+            )
+
     def test_n_splits_validation(self, tmp_path):
         corpus, lexicon = self.make_inputs(
             tmp_path, ["over the moon", "under fire"], ["over the moon", "under fire"]
@@ -191,21 +198,21 @@ def reference_divergence(corpus, lexicon, n_splits, seed):
     """Cross JSD and baseline samples by matching every post and splitting
     each group's whole posts with `group_halves`."""
     matcher = build_matcher(lexicon)
-    support = tuple(lexicon.canonicals())
+    support = lexicon.canonicals()
     per_post = {p: Counter(m.canonical for m in find_matches(matcher, list(p.tokens)))
                 for p in corpus.posts}
 
-    def distribution(posts):
+    def usage(posts):
         agg = Counter()
         for p in posts:
             agg.update(per_post[p])
         raw = np.array([agg.get(c, 0) for c in support], dtype=np.float64)
         if raw.sum() <= 0:
             raise ValueError("zero idiom usage")
-        return Distribution(support=support, probs=raw / raw.sum())
+        return raw
 
     ga, gb = corpus.group_labels
-    cross = jsd(*(distribution([p for p in corpus.posts if p.group == g]) for g in (ga, gb)))
+    cross = jsd(*(usage([p for p in corpus.posts if p.group == g]) for g in (ga, gb)))
     children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples = {}
     for gi, g in enumerate((ga, gb)):
@@ -213,7 +220,7 @@ def reference_divergence(corpus, lexicon, n_splits, seed):
         for s in range(n_splits):
             child_seed = int(children[gi * n_splits + s].generate_state(1)[0])
             h1, h2 = group_halves(corpus, g, child_seed)
-            vals.append(jsd(distribution(h1), distribution(h2)))
+            vals.append(jsd(usage(h1), usage(h2)))
         samples[g] = np.array(vals, dtype=np.float64)
     return cross, samples
 
@@ -639,6 +646,14 @@ class TestKde:
     def test_too_few_values(self):
         with pytest.raises(ValueError):
             kde([1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
+                    min_size=2, max_size=40))
+    def test_quartiles_match_numpy_percentile(self, values):
+        data = np.array(values)
+        for q in (0.25, 0.75):
+            assert _sorted_quantile(np.sort(data), q) == np.percentile(data, 100 * q)
 
     @pytest.mark.parametrize("n", [50, 1800, 4096, 5000, 9000])
     def test_blocks_match_the_whole_grid_formula_bit_for_bit(self, n):
