@@ -1,6 +1,8 @@
 /* The two sequential loops of figlex, in C: skip-gram negative-sampling
- * (SGNS) training over a block of sentences, and the greedy half split of
- * one permutation.  _kernels.py builds this file and loads it with ctypes.
+ * (SGNS) training over one epoch of the corpus, and the greedy half split
+ * of one permutation.  _kernels.py builds this file and loads it with
+ * ctypes.  The SGNS kernel draws its noise doubles itself, through the
+ * next_double of numpy's generator interface (Generator.bit_generator.ctypes).
  *
  * The arithmetic is IEEE single (SGNS) and int64 (the split walk) in a
  * fixed order, so the results are the same bytes on every CPU.  Compile
@@ -74,30 +76,35 @@ static int64_t noise_row(const double *cdf, int64_t n, const int64_t *guide, dou
     return i;
 }
 
-/* noise_row over an array of uniforms, for checking it against searchsorted */
+/* noise_row over an array of draws, for checking it against searchsorted */
 void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
-                const double *uniforms, int64_t count, int64_t *out)
+                const double *draws, int64_t count, int64_t *out)
 {
     for (int64_t c = 0; c < count; c++)
-        out[c] = noise_row(cdf, n, guide, uniforms[c]);
+        out[c] = noise_row(cdf, n, guide, draws[c]);
 }
 
-/* Train every center of a block of sentences, in corpus order, and return
- * loss_sum plus the centers' losses, or -1 if scratch memory ran out.
+/* Train every center of the corpus once, in corpus order, and return the
+ * epoch's mean loss per (center, row) pair, or -1 if scratch memory ran
+ * out.
  *
  * Center i of a sentence of n ids with window w has k context rows, the
  * ids at i - w .. i + w inside the sentence except i itself, then k *
- * negatives noise rows, mapped from the next uniforms.  Every row's score
- * and the center's gradient are computed from the rows as they were before
- * the center's update; the row updates then go in row order, so a repeated
- * row takes each of its updates in turn.  The learning rate decays
- * linearly with the global center count `step`. */
-double sgns_block(float *syn0, float *syn1, int64_t dim,
+ * negatives noise rows, each mapped from the next double that
+ * next_double(noise_state) returns: numpy's generator interface, the
+ * function Generator.random fills its output with.  The kernel takes no
+ * lock, so nothing else may draw from that generator during the call.
+ * Every row's score and the center's gradient are computed from the rows
+ * as they were before the center's update; the row updates then go in row
+ * order, so a repeated row takes each of its updates in turn.  The
+ * learning rate decays linearly with the global center count, which
+ * starts the epoch at `step`. */
+double sgns_epoch(float *syn0, float *syn1, int64_t dim,
                   const int64_t *ids, const int64_t *lengths, int64_t n_sentences,
-                  const int64_t *windows, const double *uniforms, int64_t negatives,
-                  const double *noise_cdf, int64_t vocab_size, const int64_t *guide,
-                  const float *tables, double initial_lr, double min_lr,
-                  int64_t step, int64_t total_steps, double loss_sum)
+                  const int64_t *windows, double (*next_double)(void *), void *noise_state,
+                  int64_t negatives, const double *noise_cdf, int64_t vocab_size,
+                  const int64_t *guide, const float *tables, double initial_lr,
+                  double min_lr, int64_t step, int64_t total_steps)
 {
     const float *score = tables, *log_score = tables + TABLE_LEN,
                 *log_rest = tables + 2 * TABLE_LEN;
@@ -114,6 +121,8 @@ double sgns_block(float *syn0, float *syn1, int64_t dim,
         return -1.0;
     }
 
+    double loss_sum = 0;
+    int64_t n_pairs = 0;
     for (int64_t s = 0; s < n_sentences; s++) {
         int64_t n = lengths[s];
         for (int64_t i = 0; i < n; i++, step++) {
@@ -125,7 +134,7 @@ double sgns_block(float *syn0, float *syn1, int64_t dim,
                     rows[k++] = ids[c];
             int64_t n_rows = k * (1 + negatives);
             for (int64_t r = k; r < n_rows; r++)
-                rows[r] = noise_row(noise_cdf, vocab_size, guide, *uniforms++);
+                rows[r] = noise_row(noise_cdf, vocab_size, guide, next_double(noise_state));
 
             double decayed = initial_lr * (1.0 - (double)step / (double)total_steps);
             float lr = (float)(decayed > min_lr ? decayed : min_lr);
@@ -145,12 +154,13 @@ double sgns_block(float *syn0, float *syn1, int64_t dim,
                 axpy(syn1 + rows[r] * dim, g[r], v, dim);
             axpy(v, 1.0f, grad, dim);  /* v += grad: 1 x is exact */
             loss_sum -= loss;
+            n_pairs += n_rows;
         }
         ids += n;
         windows += n;
     }
     free(rows), free(g), free(grad);
-    return loss_sum;
+    return loss_sum / (double)n_pairs;
 }
 
 /* The greedy half split of one permutation: position perm[i] joins the

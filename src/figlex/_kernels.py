@@ -74,9 +74,11 @@ def load():
 
         lib = ctypes.CDLL(str(_build()))
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.sgns_block.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, i64, ptr, i64,
-                                   ptr, ptr, f64, f64, i64, i64, f64]
-        lib.sgns_block.restype = f64
+        # the type of numpy's `bit_generator.ctypes.next_double`
+        next_double = ctypes.CFUNCTYPE(f64, ptr)
+        lib.sgns_epoch.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, next_double, ptr, i64,
+                                   ptr, i64, ptr, ptr, f64, f64, i64, i64]
+        lib.sgns_epoch.restype = f64
         lib.noise_rows.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
         lib.split_walk.argtypes = [ptr, ptr, i64, ptr]
         _lib = lib

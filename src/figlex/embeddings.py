@@ -8,11 +8,12 @@ units or BLAS.  Frequent-token subsampling is deliberately omitted
 
 The arithmetic runs in the C kernel of `_kernels.c`, one center token at a
 time in corpus order, in float32 with fixed-order sums and word2vec's
-sigmoid and log tables.  numpy draws the randomness from two generators:
-one window size per center, and one double per noise row, which the kernel
-maps to a token through the unigram^0.75 CDF.  Both streams are drawn a
-block of sentences at a time; as each stream is the same however it is cut,
-the block size never changes a bit.
+sigmoid and log tables, one kernel call per epoch.  The randomness comes
+from two numpy generators: one window size per center, drawn once as an
+array, and one double per noise row, which the kernel draws itself through
+numpy's ctypes generator interface (the `next_double` that
+`Generator.random` fills its output with) and maps to a token through the
+unigram^0.75 CDF.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-
-# a block holds the sentences whose first token lies in one run of this many
-# tokens; it draws about (window + 1) * negatives noise doubles per token
-_BLOCK_TOKENS = 1 << 10
 
 
 @dataclass
@@ -110,61 +107,48 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     vocab = {t: i for i, t in enumerate(vocab_tokens)}
 
     id_sentences = [[vocab[t] for t in sent if t in vocab] for sent in sentences]
+    # `prepare` passes a list that nothing else holds: drop it before training
+    del sentences
     id_sentences = [ids for ids in id_sentences if len(ids) >= 2]
     if not id_sentences:
         raise ValueError("corpus too small: no sentence with 2 in-vocabulary tokens")
     lengths = np.array([len(ids) for ids in id_sentences], dtype=np.int64)
     ids = np.array([i for sent in id_sentences for i in sent], dtype=np.int64)
     del id_sentences
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    starts = offsets[:-1] // _BLOCK_TOKENS
-    bounds = [*np.flatnonzero(np.diff(starts, prepend=-1)).tolist(), len(lengths)]
 
     freq = np.array([counts[t] for t in vocab_tokens], dtype=np.float64) ** 0.75
     noise_cdf = np.cumsum(freq / freq.sum())
     noise_cdf[-1] = 1.0
     guide = _kernels.noise_guide(noise_cdf)
     tables = _kernels.score_tables()
-    kernel = _kernels.load().sgns_block
+    kernel = _kernels.load().sgns_epoch
 
     init_rng = np.random.default_rng(params.seed)
     dim = params.dim
     syn0 = ((init_rng.random((len(vocab), dim)) - 0.5) / dim).astype(np.float32)
     syn1 = np.zeros((len(vocab), dim), dtype=np.float32)
 
-    total_steps = params.epochs * int(offsets[-1])
-    min_lr = params.initial_lr * 1e-4
-    neg = params.negatives
-
-    step = 0
+    # identical draw streams every epoch: the per-epoch mean loss is then
+    # measured on the same sampled objective, so it decreases under the
+    # decaying learning rate instead of wobbling with sampling noise
+    windows = np.random.default_rng([params.seed, 0x5E9, 0]).integers(
+        1, params.window + 1, size=len(ids))
     epoch_losses: list[float] = []
-    for _ in range(params.epochs):
-        # identical draw streams every epoch: the per-epoch mean loss is then
-        # measured on the same sampled objective, so it decreases under the
-        # decaying learning rate instead of wobbling with sampling noise
-        window_rng = np.random.default_rng([params.seed, 0x5E9, 0])
+    for epoch in range(params.epochs):
+        # the interface holds only addresses: `noise_rng` keeps the
+        # generator alive through the call, and nothing else draws from it
         noise_rng = np.random.default_rng([params.seed, 0x5E9, 1])
-        loss_sum = 0.0
-        n_pairs = 0
-        for a, b in zip(bounds, bounds[1:]):
-            lo, hi = int(offsets[a]), int(offsets[b])
-            windows = window_rng.integers(1, params.window + 1, size=hi - lo)
-            # each center's position in its sentence, and the tokens after it
-            at = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, lengths[a:b])
-            after = np.repeat(lengths[a:b] - 1, lengths[a:b]) - at
-            n_ctx = int(np.minimum(windows, at).sum() + np.minimum(windows, after).sum())
-            uniforms = noise_rng.random(n_ctx * neg)
-            loss_sum = kernel(
-                syn0.ctypes.data, syn1.ctypes.data, dim, ids[lo:hi].ctypes.data,
-                lengths[a:b].ctypes.data, b - a, windows.ctypes.data, uniforms.ctypes.data,
-                neg, noise_cdf.ctypes.data, len(vocab), guide.ctypes.data, tables.ctypes.data,
-                params.initial_lr, min_lr, step, total_steps, loss_sum,
-            )
-            if loss_sum < 0:
-                raise MemoryError("SGNS kernel: no memory for a block's scratch rows")
-            n_pairs += n_ctx * (1 + neg)
-            step += hi - lo
-        epoch_losses.append(loss_sum / n_pairs)
+        noise = noise_rng.bit_generator.ctypes
+        loss = kernel(
+            syn0.ctypes.data, syn1.ctypes.data, dim, ids.ctypes.data, lengths.ctypes.data,
+            len(lengths), windows.ctypes.data, noise.next_double, noise.state,
+            params.negatives, noise_cdf.ctypes.data, len(vocab), guide.ctypes.data,
+            tables.ctypes.data, params.initial_lr, params.initial_lr * 1e-4,
+            epoch * len(ids), params.epochs * len(ids),
+        )
+        if loss < 0:
+            raise MemoryError("SGNS kernel: no memory for its scratch rows")
+        epoch_losses.append(loss)
 
     return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
 

@@ -14,6 +14,7 @@ together exceeds ``min_count``; the counts themselves are not stored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -243,7 +244,8 @@ def load_lexicon(path: str) -> Lexicon:
     """Read a lexicon from a JSON-lines file and expand every entry.
 
     Required keys per line: ``canonical``, ``definition``.  Optional:
-    ``verb_index``, ``slot_index``, ``slot_kind``, and ``variants`` (a list
+    ``verb_index``, ``slot_index``, ``slot_kind`` (the kind the slot token
+    implies), ``literality`` (a finite number), and ``variants`` (a list
     of surface strings written by a previous pruning run; when present it
     replaces automatic expansion).  Duplicate canonicals and surface forms
     shared across entries are load errors.
@@ -270,6 +272,10 @@ def load_lexicon(path: str) -> Lexicon:
                 # json booleans are ints to Python, and True would index token 1
                 if rec.get(key) is not None and type(rec[key]) is not int:
                     raise ValueError(f"line {lineno}: {key} must be an integer")
+            literality = rec.get("literality")
+            if literality is not None and (type(literality) not in (int, float)
+                                           or not math.isfinite(literality)):
+                raise ValueError(f"line {lineno}: literality must be a finite number")
             canonical = tuple(tokenize(rec["canonical"]))
             if not canonical:
                 raise ValueError(f"line {lineno}: empty canonical form")
@@ -279,7 +285,7 @@ def load_lexicon(path: str) -> Lexicon:
                 verb_index=rec.get("verb_index"),
                 slot_index=rec.get("slot_index"),
                 slot_kind=rec.get("slot_kind"),
-                literality=rec.get("literality"),
+                literality=literality,
             )
             if entry.key in lexicon.entries:
                 raise ValueError(f"line {lineno}: duplicate canonical {entry.key!r}")
@@ -296,11 +302,14 @@ def load_lexicon(path: str) -> Lexicon:
                     raise ValueError(f"line {lineno}: slot_index {entry.slot_index} out of range")
                 if entry.slot_index == entry.verb_index:
                     raise ValueError(f"line {lineno}: verb_index and slot_index coincide")
-                inferred = _infer_slot_kind(canonical[entry.slot_index], lineno)
-                if entry.slot_kind is None:
-                    entry.slot_kind = inferred
-                elif entry.slot_kind not in ("possessive", "objective"):
-                    raise ValueError(f"line {lineno}: bad slot_kind {entry.slot_kind!r}")
+                slot = canonical[entry.slot_index]
+                inferred = _infer_slot_kind(slot, lineno)
+                if entry.slot_kind not in (None, inferred):
+                    raise ValueError(f"line {lineno}: slot_kind {entry.slot_kind!r} does not "
+                                     f"match slot token {slot!r} ({inferred})")
+                entry.slot_kind = inferred
+            elif entry.slot_kind is not None:
+                raise ValueError(f"line {lineno}: slot_kind needs a slot_index")
 
             if "variants" in rec:
                 variants = rec["variants"]

@@ -130,11 +130,11 @@ def divergence_gap_test(
     pooled = np.concatenate([samples[ga], samples[gb]])
     exceed = int(np.sum(pooled >= cross))
     p_value = (exceed + 1) / (pooled.size + 1)
-    std = float(pooled.std(ddof=1))
+    mean, std = float(pooled.mean()), float(pooled.std(ddof=1))
     if std > 0:
-        z = (cross - float(pooled.mean())) / std
+        z = (cross - mean) / std
     else:
-        z = 0.0 if cross == float(pooled.mean()) else math.inf
+        z = 0.0 if cross == mean else math.copysign(math.inf, cross - mean)
     return DivergenceResult(
         cross_jsd=cross,
         baseline_mean={g: float(samples[g].mean()) for g in (ga, gb)},

@@ -5,7 +5,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import figlex.embeddings
 from figlex import _kernels
 from figlex.embeddings import (
     EmbeddingSpace,
@@ -236,7 +235,8 @@ class TestTrainSgns:
         assert same > cross
 
     @pytest.mark.parametrize("dim", [2, 100])
-    @pytest.mark.parametrize("case", ["window_exceeds_sentence", "tiny_vocab", "matcher_epochs"])
+    @pytest.mark.parametrize("case", ["window_exceeds_sentence", "tiny_vocab", "matcher_epochs",
+                                      "mixed_lengths"])
     def test_matches_reference_loop(self, case, dim, tmp_path):
         matcher = None
         if case == "window_exceeds_sentence":
@@ -249,9 +249,17 @@ class TestTrainSgns:
             texts = [" ".join(rng.choice(["xa", "xb", "xc"], size=6)) for _ in range(40)]
             corpus = make_corpus({"A": texts, "B": ["xa xb"]})
             params = TrainParams(dim=dim, window=2, negatives=3, min_count=1, epochs=2, seed=11)
-        else:
+        elif case == "matcher_epochs":
             corpus, matcher = idiom_corpus_and_matcher(tmp_path)
             params = TrainParams(dim=dim, window=3, negatives=2, min_count=2, epochs=3, seed=6)
+        else:
+            # 2-token sentences next to long ones, over two epochs
+            rng = np.random.default_rng(12)
+            words = [f"w{j}" for j in range(9)]
+            texts = [" ".join(rng.choice(words, size=int(rng.choice([2, 2, 3, 30, 80]))))
+                     for _ in range(50)]
+            corpus = make_corpus({"A": texts, "B": ["w0 w1"]})
+            params = TrainParams(dim=dim, window=4, negatives=3, min_count=1, epochs=2, seed=5)
         if matcher is None:
             sentences = [p.tokens for p in corpus.posts]
         else:
@@ -264,26 +272,6 @@ class TestTrainSgns:
         assert got.vectors.dtype == want.vectors.dtype == np.float32
         assert np.array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
         assert [x.hex() for x in got.epoch_losses] == [x.hex() for x in want.epoch_losses]
-
-    @pytest.mark.parametrize("dim", [2, 100])
-    def test_block_size_never_changes_bits(self, dim, monkeypatch):
-        # 2-token sentences and long ones: blocks of one sentence, blocks of
-        # many, and single sentences larger than the smaller blocks
-        rng = np.random.default_rng(12)
-        words = [f"w{j}" for j in range(9)]
-        texts = [" ".join(rng.choice(words, size=int(rng.choice([2, 2, 3, 30, 80]))))
-                 for _ in range(50)]
-        corpus = make_corpus({"A": texts, "B": ["w0 w1"]})
-        params = TrainParams(dim=dim, window=4, negatives=3, min_count=1, epochs=2, seed=5)
-        runs = []
-        for block_tokens in (1, 7, 64, figlex.embeddings._BLOCK_TOKENS):
-            monkeypatch.setattr(figlex.embeddings, "_BLOCK_TOKENS", block_tokens)
-            runs.append(train_sgns([p.tokens for p in corpus.posts], params))
-        for space in runs[1:]:
-            assert space.vocab == runs[0].vocab
-            assert np.array_equal(space.vectors.view(np.uint32), runs[0].vectors.view(np.uint32))
-            assert ([x.hex() for x in space.epoch_losses]
-                    == [x.hex() for x in runs[0].epoch_losses])
 
     def test_bytes_are_pinned(self):
         # one set of bytes on every CPU and compiler setting: a dot product

@@ -99,6 +99,15 @@ class TestBuildAndCache:
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         assert _kernels.cache_dir() == tmp_path / "home" / ".cache" / "figlex"
 
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # a mistyped parameter, such as the noise generator's function
+        # pointer, shows here before it can crash a training run
+        built = subprocess.run(
+            [os.environ.get("CC") or "cc", *_kernels._FLAGS, "-Wall", "-Wextra", "-Wpedantic",
+             "-Werror", "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
+            capture_output=True, text=True, timeout=120)
+        assert built.returncode == 0, built.stderr
+
     def test_prepare_without_a_compiler_fails_at_embed_and_writes_nothing(self, tmp_path):
         corpus = write_jsonl(tmp_path / "corpus.jsonl", [
             {"author_id": f"{g}{i}", "group": g, "text": "we saw the moon over the hill"}

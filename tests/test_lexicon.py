@@ -204,6 +204,29 @@ class TestLoadLexicon:
         }])
         assert load_lexicon(str(path)).get("swallow one's pride").slot_kind == "possessive"
 
+    @pytest.mark.parametrize("rec, message", [
+        ({"canonical": "tell someone off", "definition": "y", "slot_index": 1,
+          "slot_kind": "possessive"},
+         "line 2: slot_kind 'possessive' does not match slot token 'someone' \\(objective\\)"),
+        ({"canonical": "tell someone off", "definition": "y", "slot_kind": "objective"},
+         "line 2: slot_kind needs a slot_index"),
+    ], ids=["mismatch", "no_slot_index"])
+    def test_slot_kind_must_match_the_slot(self, tmp_path, rec, message):
+        path = write_jsonl(tmp_path / "lex.jsonl", [
+            {"canonical": "at odds", "definition": "x"}, rec,
+        ])
+        with pytest.raises(ValueError, match=message):
+            load_lexicon(str(path))
+
+    @pytest.mark.parametrize("value", ["very", True, [0.5], float("nan"), float("inf")])
+    def test_literality_must_be_a_finite_number(self, tmp_path, value):
+        path = write_jsonl(tmp_path / "lex.jsonl", [
+            {"canonical": "at odds", "definition": "x", "literality": 0.25},
+            {"canonical": "over the moon", "definition": "y", "literality": value},
+        ])
+        with pytest.raises(ValueError, match="line 2: literality must be a finite number"):
+            load_lexicon(str(path))
+
     def test_bad_slot_token(self, tmp_path):
         path = write_jsonl(tmp_path / "lex.jsonl", [
             {"canonical": "at odds", "definition": "x"},

@@ -162,6 +162,21 @@ class TestDivergenceGapTest:
                 count_usages(build_matcher(lexicon), corpus), n_splits=2, seed=0
             )
 
+    @pytest.mark.parametrize("texts_m, texts_f, sign", [
+        # each split puts one idiom in each half (JSD 1); the groups match (JSD 0)
+        (["we were over the moon", "he was under fire"],
+         ["she was over the moon", "they came under fire"], -1),
+        # each split halves one idiom's usage (JSD 0); the groups differ (JSD 1)
+        (["over the moon", "over the moon"], ["under fire", "under fire"], 1),
+    ], ids=["below", "above"])
+    def test_z_sign_without_baseline_spread(self, tmp_path, texts_m, texts_f, sign):
+        corpus, lexicon = self.make_inputs(tmp_path, texts_m, texts_f)
+        result = divergence_gap_test(
+            count_usages(build_matcher(lexicon), corpus), n_splits=4, seed=0
+        )
+        assert result.baseline_std == {"M": 0.0, "F": 0.0}
+        assert result.z == sign * math.inf
+
     def test_n_splits_validation(self, tmp_path):
         corpus, lexicon = self.make_inputs(
             tmp_path, ["over the moon", "under fire"], ["over the moon", "under fire"]
