@@ -12,8 +12,6 @@ from .affect import (
     VadComparison,
     VadModel,
     UsageSeries,
-    beta_log_likelihood,
-    beta_log_likelihood_grad,
     compare_vad,
     fit_beta_regression,
     literal_baseline,

@@ -76,14 +76,6 @@ static int64_t noise_row(const double *cdf, int64_t n, const int64_t *guide, dou
     return i;
 }
 
-/* noise_row over an array of draws, for checking it against searchsorted */
-void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
-                const double *draws, int64_t count, int64_t *out)
-{
-    for (int64_t c = 0; c < count; c++)
-        out[c] = noise_row(cdf, n, guide, draws[c]);
-}
-
 /* Train every center of the corpus once, in corpus order, and return the
  * epoch's mean loss per (center, row) pair, or -1 if scratch memory ran
  * out.

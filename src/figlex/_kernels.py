@@ -79,7 +79,6 @@ def load():
         lib.sgns_epoch.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, next_double, ptr, i64,
                                    ptr, i64, ptr, ptr, f64, f64, i64, i64]
         lib.sgns_epoch.restype = f64
-        lib.noise_rows.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
         lib.split_walk.argtypes = [ptr, ptr, i64, ptr]
         _lib = lib
     return _lib

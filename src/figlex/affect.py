@@ -162,6 +162,9 @@ def _mean_and_shapes(params: np.ndarray, design: np.ndarray) -> tuple[float, np.
 
 def _log_likelihood(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
                     log_1my: np.ndarray) -> float:
+    """Mean beta log-likelihood at params = (coefficients..., log phi); the
+    mean scale keeps gradient magnitudes comparable across sample sizes,
+    which is what the convergence tolerance is measured against."""
     phi, mu, shapes = _mean_and_shapes(params, design)
     n = len(mu)
     lg = _gammaln(shapes)
@@ -177,6 +180,7 @@ def _log_likelihood(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
 
 def _log_likelihood_grad(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
                          log_1my: np.ndarray) -> np.ndarray:
+    """Analytic gradient of `_log_likelihood` in coefficients and log phi."""
     phi, mu, shapes = _mean_and_shapes(params, design)
     n = len(mu)
     psi = _digamma(shapes)
@@ -194,22 +198,6 @@ def _log_likelihood_grad(params: np.ndarray, design: np.ndarray, log_y: np.ndarr
     )
     grad_log_phi = float(dll_dphi.mean()) * phi
     return np.concatenate([grad_coeffs, [grad_log_phi]])
-
-
-def beta_log_likelihood(params: np.ndarray, features: np.ndarray, targets: np.ndarray) -> float:
-    """Mean beta log-likelihood at params = (coefficients..., log phi).
-
-    The mean scale keeps gradient magnitudes comparable across sample
-    sizes, which is what the convergence tolerance is measured against.
-    """
-    return _log_likelihood(params, *_beta_data(features, targets))
-
-
-def beta_log_likelihood_grad(
-    params: np.ndarray, features: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Analytic gradient of `beta_log_likelihood` in coefficients and log phi."""
-    return _log_likelihood_grad(params, *_beta_data(features, targets))
 
 
 def _whiten(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

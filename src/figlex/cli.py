@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,6 +44,10 @@ from .stats import (
 )
 
 NEIGHBORS_PER_IDIOM = 10
+# The files that describe one analyze run of the prepared artifacts beside
+# them.  prepare and analyze remove them before they write anything, so
+# report never reads a run of other artifacts.
+_ANALYZE_RECORDS = ("run_meta.json", "failure.json", "report.json", "report.csv")
 
 
 class StageError(RuntimeError):
@@ -55,12 +59,13 @@ class StageError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    corpus: str = ""
-    lexicon: str = ""
-    vad_lexicon: str = ""
-    out: str = ""
+    corpus: str = field(default="", metadata={"help": "corpus JSONL path"})
+    lexicon: str = field(default="", metadata={"help": "lexicon JSONL path"})
+    vad_lexicon: str = field(default="", metadata={"help": "VAD ratings CSV path"})
+    out: str = field(default="", metadata={"help": "output directory"})
     seed: int = 0
-    groups: tuple[str, str] | None = None
+    groups: tuple[str, str] | None = field(
+        default=None, metadata={"help": "comma-separated pair of group labels"})
     min_count: int = 50
     literality_threshold: float = 0.25
     rbo_depth: int = 100
@@ -75,28 +80,17 @@ class RunConfig:
         return Path(self.out) / name
 
 
-# Every config key with its value type and flag help, in flag order.  Keys
-# that are not RunConfig fields go to TrainParams, renamed by _TRAIN_RENAME.
-_CONFIG_KEYS: dict[str, tuple[type, str | None]] = {
-    "corpus": (str, "corpus JSONL path"),
-    "lexicon": (str, "lexicon JSONL path"),
-    "vad_lexicon": (str, "VAD ratings CSV path"),
-    "out": (str, "output directory"),
-    "seed": (int, None),
-    "groups": (str, "comma-separated pair of group labels"),
-    "min_count": (int, None),
-    "literality_threshold": (float, None),
-    "rbo_depth": (int, None),
-    "n_splits": (int, None),
-    "baseline_n": (int, None),
-    "dim": (int, None),
-    "window": (int, None),
-    "negatives": (int, None),
-    "epochs": (int, None),
-    "train_min_count": (int, None),
-    "initial_lr": (float, None),
-}
-_TRAIN_RENAME = {"train_min_count": "min_count"}
+# Every config key with the field it sets, in flag order: the RunConfig
+# fields, then the TrainParams fields but `seed` (the run's seed), each
+# prefixed `train_` where a RunConfig field has its name.  A key's type is
+# its field's default's; `groups` is a comma-separated string.
+_RUN_KEYS = {f.name: f for f in fields(RunConfig) if f.name != "train"}
+_CONFIG_KEYS = {**_RUN_KEYS, **{("train_" if f.name in _RUN_KEYS else "") + f.name: f
+                               for f in fields(TrainParams) if f.name != "seed"}}
+
+
+def _key_type(f: Field) -> type:
+    return str if f.default is None else type(f.default)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -122,30 +116,29 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
         if value is not None:
             merged[key] = value
 
-    config = RunConfig()
+    run_kwargs: dict[str, object] = {}
     train_kwargs: dict[str, object] = {}
     for key, value in merged.items():
-        if key not in _CONFIG_KEYS:
+        f = _CONFIG_KEYS.get(key)
+        if f is None:
             raise ValueError(f"unknown config key {key!r}")
-        kind = _CONFIG_KEYS[key][0]
+        kind = _key_type(f)
         if kind is not str:
-            value = kind(value)
+            try:
+                value = kind(value)
+            except ValueError:
+                expected = "an integer" if kind is int else "a number"
+                raise ValueError(f"{key}: expected {expected}, got {value!r}") from None
         if kind is float and not math.isfinite(value):  # type: ignore[arg-type]
             raise ValueError(f"{key} must be finite, not {value}")
-        if not hasattr(config, key):
-            train_kwargs[_TRAIN_RENAME.get(key, key)] = value
-        elif key == "groups":
-            if isinstance(value, str):
-                parts = tuple(p.strip() for p in value.split(",") if p.strip())
-            else:
-                parts = tuple(value)  # type: ignore[arg-type]
-            if len(parts) != 2:
+        if key == "groups":
+            value = tuple(p.strip() for p in value.split(",") if p.strip())
+            if len(value) != 2:
                 raise ValueError("groups must name exactly two labels")
-            if parts[0] == parts[1]:
-                raise ValueError(f"groups must name two different labels, not {parts[0]!r} twice")
-            config.groups = parts  # type: ignore[assignment]
-        else:
-            setattr(config, key, value)
+            if value[0] == value[1]:
+                raise ValueError(f"groups must name two different labels, not {value[0]!r} twice")
+        (run_kwargs if key in _RUN_KEYS else train_kwargs)[f.name] = value
+    config = RunConfig(**run_kwargs)  # type: ignore[arg-type]
     config.train = TrainParams(seed=config.seed, **train_kwargs)  # type: ignore[arg-type]
 
     if config.seed < 0:
@@ -234,6 +227,8 @@ def cmd_prepare(config: RunConfig) -> None:
         stage = "write"
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
+        for name in _ANALYZE_RECORDS:
+            config.out_path(name).unlink(missing_ok=True)
         save_corpus(balanced, str(config.out_path("corpus_balanced.jsonl")))
         save_lexicon(filtered, str(config.out_path("lexicon_filtered.jsonl")))
         groups = final_counts.groups
@@ -271,10 +266,10 @@ def cmd_prepare(config: RunConfig) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _require_artifact(config: RunConfig, name: str) -> Path:
+def _require_artifact(config: RunConfig, name: str, writer: str) -> Path:
     path = config.out_path(name)
     if not path.exists():
-        raise FileNotFoundError(f"missing artifact {path}; run prepare first")
+        raise FileNotFoundError(f"missing artifact {path}; run {writer} first")
     return path
 
 
@@ -290,11 +285,11 @@ def cmd_analyze(config: RunConfig) -> None:
     warnings: list[str] = []
     stage = "load"
     try:
-        for name in ("failure.json", "report.json", "report.csv"):
+        for name in _ANALYZE_RECORDS:
             config.out_path(name).unlink(missing_ok=True)
-        corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl")))
-        lexicon = load_lexicon(str(_require_artifact(config, "lexicon_filtered.jsonl")))
-        space = load_vectors(str(_require_artifact(config, "vectors_combined.txt")))
+        corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl", "prepare")))
+        lexicon = load_lexicon(str(_require_artifact(config, "lexicon_filtered.jsonl", "prepare")))
+        space = load_vectors(str(_require_artifact(config, "vectors_combined.txt", "prepare")))
         if not config.vad_lexicon:
             raise ValueError("vad_lexicon must be configured for analyze")
         vad = load_vad_lexicon(config.vad_lexicon)
@@ -501,15 +496,17 @@ def build_report(config: RunConfig) -> dict:
     if failure.exists():
         failed = json.loads(failure.read_text("utf-8")).get("stage")
         raise ValueError(f"analyze failed at stage {failed!r} ({failure}); rerun analyze")
-    meta = json.loads(_require_artifact(config, "run_meta.json").read_text("utf-8"))
-    divergence = json.loads(_require_artifact(config, "divergence.json").read_text("utf-8"))
-    spearman_doc = json.loads(_require_artifact(config, "spearman.json").read_text("utf-8"))
+
+    def doc(name: str) -> dict:
+        return json.loads(_require_artifact(config, name, "analyze").read_text("utf-8"))
 
     def rows(name: str) -> list[dict]:
         return [
             {k: _maybe_float(v) for k, v in row.items()}
-            for row in _read_csv(_require_artifact(config, name))
+            for row in _read_csv(_require_artifact(config, name, "analyze"))
         ]
+
+    meta = doc("run_meta.json")  # analyze writes it last
 
     kde_rows = rows("kde_curves.csv")
     curves: dict[tuple[str, str], dict] = {}
@@ -523,8 +520,8 @@ def build_report(config: RunConfig) -> dict:
 
     return {
         "metadata": meta,
-        "divergence": divergence,
-        "spearman": spearman_doc,
+        "divergence": doc("divergence.json"),
+        "spearman": doc("spearman.json"),
         "gscore_idioms": rows("gscore_idioms.csv"),
         "vad_comparison": rows("vad_comparison.csv"),
         "literal_baseline": rows("literal_baseline.csv"),
@@ -572,8 +569,9 @@ def cmd_report(config: RunConfig, format: str) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a 'key = value' config file")
-    for key, (kind, help_text) in _CONFIG_KEYS.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=help_text)
+    for key, f in _CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_key_type(f),
+                            help=f.metadata.get("help"))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -4,7 +4,7 @@ A corpus is an ordered collection of posts, each tagged with one of two
 group labels.  All randomized operations take an explicit seed and are
 pure functions of (input, seed).  The greedy half split draws each seed's
 permutation with numpy and walks it in the C kernel of `_kernels.c`
-(`split_masks`); `split_halves` is the same rule as a plain loop.
+(`split_masks`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,21 +73,11 @@ class Corpus:
         return {g: t["tokens"] for g, t in self.totals().items()}
 
 
-def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpus:
-    """Read a corpus from a JSON-lines file.
-
-    Each line is an object with required keys ``author_id``, ``group`` and
-    ``text`` (``subreddit``/``timestamp`` optional).  Lines starting with
-    '#' and blank lines are skipped.  When `group_labels` is omitted the
-    two labels are inferred from the file in first-seen order; a third
-    distinct label is an error either way.
-    """
-    posts: list[Post] = []
-    seen_labels: list[str] = []
-    declared = tuple(group_labels) if group_labels is not None else None
-    if declared is not None and (len(declared) != 2 or declared[0] == declared[1]):
-        raise ValueError(f"group_labels must be two distinct labels, got {declared!r}")
-
+def read_records(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each line of a JSON-lines file but
+    blank lines and '#' lines.  A line that is not a JSON object, or lacks
+    one of the `required` keys as a string, is an error that names its
+    line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -99,26 +89,44 @@ def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpu
                 raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
             if not isinstance(rec, dict):
                 raise ValueError(f"line {lineno}: expected a JSON object")
-            for key in ("author_id", "group", "text"):
-                if key not in rec or not isinstance(rec[key], str):
+            for key in required:
+                if not isinstance(rec.get(key), str):
                     raise ValueError(f"line {lineno}: missing or non-string key {key!r}")
-            group = rec["group"]
-            if declared is not None:
-                if group not in declared:
-                    raise ValueError(f"line {lineno}: unknown group {group}")
-            elif group not in seen_labels:
-                seen_labels.append(group)
-                if len(seen_labels) > 2:
-                    raise ValueError(f"line {lineno}: unknown group {group}")
-            posts.append(
-                Post(
-                    author_id=rec["author_id"],
-                    group=group,
-                    text=rec["text"],
-                    tokens=tuple(tokenize(rec["text"])),
-                    subreddit=rec.get("subreddit"),
-                )
+            yield lineno, rec
+
+
+def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpus:
+    """Read a corpus from a JSON-lines file.
+
+    Each record (see `read_records`) has the string keys ``author_id``,
+    ``group`` and ``text`` (``subreddit``/``timestamp`` optional).  When
+    `group_labels` is omitted the two labels are inferred from the file in
+    first-seen order; a third distinct label is an error either way.
+    """
+    posts: list[Post] = []
+    seen_labels: list[str] = []
+    declared = tuple(group_labels) if group_labels is not None else None
+    if declared is not None and (len(declared) != 2 or declared[0] == declared[1]):
+        raise ValueError(f"group_labels must be two distinct labels, got {declared!r}")
+
+    for lineno, rec in read_records(path, ("author_id", "group", "text")):
+        group = rec["group"]
+        if declared is not None:
+            if group not in declared:
+                raise ValueError(f"line {lineno}: unknown group {group}")
+        elif group not in seen_labels:
+            seen_labels.append(group)
+            if len(seen_labels) > 2:
+                raise ValueError(f"line {lineno}: unknown group {group}")
+        posts.append(
+            Post(
+                author_id=rec["author_id"],
+                group=group,
+                text=rec["text"],
+                tokens=tuple(tokenize(rec["text"])),
+                subreddit=rec.get("subreddit"),
             )
+        )
 
     if declared is None:
         if len(seen_labels) < 2:
@@ -175,12 +183,14 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
 
 
 def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
-    """First-half masks of one greedy split per seed (see `split_halves`).
+    """First-half masks of one greedy split of positions 0..n-1 per seed,
+    shape (len(seeds), n).
 
-    Row s is `split_halves(token_counts, seeds[s])[0]` as a boolean mask
-    over positions, shape (len(seeds), n).  numpy draws each permutation
-    and the kernel walks it with an int64 key, whose range bounds the
-    token counts.
+    Each split assigns the positions in the order of the seed's numpy
+    permutation, each to whichever half has fewer (tokens, posts) so far,
+    ties going to the first, so the two halves' token totals end near
+    equal.  The kernel walks each permutation with an int64 key, whose
+    range bounds the token counts.
     """
     n = len(token_counts)
     if n < 2:
@@ -195,23 +205,3 @@ def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray
         perm = np.random.default_rng(seed).permutation(n)
         walk(steps.ctypes.data, perm.ctypes.data, n, mask.ctypes.data)
     return masks
-
-
-def split_halves(token_counts: Sequence[int], seed: int) -> tuple[list[int], list[int]]:
-    """Partition positions 0..n-1 into two halves of near-equal token totals.
-
-    The partition is exhaustive and disjoint; positions are assigned in
-    random order to whichever half currently has fewer (tokens, posts),
-    ties going to the first.  Each half lists its positions in assignment
-    order.  `split_masks` applies the same rule in C; this loop is its
-    oracle.
-    """
-    if len(token_counts) < 2:
-        raise ValueError("fewer than 2 posts to split")
-    halves: tuple[list[int], list[int]] = ([], [])
-    totals = [(0, 0), (0, 0)]  # (tokens, posts) per half
-    for j in np.random.default_rng(seed).permutation(len(token_counts)).tolist():
-        side = 0 if totals[0] <= totals[1] else 1
-        halves[side].append(j)
-        totals[side] = (totals[side][0] + token_counts[j], totals[side][1] + 1)
-    return halves

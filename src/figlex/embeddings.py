@@ -33,8 +33,8 @@ class TrainParams:
     dim: int = 100
     window: int = 5
     negatives: int = 5
-    min_count: int = 5
     epochs: int = 5
+    min_count: int = 5
     initial_lr: float = 0.025
     seed: int = 0
 

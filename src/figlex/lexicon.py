@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import TYPE_CHECKING
 
+from .corpus import read_records, tokenize
 from .embeddings import EmbeddingSpace, cosine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -243,96 +244,82 @@ def _infer_slot_kind(slot_token: str, lineno: int) -> str:
 def load_lexicon(path: str) -> Lexicon:
     """Read a lexicon from a JSON-lines file and expand every entry.
 
-    Required keys per line: ``canonical``, ``definition``.  Optional:
-    ``verb_index``, ``slot_index``, ``slot_kind`` (the kind the slot token
-    implies), ``literality`` (a finite number), and ``variants`` (a list
-    of surface strings written by a previous pruning run; when present it
-    replaces automatic expansion).  Duplicate canonicals and surface forms
-    shared across entries are load errors.
+    Each record (see `read_records`) has the string keys ``canonical`` and
+    ``definition``.  Optional: ``verb_index``, ``slot_index``, ``slot_kind``
+    (the kind the slot token implies), ``literality`` (a finite number),
+    and ``variants`` (a list of surface strings written by a previous
+    pruning run; when present it replaces automatic expansion).  Duplicate
+    canonicals and surface forms shared across entries are load errors.
     """
-    from .corpus import tokenize
-
     lexicon = Lexicon()
     surface_owner: dict[tuple[str, ...], str] = {}
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            for key in ("canonical", "definition"):
-                if key not in rec or not isinstance(rec[key], str):
-                    raise ValueError(f"line {lineno}: missing or non-string key {key!r}")
+    for lineno, rec in read_records(path, ("canonical", "definition")):
+        for key in ("verb_index", "slot_index"):
+            # json booleans are ints to Python, and True would index token 1
+            if rec.get(key) is not None and type(rec[key]) is not int:
+                raise ValueError(f"line {lineno}: {key} must be an integer")
+        literality = rec.get("literality")
+        if literality is not None and (type(literality) not in (int, float)
+                                       or not math.isfinite(literality)):
+            raise ValueError(f"line {lineno}: literality must be a finite number")
+        canonical = tuple(tokenize(rec["canonical"]))
+        if not canonical:
+            raise ValueError(f"line {lineno}: empty canonical form")
+        entry = IdiomEntry(
+            canonical=canonical,
+            definition=tuple(tokenize(rec["definition"])),
+            verb_index=rec.get("verb_index"),
+            slot_index=rec.get("slot_index"),
+            slot_kind=rec.get("slot_kind"),
+            literality=literality,
+        )
+        if entry.key in lexicon.entries:
+            raise ValueError(f"line {lineno}: duplicate canonical {entry.key!r}")
 
-            for key in ("verb_index", "slot_index"):
-                # json booleans are ints to Python, and True would index token 1
-                if rec.get(key) is not None and type(rec[key]) is not int:
-                    raise ValueError(f"line {lineno}: {key} must be an integer")
-            literality = rec.get("literality")
-            if literality is not None and (type(literality) not in (int, float)
-                                           or not math.isfinite(literality)):
-                raise ValueError(f"line {lineno}: literality must be a finite number")
-            canonical = tuple(tokenize(rec["canonical"]))
-            if not canonical:
-                raise ValueError(f"line {lineno}: empty canonical form")
-            entry = IdiomEntry(
-                canonical=canonical,
-                definition=tuple(tokenize(rec["definition"])),
-                verb_index=rec.get("verb_index"),
-                slot_index=rec.get("slot_index"),
-                slot_kind=rec.get("slot_kind"),
-                literality=literality,
-            )
-            if entry.key in lexicon.entries:
-                raise ValueError(f"line {lineno}: duplicate canonical {entry.key!r}")
+        n = len(canonical)
+        if entry.verb_index is not None:
+            if not 0 <= entry.verb_index < n:
+                raise ValueError(f"line {lineno}: verb_index {entry.verb_index} out of range")
+            lemma = canonical[entry.verb_index]
+            if not lemma.isalpha():
+                raise ValueError(f"line {lineno}: verb token {lemma!r} is not alphabetic")
+        if entry.slot_index is not None:
+            if not 0 <= entry.slot_index < n:
+                raise ValueError(f"line {lineno}: slot_index {entry.slot_index} out of range")
+            if entry.slot_index == entry.verb_index:
+                raise ValueError(f"line {lineno}: verb_index and slot_index coincide")
+            slot = canonical[entry.slot_index]
+            inferred = _infer_slot_kind(slot, lineno)
+            if entry.slot_kind not in (None, inferred):
+                raise ValueError(f"line {lineno}: slot_kind {entry.slot_kind!r} does not "
+                                 f"match slot token {slot!r} ({inferred})")
+            entry.slot_kind = inferred
+        elif entry.slot_kind is not None:
+            raise ValueError(f"line {lineno}: slot_kind needs a slot_index")
 
-            n = len(canonical)
-            if entry.verb_index is not None:
-                if not 0 <= entry.verb_index < n:
-                    raise ValueError(f"line {lineno}: verb_index {entry.verb_index} out of range")
-                lemma = canonical[entry.verb_index]
-                if not lemma.isalpha():
-                    raise ValueError(f"line {lineno}: verb token {lemma!r} is not alphabetic")
-            if entry.slot_index is not None:
-                if not 0 <= entry.slot_index < n:
-                    raise ValueError(f"line {lineno}: slot_index {entry.slot_index} out of range")
-                if entry.slot_index == entry.verb_index:
-                    raise ValueError(f"line {lineno}: verb_index and slot_index coincide")
-                slot = canonical[entry.slot_index]
-                inferred = _infer_slot_kind(slot, lineno)
-                if entry.slot_kind not in (None, inferred):
-                    raise ValueError(f"line {lineno}: slot_kind {entry.slot_kind!r} does not "
-                                     f"match slot token {slot!r} ({inferred})")
-                entry.slot_kind = inferred
-            elif entry.slot_kind is not None:
-                raise ValueError(f"line {lineno}: slot_kind needs a slot_index")
+        if "variants" in rec:
+            variants = rec["variants"]
+            if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+                raise ValueError(f"line {lineno}: variants must be a list of strings")
+            forms = {canonical}
+            for v in variants:
+                surface = tuple(tokenize(v))
+                if not surface:
+                    raise ValueError(f"line {lineno}: variant {v!r} has no tokens")
+                forms.add(surface)
+            entry.variants = tuple(sorted(forms))
+        else:
+            entry.variants = expand_entry(entry)
 
-            if "variants" in rec:
-                variants = rec["variants"]
-                if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-                    raise ValueError(f"line {lineno}: variants must be a list of strings")
-                forms = {canonical}
-                for v in variants:
-                    surface = tuple(tokenize(v))
-                    if not surface:
-                        raise ValueError(f"line {lineno}: variant {v!r} has no tokens")
-                    forms.add(surface)
-                entry.variants = tuple(sorted(forms))
-            else:
-                entry.variants = expand_entry(entry)
-
-            for tokens in entry.variants:
-                if tokens in surface_owner:
-                    raise ValueError(
-                        f"line {lineno}: surface form {' '.join(tokens)!r} belongs to both "
-                        f"{surface_owner[tokens]!r} and {entry.key!r}"
-                    )
-                surface_owner[tokens] = entry.key
-            lexicon.entries[entry.key] = entry
+        for tokens in entry.variants:
+            if tokens in surface_owner:
+                raise ValueError(
+                    f"line {lineno}: surface form {' '.join(tokens)!r} belongs to both "
+                    f"{surface_owner[tokens]!r} and {entry.key!r}"
+                )
+            surface_owner[tokens] = entry.key
+        lexicon.entries[entry.key] = entry
     return lexicon
 
 

@@ -88,12 +88,12 @@ def divergence_gap_test(
     Over the posts of `counts` (from `count_usages`), the JSD of the two
     groups' idiom counts is contrasted against `n_splits` random half-half
     splits inside each group.  Every split draws its own child seed;
-    `split_masks` applies the greedy rule of `split_halves` to all of a
-    group's splits in one walk.  A split's first half is one `bincount`
-    over the group's spans and its second is the group total minus the
-    first.  The reported p-value is the smoothed fraction of pooled
-    baseline samples at least as large as the observed value; z is measured
-    against a normal fit to the pooled baseline.
+    `split_masks` makes all of a group's greedy splits in one call.  A
+    split's first half is one `bincount` over the group's spans and its
+    second is the group total minus the first.  The reported p-value is the
+    smoothed fraction of pooled baseline samples at least as large as the
+    observed value; z is measured against a normal fit to the pooled
+    baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")

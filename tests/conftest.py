@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -39,6 +40,22 @@ def make_corpus(texts_by_group: dict[str, list[str]], labels=None) -> Corpus:
             posts.append(make_post(text, group=group, author=f"{group}{i}"))
     labels = labels or tuple(texts_by_group)
     return Corpus(posts=tuple(posts), group_labels=tuple(labels))
+
+
+def split_halves(token_counts, seed):
+    """The greedy half split as a plain loop, the oracle of `split_masks`:
+    positions in the order of the seed's permutation, each to whichever
+    half has fewer (tokens, posts) so far, ties going to the first.  Each
+    half lists its positions in assignment order."""
+    if len(token_counts) < 2:
+        raise ValueError("fewer than 2 posts to split")
+    halves = ([], [])
+    totals = [(0, 0), (0, 0)]  # (tokens, posts) per half
+    for j in np.random.default_rng(seed).permutation(len(token_counts)).tolist():
+        side = 0 if totals[0] <= totals[1] else 1
+        halves[side].append(j)
+        totals[side] = (totals[side][0] + token_counts[j], totals[side][1] + 1)
+    return halves
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -22,8 +22,9 @@ from scipy.special import expit
 
 import figlex
 from figlex.affect import (
-    beta_log_likelihood,
-    beta_log_likelihood_grad,
+    _beta_data,
+    _log_likelihood,
+    _log_likelihood_grad,
     fit_beta_regression,
     predict_beta,
 )
@@ -214,18 +215,18 @@ def test_criterion_05_beta_regression():
     recovery_err = float(np.max(np.abs(model.coefficients - beta)))
     ok = recovery_err < 0.05
 
-    yc = np.clip(y[:300], 1e-4, 1 - 1e-4)
+    data = _beta_data(X[:300], np.clip(y[:300], 1e-4, 1 - 1e-4))
     h = 1e-5
     worst_rel = 0.0
     for _ in range(10):
         params = np.concatenate([rng.normal(scale=0.5, size=4), [rng.uniform(0.5, 3.5)]])
-        grad = beta_log_likelihood_grad(params, X[:300], yc)
+        grad = _log_likelihood_grad(params, *data)
         fd = np.zeros_like(params)
         for i in range(len(params)):
             e = np.zeros_like(params)
             e[i] = h
-            fd[i] = (beta_log_likelihood(params + e, X[:300], yc)
-                     - beta_log_likelihood(params - e, X[:300], yc)) / (2 * h)
+            fd[i] = (_log_likelihood(params + e, *data)
+                     - _log_likelihood(params - e, *data)) / (2 * h)
         rel = float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)))
         worst_rel = max(worst_rel, rel)
     ok &= worst_rel < 1e-4

@@ -13,8 +13,6 @@ import figlex.affect
 from figlex.affect import (
     DIMENSIONS,
     VadModel,
-    beta_log_likelihood,
-    beta_log_likelihood_grad,
     compare_vad,
     fit_beta_regression,
     literal_baseline,
@@ -24,8 +22,11 @@ from figlex.affect import (
     score_definitions,
     train_vad_models,
     usage_vad_series,
+    _beta_data,
     _digamma,
     _gammaln,
+    _log_likelihood,
+    _log_likelihood_grad,
     _sigmoid,
 )
 from figlex.corpus import Corpus
@@ -92,17 +93,18 @@ class TestBetaRegression:
         beta = np.array([0.2, -0.5, 0.7])
         X, y = synthetic_beta_data(200, beta, phi=20.0, seed=3)
         y = np.clip(y, 1e-4, 1 - 1e-4)
+        data = _beta_data(X, y)
         rng = np.random.default_rng(5)
         h = 1e-5
         for _ in range(10):
             params = np.concatenate([rng.normal(scale=0.5, size=3), [rng.uniform(0.5, 3.0)]])
-            grad = beta_log_likelihood_grad(params, X, y)
+            grad = _log_likelihood_grad(params, *data)
             fd = np.zeros_like(params)
             for i in range(len(params)):
                 e = np.zeros_like(params)
                 e[i] = h
-                fd[i] = (beta_log_likelihood(params + e, X, y)
-                         - beta_log_likelihood(params - e, X, y)) / (2 * h)
+                fd[i] = (_log_likelihood(params + e, *data)
+                         - _log_likelihood(params - e, *data)) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
             assert np.max(rel) < 1e-4
 
@@ -225,7 +227,7 @@ class TestSigmoid:
 
 
 def scipy_log_likelihood(params, X, y):
-    """`beta_log_likelihood` written with scipy.special."""
+    """`_log_likelihood` written with scipy.special."""
     phi = math.exp(params[-1])
     mu = np.clip(expit(params[0] + X @ params[1:-1]), 1e-12, 1 - 1e-12)
     return float(np.mean(gammaln(phi) - gammaln(mu * phi) - gammaln((1 - mu) * phi)
@@ -233,7 +235,7 @@ def scipy_log_likelihood(params, X, y):
 
 
 def scipy_log_likelihood_grad(params, X, y):
-    """`beta_log_likelihood_grad` written with scipy.special."""
+    """`_log_likelihood_grad` written with scipy.special."""
     phi = math.exp(params[-1])
     design = np.hstack([np.ones((len(y), 1)), X])
     mu = np.clip(expit(design @ params[:-1]), 1e-12, 1 - 1e-12)
@@ -257,8 +259,9 @@ class TestLikelihoodAgainstScipy:
         X = rng.normal(size=(n, d))
         y = rng.uniform(1e-4, 1 - 1e-4, n)
         params = np.concatenate([rng.normal(scale=1.5, size=d + 1), [rng.uniform(-2.0, 5.0)]])
-        assert within(beta_log_likelihood(params, X, y), scipy_log_likelihood(params, X, y), 1e-12)
-        assert within(beta_log_likelihood_grad(params, X, y),
+        data = _beta_data(X, y)
+        assert within(_log_likelihood(params, *data), scipy_log_likelihood(params, X, y), 1e-12)
+        assert within(_log_likelihood_grad(params, *data),
                       scipy_log_likelihood_grad(params, X, y), 1e-12).all()
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 import figlex.cli
 import figlex.matcher
 from figlex.cli import (
+    RunConfig,
     StageError,
     build_config,
     build_report,
@@ -128,6 +131,30 @@ def medium_inputs(tmp_path, skewed=True, seed=0):
     }
 
 
+# Every config key, a non-default value of it as text, and the field it sets
+KEY_VALUES = [
+    ("corpus", "c.jsonl", "corpus", "c.jsonl"),
+    ("lexicon", "l.jsonl", "lexicon", "l.jsonl"),
+    ("vad_lexicon", "v.csv", "vad_lexicon", "v.csv"),
+    ("out", "o", "out", "o"),
+    ("seed", "7", "seed", 7),
+    ("groups", "M,F", "groups", ("M", "F")),
+    ("min_count", "3", "min_count", 3),
+    ("literality_threshold", "0.5", "literality_threshold", 0.5),
+    ("rbo_depth", "7", "rbo_depth", 7),
+    ("n_splits", "9", "n_splits", 9),
+    ("baseline_n", "4", "baseline_n", 4),
+    ("dim", "16", "train.dim", 16),
+    ("window", "3", "train.window", 3),
+    ("negatives", "2", "train.negatives", 2),
+    ("epochs", "2", "train.epochs", 2),
+    ("train_min_count", "2", "train.min_count", 2),
+    ("initial_lr", "0.05", "train.initial_lr", 0.05),
+]
+HELP_TEXTS = ("corpus JSONL path", "lexicon JSONL path", "VAD ratings CSV path",
+              "output directory", "comma-separated pair of group labels")
+
+
 class TestConfig:
     def test_file_and_overrides(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -166,6 +193,38 @@ class TestConfig:
         conf.write_text("seed = 1\nnot a pair\n")
         with pytest.raises(ValueError, match="line 2"):
             parse_config_file(str(conf))
+
+    @pytest.mark.parametrize("key, text, attr, value", KEY_VALUES,
+                             ids=[row[0] for row in KEY_VALUES])
+    def test_key_sets_its_field(self, tmp_path, monkeypatch, key, text, attr, value):
+        assert attrgetter(attr)(RunConfig()) != value
+        seen = []
+        monkeypatch.setattr(figlex.cli, "cmd_prepare", seen.append)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {text}\n")
+        assert main(["prepare", "--config", str(conf)]) == 0
+        assert main(["prepare", "--" + key.replace("_", "-"), text]) == 0
+        assert [attrgetter(attr)(config) for config in seen] == [value, value]
+
+    def test_help_lists_every_key(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["prepare", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        flags = re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE)
+        assert flags == ["--config"] + ["--" + row[0].replace("_", "-") for row in KEY_VALUES]
+        for text in HELP_TEXTS:
+            assert text in out
+
+    @pytest.mark.parametrize("key, value, expected", [("seed", "abc", "an integer"),
+                                                      ("dim", "1.5", "an integer"),
+                                                      ("initial_lr", "fast", "a number")])
+    def test_config_file_type_error_names_the_key(self, tmp_path, capsys, key, value, expected):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        assert main(["prepare", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {key}: expected {expected}, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestPrepare:
@@ -423,6 +482,37 @@ class TestReport:
             assert "'load'" in capsys.readouterr().err
             assert not (Path(config.out) / f"report.{fmt}").exists()
 
+    def test_after_prepare_only_names_analyze(self, tmp_path):
+        config = build_config({}, tiny_overrides(tmp_path))
+        cmd_prepare(config)
+        with pytest.raises(StageError, match=r"run_meta\.json; run analyze first"):
+            cmd_report(config, "json")
+
+    def test_refuses_after_a_new_prepare(self, tmp_path, capsys):
+        overrides = medium_inputs(tmp_path)
+        config = build_config({}, overrides)
+        cmd_prepare(config)
+        cmd_analyze(config)
+        cmd_report(config, "json")
+        cmd_report(config, "csv")
+        config.out_path("failure.json").write_text("{}\n")  # as a failed analyze leaves it
+        records = ("run_meta.json", "failure.json", "report.json", "report.csv")
+        # a prepare that fails before its write stage removes nothing
+        with pytest.raises(StageError, match="stage load"):
+            cmd_prepare(build_config({}, {**overrides, "corpus": str(tmp_path / "nope.jsonl")}))
+        assert all(config.out_path(name).exists() for name in records)
+
+        reseeded = build_config({}, {**overrides, "seed": 4})
+        cmd_prepare(reseeded)
+        assert not any(config.out_path(name).exists() for name in records)
+        for fmt in ("json", "csv"):
+            assert main(["report", "--out", config.out, "--format", fmt]) == 1
+            assert "run analyze first" in capsys.readouterr().err
+        cmd_analyze(reseeded)
+        cmd_report(reseeded, "json")
+        report = json.loads(config.out_path("report.json").read_text())
+        assert report["metadata"]["seed"] == 4
+
     def test_build_report_shape(self, analyzed):
         doc = build_report(analyzed)
         assert set(doc) == {"metadata", "divergence", "spearman", "gscore_idioms",
@@ -489,9 +579,14 @@ class TestMainEntry:
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("seed = 1\nno_such_key = 3\n")
-        assert main(["prepare", "--config", str(conf)]) == 2
-        assert "no_such_key" in capsys.readouterr().err
+        # `train` and the training seed are fields but not keys
+        for key in ("no_such_key", "train", "train_seed"):
+            conf.write_text(f"seed = 1\n{key} = 3\n")
+            assert main(["prepare", "--config", str(conf)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["prepare", "--no-such-key", "3"])
+        assert exit_info.value.code == 2
 
     def test_baseline_n_below_two_exits_two(self, tmp_path, capsys):
         # 1 would pass the divergence and gscore stages, then fail at affect

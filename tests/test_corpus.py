@@ -9,12 +9,12 @@ from figlex.corpus import (
     balance_groups,
     load_corpus,
     save_corpus,
-    split_halves,
     split_masks,
     tokenize,
 )
+from figlex.lexicon import load_lexicon
 
-from conftest import make_corpus, write_jsonl
+from conftest import make_corpus, split_halves, write_jsonl
 
 
 class TestTokenize:
@@ -113,6 +113,16 @@ class TestLoadCorpus:
         assert [p.tokens for p in again.posts] == [p.tokens for p in corpus.posts]
 
 
+@pytest.mark.parametrize("load", [load_corpus, load_lexicon])
+@pytest.mark.parametrize("line", ["5", '"canonical"', "[1]"])
+def test_non_object_line_rejected(tmp_path, load, line):
+    # both loaders read their lines through one record reader
+    path = tmp_path / "records.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=r"^line 1: expected a JSON object$"):
+        load(str(path))
+
+
 class TestBalanceGroups:
     def test_already_equal_is_noop(self):
         corpus = make_corpus({"A": ["w w w"], "B": ["x x x"]})
@@ -159,21 +169,24 @@ class TestRandomHalves:
         corpus = make_corpus({"A": ["only one"], "B": ["z z"]})
         lengths = [p.token_count for p in corpus.posts if p.group == "A"]
         with pytest.raises(ValueError, match="fewer than 2"):
-            split_halves(lengths, seed=0)
+            split_masks(lengths, [0])
 
 
 class TestSplitHalves:
     def test_partition_property(self):
-        first, second = split_halves([3] * 10, seed=1)
-        assert not set(first) & set(second)
-        assert sorted(first + second) == list(range(10))
+        masks = split_masks([3] * 10, [1, 2])
+        assert masks.shape == (2, 10) and masks.dtype == bool
+        # ten equal posts: five on each side, whatever the permutation
+        assert masks.sum(axis=1).tolist() == [5, 5]
 
     def test_deterministic(self):
-        assert split_halves([1] * 9, seed=4) == split_halves([1] * 9, seed=4)
+        masks = split_masks([1] * 9, [4, 4, 5])
+        assert np.array_equal(masks[0], masks[1])
+        assert np.array_equal(split_masks([1] * 9, [4, 5]), masks[1:])
 
     def test_equal_length_posts_balance(self):
-        first, second = split_halves([4] * 1000, seed=2)
-        assert abs(4 * len(first) - 4 * len(second)) <= 4
+        mask = split_masks([4] * 1000, [2])[0]
+        assert abs(4 * mask.sum() - 4 * (~mask).sum()) <= 4
 
     # few distinct lengths, zeros included, so (tokens, posts) ties are common;
     # the large ones take the walk's int64 key near its range
@@ -196,8 +209,6 @@ class TestSplitHalves:
 
     @pytest.mark.parametrize("lengths", [[], [3]])
     def test_fewer_than_two_posts(self, lengths):
-        with pytest.raises(ValueError, match="fewer than 2 posts to split"):
-            split_halves(lengths, 0)
         with pytest.raises(ValueError, match="fewer than 2 posts to split"):
             split_masks(lengths, [0, 1])
 

@@ -1,8 +1,9 @@
 """The C kernels' tables, their noise mapping, and how they are built and
 cached.  The SGNS kernel is checked against a scalar loop in
-test_embeddings.py and the split walk against `split_halves` in
+test_embeddings.py and the split walk against a plain loop in
 test_corpus.py."""
 
+import ctypes
 import hashlib
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -31,13 +33,42 @@ TABLE_SHA256 = (
 )
 
 
-def kernel_noise_rows(cdf, uniforms):
-    """The kernel's noise mapping of `uniforms` through `cdf`."""
-    guide = _kernels.noise_guide(cdf)
-    out = np.empty(uniforms.size, dtype=np.int64)
-    _kernels.load().noise_rows(cdf.ctypes.data, cdf.size, guide.ctypes.data,
-                               uniforms.ctypes.data, uniforms.size, out.ctypes.data)
-    return out
+# Includes the kernel source, so its static noise_row is in scope.
+NOISE_HARNESS = """#include "_kernels.c"
+
+void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
+                const double *draws, int64_t count, int64_t *out)
+{
+    for (int64_t c = 0; c < count; c++)
+        out[c] = noise_row(cdf, n, guide, draws[c]);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_noise_rows(tmp_path_factory):
+    """The kernel's noise mapping of `uniforms` through `cdf`, from a
+    harness built with the library's flags."""
+    tmp = tmp_path_factory.mktemp("noise-harness")
+    (tmp / "harness.c").write_text(NOISE_HARNESS)
+    built = subprocess.run(
+        [os.environ.get("CC") or "cc", *_kernels._FLAGS, "-I", str(_kernels._SOURCE.parent),
+         "-o", str(tmp / "harness.so"), str(tmp / "harness.c")],
+        capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    harness = ctypes.CDLL(str(tmp / "harness.so"))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    harness.noise_rows.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
+    harness.noise_rows.restype = None
+
+    def noise_rows(cdf, uniforms):
+        guide = _kernels.noise_guide(cdf)
+        out = np.empty(uniforms.size, dtype=np.int64)
+        harness.noise_rows(cdf.ctypes.data, cdf.size, guide.ctypes.data,
+                           uniforms.ctypes.data, uniforms.size, out.ctypes.data)
+        return out
+
+    return noise_rows
 
 
 class TestTables:
@@ -65,7 +96,7 @@ class TestNoiseMapping:
     # CDF entries u whose guide bucket int(u * n) starts past their index
     @example(weights=[1, 2, 1, 2, 4, 2], drawn=np.zeros(0))
     @example(weights=[4, 2, 3, 4, 3, 2, 4, 4, 1, 3], drawn=np.zeros(0))
-    def test_guide_table_equals_searchsorted(self, weights, drawn):
+    def test_guide_table_equals_searchsorted(self, kernel_noise_rows, weights, drawn):
         weights = np.array(weights, dtype=np.float64)
         cdf = np.cumsum(weights / weights.sum())
         cdf[-1] = 1.0

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import figlex.stats
-from figlex.corpus import balance_groups, load_corpus, split_halves
+from figlex.corpus import balance_groups, load_corpus
 from figlex.embeddings import TrainParams, nearest_neighbors, train_sgns
 from figlex.lexicon import IdiomEntry, Lexicon, idiom_token, load_lexicon
 from figlex.matcher import build_matcher, count_usages, find_matches
@@ -33,7 +33,7 @@ from figlex.stats import (
     _t_two_sided_p,
 )
 
-from conftest import DATA_DIR, make_corpus, write_jsonl
+from conftest import DATA_DIR, make_corpus, split_halves, write_jsonl
 
 
 class TestJsd:
