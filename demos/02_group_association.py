@@ -13,9 +13,7 @@ from figlex import (
     Post,
     build_matcher,
     count_usages,
-    gscore_definition,
-    gscore_surface,
-    idiom_token,
+    idiom_scores,
     log_odds_dirichlet,
     tokenize,
 )
@@ -57,8 +55,6 @@ for canonical, per_group in counts.idiom_counts.items():
 tokens_f, tokens_m = counts.tokens_for("F"), counts.tokens_for("M")
 table = log_odds_dirichlet(tokens_f, tokens_m, tokens_f + tokens_m)
 print("\n== association scores (positive = F, negative = M) ==")
-for entry in lexicon:
-    z = table[idiom_token(entry.key)].z
-    print(f"  {entry.key!r}: idiom z = {z:+.2f}, "
-          f"surface mean = {gscore_surface(entry, table):+.2f}, "
-          f"definition mean = {gscore_definition(entry, table):+.2f}")
+for canonical, z, surface, definition in idiom_scores(lexicon, table):
+    print(f"  {canonical!r}: idiom z = {z:+.2f}, "
+          f"surface mean = {surface:+.2f}, definition mean = {definition:+.2f}")

@@ -62,8 +62,7 @@ from .stats import (
     TestResult,
     cohens_d,
     divergence_gap_test,
-    gscore_definition,
-    gscore_surface,
+    idiom_scores,
     jsd,
     kde,
     log_odds_dirichlet,

@@ -368,21 +368,18 @@ def usage_vad_series(
     counts: GroupCounts, scores: Mapping[str, tuple[float, float, float]], group: str
 ) -> tuple[UsageSeries, UsageSeries, UsageSeries]:
     """One value series per affect dimension, with each idiom's score (see
-    `score_definitions`) repeated once per usage in the group."""
+    `score_definitions`) repeated once per usage in the group, in the key
+    order of ``counts.idiom_counts``."""
     if group not in counts.groups:
         raise ValueError(f"unknown group {group!r}")
-    columns: list[list[float]] = [[], [], []]
-    for canonical, per_group in counts.idiom_counts.items():
+    for canonical in counts.idiom_counts:
         if canonical not in scores:
             raise ValueError(f"idiom {canonical!r} has no affect scores")
-        c = per_group[group]
-        if c <= 0:
-            continue
-        triple = scores[canonical]
-        for i in range(3):
-            columns[i].extend([triple[i]] * c)
+    table = np.array([scores[c] for c in counts.idiom_counts], dtype=np.float64).reshape(-1, 3)
+    repeats = np.array([per_group[group] for per_group in counts.idiom_counts.values()],
+                       dtype=np.intp)
     return tuple(
-        UsageSeries(dimension=dim, group=group, values=np.array(columns[i], dtype=np.float64))
+        UsageSeries(dimension=dim, group=group, values=np.repeat(table[:, i], repeats))
         for i, dim in enumerate(DIMENSIONS)
     )  # type: ignore[return-value]
 
@@ -471,5 +468,5 @@ def save_vad_models(models: Mapping[str, VadModel], path: str) -> None:
         ]
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -31,12 +31,11 @@ from .affect import (
 )
 from .corpus import balance_groups, load_corpus, save_corpus
 from .embeddings import TrainParams, load_vectors, save_vectors, train_sgns
-from .lexicon import filter_literal, idiom_token, load_lexicon, prune_variants, save_lexicon
-from .matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
+from .lexicon import filter_literal, load_lexicon, prune_variants, save_lexicon
+from .matcher import build_matcher, count_usages
 from .stats import (
     divergence_gap_test,
-    gscore_definition,
-    gscore_surface,
+    idiom_scores,
     kde,
     log_odds_dirichlet,
     neighborhood_overlap,
@@ -160,7 +159,7 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> R
 
 def _write_json(path: Path, payload: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -209,11 +208,7 @@ def cmd_prepare(config: RunConfig) -> None:
         del counts  # unused from here on: free it, streams included, before training
 
         stage = "embed"
-        pruned_matcher = build_matcher(pruned)
-        space = train_sgns(
-            [rewrite_with_idiom_tokens(pruned_matcher, p.tokens) for p in balanced.posts],
-            config.train,
-        )
+        space = train_sgns(count_usages(build_matcher(pruned), balanced).streams, config.train)
 
         stage = "literality"
         filtered, literality_rows = filter_literal(pruned, space, config.literality_threshold)
@@ -309,10 +304,13 @@ def cmd_analyze(config: RunConfig) -> None:
                 "baseline_max": divergence.baseline_max,
                 "n_splits": divergence.n_splits,
                 "p_empirical": divergence.p_value,
-                "z_normal_fit": divergence.z,
+                "z_normal_fit": divergence.z if math.isfinite(divergence.z) else None,
                 "log_base": 2,
             },
         )
+        if not math.isfinite(divergence.z):
+            warnings.append(f"divergence z is {divergence.z} (the split baseline has no spread); "
+                            "z_normal_fit is null")
 
         stage = "gscore"
         tokens_a, tokens_b = counts.tokens_for(group_a), counts.tokens_for(group_b)
@@ -321,50 +319,19 @@ def cmd_analyze(config: RunConfig) -> None:
                    ([token, _num(rec.delta), _num(rec.sigma), _num(rec.z)]
                     for token, rec in sorted(table.items())))
 
-        idiom_rows = []
-        for canonical in lexicon.canonicals():
-            entry = lexicon.get(canonical)
-            tok = idiom_token(canonical)
-            gi = table[tok].z if tok in table else None
-            try:
-                gs = gscore_surface(entry, table)
-            except ValueError:
-                gs = None
-            try:
-                gd = gscore_definition(entry, table)
-            except ValueError:
-                gd = None
-            idiom_rows.append(
-                {
-                    "canonical": canonical,
-                    "gscore": gi,
-                    "gscore_surface": gs,
-                    "gscore_definition": gd,
-                    f"count_{group_a}": counts.idiom_counts[canonical][group_a],
-                    f"count_{group_b}": counts.idiom_counts[canonical][group_b],
-                }
-            )
-        idiom_rows.sort(key=lambda r: r["canonical"])
+        idiom_rows = idiom_scores(lexicon, table)
+        usage = counts.idiom_counts
         _write_csv(config.out_path("gscore_idioms.csv"),
                    ["canonical", "gscore", "gscore_surface", "gscore_definition",
                     f"count_{group_a}", f"count_{group_b}"],
-                   ([row["canonical"], _num(row["gscore"]),
-                     _num(row["gscore_surface"]), _num(row["gscore_definition"]),
-                     row[f"count_{group_a}"], row[f"count_{group_b}"]] for row in idiom_rows))
-
-        paired_s = [(r["gscore"], r["gscore_surface"]) for r in idiom_rows
-                    if r["gscore"] is not None and r["gscore_surface"] is not None]
-        paired_d = [(r["gscore"], r["gscore_definition"]) for r in idiom_rows
-                    if r["gscore"] is not None and r["gscore_definition"] is not None]
-        rho_s = spearman([p[0] for p in paired_s], [p[1] for p in paired_s])
-        rho_d = spearman([p[0] for p in paired_d], [p[1] for p in paired_d])
-        _write_json(
-            config.out_path("spearman.json"),
-            {
-                "surface": {"rho": rho_s.statistic, "p_value": rho_s.p_value, "n": rho_s.n_a},
-                "definition": {"rho": rho_d.statistic, "p_value": rho_d.p_value, "n": rho_d.n_a},
-            },
-        )
+                   ([c, *map(_num, zs), usage[c][group_a], usage[c][group_b]]
+                    for c, *zs in idiom_rows))
+        rho = {}
+        for name, column in (("surface", 2), ("definition", 3)):
+            paired = [r for r in idiom_rows if r[1] is not None and r[column] is not None]
+            test = spearman([r[1] for r in paired], [r[column] for r in paired])
+            rho[name] = {"rho": test.statistic, "p_value": test.p_value, "n": test.n_a}
+        _write_json(config.out_path("spearman.json"), rho)
 
         del table, tokens_a, tokens_b  # not read again: free them before the affect peak
         stage = "affect"
@@ -425,13 +392,10 @@ def cmd_analyze(config: RunConfig) -> None:
                             f"with {config.rbo_depth} neighbors")
 
         stage = "figures"
-        fig_rows = []
-        for row in idiom_rows:
-            total = row[f"count_{group_a}"] + row[f"count_{group_b}"]
-            if total > 0 and row["gscore"] is not None:
-                fig_rows.append([row["canonical"], _num(math.log10(total)), _num(row["gscore"])])
         _write_csv(config.out_path("fig_gscore_vs_count.csv"),
-                   ["canonical", "log10_count", "gscore"], fig_rows)
+                   ["canonical", "log10_count", "gscore"],
+                   ([c, _num(math.log10(n)), _num(z)] for c, z, *_ in idiom_rows
+                    if z is not None and (n := sum(usage[c].values())) > 0))
 
         _write_json(
             config.out_path("run_meta.json"),
@@ -581,9 +545,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # allow_abbrev=False: a flag is its whole key, as in the config file
     parser = argparse.ArgumentParser(
         prog="figlex",
         description="Contrast two author groups' idiomatic language usage.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
@@ -591,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         ("analyze", "run all group-contrast analyses over prepared artifacts"),
         ("report", "export the consolidated report bundle"),
     ):
-        p = sub.add_parser(name, help=doc)
+        p = sub.add_parser(name, help=doc, allow_abbrev=False)
         _add_common_flags(p)
         if name == "report":
             p.add_argument("--format", choices=("csv", "json"), required=True)

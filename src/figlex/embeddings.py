@@ -91,11 +91,12 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     """Train embeddings on token sequences, one per sentence.
 
     An idiom is one token only if the sentences were rewritten first: the
-    pipeline passes `GroupCounts.streams` or `rewrite_with_idiom_tokens`
-    output.  Uses the classic two-matrix formulation: for every (center, context)
-    pair, `negatives` noise tokens are drawn from the unigram^0.75
-    distribution and a logistic update is applied with linearly decaying
-    learning rate.  Per-epoch mean loss is recorded on the returned space.
+    pipeline passes only `count_usages` streams, `GroupCounts.streams` or a
+    group's `streams_for`.  Uses the classic two-matrix formulation: for
+    every (center, context) pair, `negatives` noise tokens are drawn from
+    the unigram^0.75 distribution and a logistic update is applied with
+    linearly decaying learning rate.  Per-epoch mean loss is recorded on
+    the returned space.
     """
     counts = Counter(t for sent in sentences for t in sent)
     vocab_tokens = sorted(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import split_masks
 from .embeddings import EmbeddingSpace, nearest_neighbors
-from .lexicon import IdiomEntry, idiom_token
+from .lexicon import Lexicon, idiom_token
 from .matcher import GroupCounts
 
 
@@ -198,22 +198,24 @@ def log_odds_dirichlet(
     return records
 
 
-def _mean_word_score(words: Sequence[str], table: Mapping[str, GScore], what: str) -> float:
-    unique = list(dict.fromkeys(words))
-    scored = [table[w].z for w in unique if w in table]
-    if not scored:
-        raise ValueError(f"no {what} word present in the score table")
-    return float(sum(scored) / len(scored))
+def idiom_scores(
+    lexicon: Lexicon, table: Mapping[str, GScore]
+) -> list[tuple[str, float | None, float | None, float | None]]:
+    """One row per idiom, sorted by canonical: (canonical, the z of its idiom
+    token, the mean z of its surface words, the mean z of its definition
+    words).  A mean is over the unique words that `table` scores; a score
+    is None when `table` lacks its token, or every one of its words."""
 
+    def mean_z(words: Sequence[str]) -> float | None:
+        scored = [table[w].z for w in dict.fromkeys(words) if w in table]
+        return float(sum(scored) / len(scored)) if scored else None
 
-def gscore_surface(entry: IdiomEntry, table: Mapping[str, GScore]) -> float:
-    """Mean association score over the canonical-form word set."""
-    return _mean_word_score(entry.canonical, table, "surface")
-
-
-def gscore_definition(entry: IdiomEntry, table: Mapping[str, GScore]) -> float:
-    """Mean association score over the definition word set."""
-    return _mean_word_score(entry.definition, table, "definition")
+    rows = []
+    for canonical, entry in sorted(lexicon.entries.items()):
+        record = table.get(idiom_token(canonical))
+        rows.append((canonical, None if record is None else record.z,
+                     mean_z(entry.canonical), mean_z(entry.definition)))
+    return rows
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

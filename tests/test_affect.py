@@ -379,6 +379,26 @@ class TestUsageSeries:
         expected = sum(c["A"] for c in idiom_counts.values())
         assert all(len(s.values) == expected for s in triple)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.tuples(*[st.floats(0, 1)] * 3)), max_size=8))
+    @example([])
+    def test_values_follow_a_per_usage_expansion(self, rows):
+        idiom_counts = {f"i{k}": {"A": a, "B": b} for k, (a, b, _) in enumerate(rows)}
+        # the scores in reverse key order: the series follow idiom_counts
+        scores = {f"i{k}": triple for k, (_, _, triple) in reversed(list(enumerate(rows)))}
+        for group, column in (("A", 0), ("B", 1)):
+            expected = [[], [], []]
+            for row in rows:
+                for _ in range(row[column]):
+                    for i in range(3):
+                        expected[i].append(row[2][i])
+            triple = usage_vad_series(self.counts(idiom_counts), scores, group)
+            for series, dim, values in zip(triple, DIMENSIONS, expected, strict=True):
+                assert (series.dimension, series.group) == (dim, group)
+                assert series.values.dtype == np.float64
+                assert series.values.tolist() == values
+
     def test_missing_scores_error(self):
         counts = self.counts({"i1": {"A": 1, "B": 0}})
         with pytest.raises(ValueError, match="no affect scores"):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from dataclasses import replace
 from operator import attrgetter
@@ -351,6 +352,18 @@ class TestAnalyze:
         marker = json.loads((Path(config.out) / "failure.json").read_text())
         assert marker == {"stage": stage, "error": "planted failure"}
 
+    def test_fewer_than_three_scored_pairs_fail_at_gscore(self, tmp_path):
+        overrides = medium_inputs(tmp_path)
+        write_jsonl(Path(overrides["lexicon"]), TINY_LEXICON)  # two idioms, two pairs
+        config = build_config({}, overrides)
+        cmd_prepare(config)
+        with pytest.raises(StageError) as info:
+            cmd_analyze(config)
+        assert info.value.stage == "gscore"
+        assert isinstance(info.value.cause, ValueError)
+        assert str(info.value.cause) == "need at least 3 observations"
+        assert config.out_path("gscore_idioms.csv").exists()
+
     def test_failed_run_removes_earlier_reports(self, tmp_path):
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
@@ -385,6 +398,50 @@ class TestMatchOnce:
         cmd_analyze(config)
         corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
         assert len(calls) == len(corpus)
+
+
+def _strict_json_files(out):
+    """Every JSON file in `out` by name, parsed with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return {p.name: json.loads(p.read_text(), parse_constant=refuse)
+            for p in Path(out).glob("*.json")}
+
+
+class TestStrictJson:
+    """Every JSON file a run writes is standard JSON: no NaN or Infinity."""
+
+    def test_normal_run(self, analyzed):
+        cmd_report(analyzed, "json")
+        docs = _strict_json_files(analyzed.out)
+        assert {"divergence.json", "report.json", "run_meta.json"} <= set(docs)
+        assert math.isfinite(docs["divergence.json"]["z_normal_fit"])
+        assert not any("z_normal_fit" in w for w in docs["run_meta.json"]["warnings"])
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_z_is_null_with_a_warning(self, tmp_path, monkeypatch, z):
+        jsonschema = pytest.importorskip("jsonschema")
+        from importlib import resources
+
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        divergence_gap_test = figlex.cli.divergence_gap_test
+        monkeypatch.setattr(figlex.cli, "divergence_gap_test",
+                            lambda *args: replace(divergence_gap_test(*args), z=z))
+        cmd_analyze(config)
+        cmd_report(config, "json")
+        docs = _strict_json_files(config.out)
+        assert {"divergence.json", "prepare_meta.json", "report.json", "run_meta.json",
+                "spearman.json", "vad_models.json"} == set(docs)
+        assert docs["divergence.json"]["z_normal_fit"] is None
+        assert docs["report.json"]["divergence"]["z_normal_fit"] is None
+        assert f"divergence z is {z} (the split baseline has no spread); z_normal_fit is null" \
+            in docs["run_meta.json"]["warnings"]
+        schema = json.loads(
+            resources.files("figlex").joinpath("data/report_schema.json").read_text()
+        )
+        jsonschema.validate(docs["report.json"], schema)
 
 
 def _child_seeds(config):
@@ -587,6 +644,20 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exit_info:
             main(["prepare", "--no-such-key", "3"])
         assert exit_info.value.code == 2
+
+    def test_flag_prefixes_are_refused(self, monkeypatch, capsys):
+        prepared = []
+        monkeypatch.setattr(figlex.cli, "cmd_prepare", prepared.append)
+        # each an unambiguous prefix of one key's flag
+        for flag, value in (("--train", "3"), ("--lit", "0.4"), ("--rbo", "5")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["prepare", flag, value])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert prepared == []
+        assert main(["prepare", "--train-min-count", "3", "--literality-threshold", "0.4"]) == 0
+        assert prepared[0].train.min_count == 3
+        assert prepared[0].literality_threshold == 0.4
 
     def test_baseline_n_below_two_exits_two(self, tmp_path, capsys):
         # 1 would pass the divergence and gscore stages, then fail at affect

@@ -20,8 +20,7 @@ from figlex.stats import (
     GScore,
     cohens_d,
     divergence_gap_test,
-    gscore_definition,
-    gscore_surface,
+    idiom_scores,
     jsd,
     kde,
     log_odds_dirichlet,
@@ -342,35 +341,69 @@ def table_from_z(scores: dict[str, float]) -> dict[str, GScore]:
     return {t: GScore(delta=z, sigma=1.0, z=z) for t, z in scores.items()}
 
 
+def scores_of(entry: IdiomEntry, z: dict[str, float]):
+    """The (idiom z, surface mean, definition mean) of `entry`'s row of
+    `idiom_scores`, over a table that gives each word of `z` its score."""
+    lexicon = Lexicon()
+    lexicon.entries[entry.key] = entry
+    ((canonical, *scores),) = idiom_scores(lexicon, table_from_z(z))
+    assert canonical == entry.key
+    return tuple(scores)
+
+
 class TestGscoreAggregation:
     def test_surface_mean(self):
         entry = IdiomEntry(canonical=("pick", "a", "fight"), definition=("x",))
-        table = table_from_z({"pick": -1.0, "a": 0.0, "fight": -2.0})
-        assert gscore_surface(entry, table) == pytest.approx(-1.0)
+        _, surface, _ = scores_of(entry, {"pick": -1.0, "a": 0.0, "fight": -2.0})
+        assert surface == pytest.approx(-1.0)
 
     def test_all_zero(self):
         entry = IdiomEntry(canonical=("pick", "a", "fight"), definition=("x",))
-        assert gscore_surface(entry, table_from_z({"pick": 0.0, "a": 0.0, "fight": 0.0})) == 0.0
+        assert scores_of(entry, {"pick": 0.0, "a": 0.0, "fight": 0.0})[1] == 0.0
 
     def test_single_word(self):
         entry = IdiomEntry(canonical=("gutted",), definition=("x",))
-        assert gscore_surface(entry, table_from_z({"gutted": 1.7})) == pytest.approx(1.7)
+        assert scores_of(entry, {"gutted": 1.7})[1] == pytest.approx(1.7)
 
     def test_definition_examples(self):
         entry = IdiomEntry(canonical=("a", "b"), definition=("happy", "glad"))
-        assert gscore_definition(entry, table_from_z({"happy": 0.5, "glad": 0.5})) == 0.5
+        assert scores_of(entry, {"happy": 0.5, "glad": 0.5})[2] == 0.5
         entry2 = IdiomEntry(canonical=("x", "y"), definition=("x", "y"))
-        table = table_from_z({"x": 0.2, "y": 0.9})
-        assert gscore_definition(entry2, table) == gscore_surface(entry2, table)
+        _, surface, definition = scores_of(entry2, {"x": 0.2, "y": 0.9})
+        assert definition == surface
         entry3 = IdiomEntry(canonical=("a",), definition=("p", "q", "r"))
-        table3 = table_from_z({"p": 1.0, "q": -1.0, "r": 0.3})
-        assert gscore_definition(entry3, table3) == pytest.approx(0.1)
+        assert scores_of(entry3, {"p": 1.0, "q": -1.0, "r": 0.3})[2] == pytest.approx(0.1)
 
-    def test_missing_words_skipped_or_error(self):
+    def test_missing_words_skipped_or_none(self):
         entry = IdiomEntry(canonical=("pick", "a", "fight"), definition=("x",))
-        assert gscore_surface(entry, table_from_z({"pick": 2.0})) == 2.0
-        with pytest.raises(ValueError, match="no surface word"):
-            gscore_surface(entry, table_from_z({"unrelated": 1.0}))
+        assert scores_of(entry, {"pick": 2.0}) == (None, 2.0, None)
+        assert scores_of(entry, {"unrelated": 1.0}) == (None, None, None)
+
+    def test_mean_over_unique_words(self):
+        entry = IdiomEntry(canonical=("an", "eye", "for", "an", "eye"),
+                           definition=("pay", "back", "pay"))
+        # over every word, repeats included, the means would be 6/5 and 2/3
+        _, surface, definition = scores_of(entry, {"an": 0.0, "eye": 3.0, "for": 0.0,
+                                                   "pay": 1.0, "back": 0.0})
+        assert surface == 1.0
+        assert definition == 0.5
+
+    def test_idiom_token_score(self):
+        entry = IdiomEntry(canonical=("over", "the", "moon"), definition=("glad",))
+        z = {idiom_token(entry.key): -1.5, "glad": 0.25}
+        assert scores_of(entry, z) == (-1.5, None, 0.25)
+        del z[idiom_token(entry.key)]
+        assert scores_of(entry, z) == (None, None, 0.25)
+
+    def test_rows_sorted_by_canonical(self):
+        lexicon = Lexicon()
+        for words in (("pick", "a", "fight"), ("bite", "the", "dust"), ("over", "the", "moon")):
+            entry = IdiomEntry(canonical=words, definition=("x",))
+            lexicon.entries[entry.key] = entry
+        rows = idiom_scores(lexicon, table_from_z({"the": 1.0}))
+        assert [row[0] for row in rows] == ["bite the dust", "over the moon", "pick a fight"]
+        assert [row[1:] for row in rows] == [(None, 1.0, None), (None, 1.0, None),
+                                             (None, None, None)]
 
     def test_mean_within_word_score_range(self):
         rng = np.random.default_rng(3)
@@ -378,7 +411,7 @@ class TestGscoreAggregation:
             words = tuple(f"w{k}" for k in range(int(rng.integers(1, 6))))
             scores = {w: float(rng.normal()) for w in words}
             entry = IdiomEntry(canonical=words, definition=("x",))
-            value = gscore_surface(entry, table_from_z(scores))
+            value = scores_of(entry, scores)[1]
             assert min(scores.values()) - 1e-12 <= value <= max(scores.values()) + 1e-12
 
 
