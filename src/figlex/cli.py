@@ -1,8 +1,10 @@
 """Pipeline orchestration: prepare, analyze, and report subcommands.
 
-Configuration is a line-oriented ``key = value`` file; every key can be
-overridden by a command-line flag of the same name.  All outputs are plain
-CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
+Configuration is a line-oriented ``key = value`` file (see `figlex.config`);
+every key can be overridden by a command-line flag of the same name.  Each
+subcommand imports the library modules it runs when it is called, so
+argument parsing, ``--help`` and ``report`` load no numpy.  All outputs are
+plain CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
 seed).
 """
 
@@ -13,34 +15,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import Field, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .affect import (
-    DIMENSIONS,
-    compare_vad,
-    literal_baseline,
-    load_vad_lexicon,
-    save_vad_models,
-    score_definitions,
-    train_vad_models,
-    usage_vad_series,
-)
-from .corpus import balance_groups, load_corpus, save_corpus
-from .embeddings import TrainParams, load_vectors, save_vectors, train_sgns
-from .lexicon import filter_literal, load_lexicon, prune_variants, save_lexicon
-from .matcher import build_matcher, count_usages
-from .stats import (
-    divergence_gap_test,
-    idiom_scores,
-    kde,
-    log_odds_dirichlet,
-    neighborhood_overlap,
-    spearman,
-)
+from .config import _CONFIG_KEYS, RunConfig, _key_type, build_config, parse_config_file
 
 NEIGHBORS_PER_IDIOM = 10
 # The files that describe one analyze run of the prepared artifacts beside
@@ -54,107 +33,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-@dataclass
-class RunConfig:
-    corpus: str = field(default="", metadata={"help": "corpus JSONL path"})
-    lexicon: str = field(default="", metadata={"help": "lexicon JSONL path"})
-    vad_lexicon: str = field(default="", metadata={"help": "VAD ratings CSV path"})
-    out: str = field(default="", metadata={"help": "output directory"})
-    seed: int = 0
-    groups: tuple[str, str] | None = field(
-        default=None, metadata={"help": "comma-separated pair of group labels"})
-    min_count: int = 50
-    literality_threshold: float = 0.25
-    rbo_depth: int = 100
-    n_splits: int = 500
-    baseline_n: int = 100
-    train: TrainParams = field(default_factory=TrainParams)
-
-    def out_path(self, name: str) -> Path:
-        if not self.out:
-            # Path("") is the working directory, which no run writes into unasked
-            raise ValueError("out must be configured")
-        return Path(self.out) / name
-
-
-# Every config key with the field it sets, in flag order: the RunConfig
-# fields, then the TrainParams fields but `seed` (the run's seed), each
-# prefixed `train_` where a RunConfig field has its name.  A key's type is
-# its field's default's; `groups` is a comma-separated string.
-_RUN_KEYS = {f.name: f for f in fields(RunConfig) if f.name != "train"}
-_CONFIG_KEYS = {**_RUN_KEYS, **{("train_" if f.name in _RUN_KEYS else "") + f.name: f
-                               for f in fields(TrainParams) if f.name != "seed"}}
-
-
-def _key_type(f: Field) -> type:
-    return str if f.default is None else type(f.default)
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ValueError(f"config line {lineno}: key {key!r} set twice")
-            values[key] = value.strip()
-    return values
-
-
-def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> RunConfig:
-    merged: dict[str, object] = dict(file_values)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-
-    run_kwargs: dict[str, object] = {}
-    train_kwargs: dict[str, object] = {}
-    for key, value in merged.items():
-        f = _CONFIG_KEYS.get(key)
-        if f is None:
-            raise ValueError(f"unknown config key {key!r}")
-        kind = _key_type(f)
-        if kind is not str:
-            try:
-                value = kind(value)
-            except ValueError:
-                expected = "an integer" if kind is int else "a number"
-                raise ValueError(f"{key}: expected {expected}, got {value!r}") from None
-        if kind is float and not math.isfinite(value):  # type: ignore[arg-type]
-            raise ValueError(f"{key} must be finite, not {value}")
-        if key == "groups":
-            value = tuple(p.strip() for p in value.split(",") if p.strip())
-            if len(value) != 2:
-                raise ValueError("groups must name exactly two labels")
-            if value[0] == value[1]:
-                raise ValueError(f"groups must name two different labels, not {value[0]!r} twice")
-        (run_kwargs if key in _RUN_KEYS else train_kwargs)[f.name] = value
-    config = RunConfig(**run_kwargs)  # type: ignore[arg-type]
-    config.train = TrainParams(seed=config.seed, **train_kwargs)  # type: ignore[arg-type]
-
-    if config.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if config.min_count < 0:
-        raise ValueError("min_count must be nonnegative (0 disables pruning)")
-    if config.rbo_depth <= 0:
-        raise ValueError("rbo_depth must be positive")
-    if config.n_splits < 2:
-        # each group's baseline spread needs at least two splits
-        raise ValueError("n_splits must be at least 2")
-    if config.literality_threshold <= 0:
-        raise ValueError("literality_threshold must be positive")
-    if config.baseline_n < 2:
-        # the affect stage compares samples and needs two observations of each
-        raise ValueError("baseline_n must be at least 2")
-    return config
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -187,6 +65,11 @@ def cmd_prepare(config: RunConfig) -> None:
 
     Nothing is written unless every stage succeeds.
     """
+    from .corpus import balance_groups, load_corpus, save_corpus
+    from .embeddings import save_vectors, train_sgns
+    from .lexicon import filter_literal, load_lexicon, prune_variants, save_lexicon
+    from .matcher import build_matcher, count_usages
+
     stage = "load"
     try:
         if not config.corpus or not config.lexicon or not config.out:
@@ -277,6 +160,31 @@ def cmd_analyze(config: RunConfig) -> None:
     files of an earlier run are removed first: they would no longer
     describe the artifacts beside them.
     """
+    from numpy.random import SeedSequence
+
+    from .affect import (
+        DIMENSIONS,
+        compare_vad,
+        literal_baseline,
+        load_vad_lexicon,
+        save_vad_models,
+        score_definitions,
+        train_vad_models,
+        usage_vad_series,
+    )
+    from .corpus import load_corpus
+    from .embeddings import load_vectors, save_vectors, train_sgns
+    from .lexicon import load_lexicon
+    from .matcher import build_matcher, count_usages
+    from .stats import (
+        divergence_gap_test,
+        idiom_scores,
+        kde,
+        log_odds_dirichlet,
+        neighborhood_overlap,
+        spearman,
+    )
+
     warnings: list[str] = []
     stage = "load"
     try:
@@ -369,7 +277,7 @@ def cmd_analyze(config: RunConfig) -> None:
         # Each group space trains on its streams as count_usages rewrote them,
         # with its own child seed; the sorted labels take the seeds in order.
         stage = "embeddings"
-        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)]
+        seeds = [int(s.generate_state(1)[0]) for s in SeedSequence(config.seed).spawn(2)]
         spaces = {g: train_sgns(counts.streams_for(g), replace(config.train, seed=s))
                   for g, s in zip((group_a, group_b), seeds)}
         for group, space in spaces.items():
@@ -439,12 +347,19 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def _maybe_float(text: str) -> float | int | str | None:
+# Columns of label text: a label such as "01" or "1_0" is not a number.
+_LABEL_COLUMNS = frozenset({"canonical", "dimension", "group", "stars"})
+
+
+def _cell(column: str, text: str) -> float | int | str | None:
+    """A CSV cell as a report value: empty is null, a label column keeps its
+    text, and any other cell becomes an int or a float where it parses as one."""
     if text == "":
         return None
+    if column in _LABEL_COLUMNS:
+        return text
     try:
-        as_int = int(text)
-        return as_int
+        return int(text)
     except ValueError:
         pass
     try:
@@ -466,7 +381,7 @@ def build_report(config: RunConfig) -> dict:
 
     def rows(name: str) -> list[dict]:
         return [
-            {k: _maybe_float(v) for k, v in row.items()}
+            {k: _cell(k, v) for k, v in row.items()}
             for row in _read_csv(_require_artifact(config, name, "analyze"))
         ]
 
@@ -475,7 +390,7 @@ def build_report(config: RunConfig) -> dict:
     kde_rows = rows("kde_curves.csv")
     curves: dict[tuple[str, str], dict] = {}
     for row in kde_rows:
-        key = (str(row["dimension"]), str(row["group"]))
+        key = (row["dimension"], row["group"])
         curve = curves.setdefault(
             key, {"dimension": key[0], "group": key[1], "x": [], "density": []}
         )

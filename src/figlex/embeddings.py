@@ -18,7 +18,6 @@ unigram^0.75 CDF.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,26 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-
-
-@dataclass
-class TrainParams:
-    dim: int = 100
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    min_count: int = 5
-    initial_lr: float = 0.025
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        for name in ("window", "negatives", "min_count", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.initial_lr < math.inf:
-            raise ValueError("initial_lr must be positive and finite")
+from .config import TrainParams
 
 
 @dataclass

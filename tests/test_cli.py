@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import figlex.affect
 import figlex.cli
+import figlex.embeddings
 import figlex.matcher
+import figlex.stats
 from figlex.cli import (
     RunConfig,
     StageError,
@@ -345,7 +348,8 @@ class TestAnalyze:
         def failing(*args):
             raise ValueError("planted failure")
 
-        monkeypatch.setattr(figlex.cli, name, failing)
+        # patched where it is defined: cmd_analyze imports it from there when it runs
+        monkeypatch.setattr(figlex.affect if stage == "affect" else figlex.stats, name, failing)
         with pytest.raises(StageError) as info:
             cmd_analyze(config)
         assert info.value.stage == stage
@@ -426,8 +430,8 @@ class TestStrictJson:
 
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
-        divergence_gap_test = figlex.cli.divergence_gap_test
-        monkeypatch.setattr(figlex.cli, "divergence_gap_test",
+        divergence_gap_test = figlex.stats.divergence_gap_test
+        monkeypatch.setattr(figlex.stats, "divergence_gap_test",
                             lambda *args: replace(divergence_gap_test(*args), z=z))
         cmd_analyze(config)
         cmd_report(config, "json")
@@ -475,7 +479,7 @@ class TestGroupEmbeddings:
                 raise ValueError("planted failure")
             return train_sgns(sentences, params)
 
-        monkeypatch.setattr(figlex.cli, "train_sgns", failing_on_bad_seed)
+        monkeypatch.setattr(figlex.embeddings, "train_sgns", failing_on_bad_seed)
         with pytest.raises(StageError) as info:
             cmd_analyze(config)
         assert info.value.stage == "embeddings"
@@ -519,6 +523,26 @@ class TestReport:
         with open(Path(analyzed.out) / "report.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [(p, v) for p, v in expected] == [tuple(r) for r in rows]
+
+    def test_number_like_group_labels_keep_their_text(self, tmp_path):
+        # int("01") is 1 and int("1_0") is 10; the labels must reach the report as written
+        overrides = medium_inputs(tmp_path)
+        labels = {"M": "01", "F": "1_0"}
+        corpus = Path(overrides["corpus"])
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        write_jsonl(corpus, [{**r, "group": labels[r["group"]]} for r in records])
+        config = build_config({}, overrides)
+        cmd_prepare(config)
+        cmd_analyze(config)
+        cmd_report(config, "json")
+        cmd_report(config, "csv")
+        doc = json.loads(config.out_path("report.json").read_text())
+        with open(config.out_path("report.csv"), newline="") as fh:
+            csv_groups = {json.loads(value) for path, value in list(csv.reader(fh))[1:]
+                          if re.fullmatch(r"figures\.kde\.\d+\.group", path)}
+        assert set(doc["metadata"]["group_labels"]) == set(labels.values())
+        assert {curve["group"] for curve in doc["figures"]["kde"]} == set(labels.values())
+        assert csv_groups == set(labels.values())
 
     def test_unknown_format_rejected(self, analyzed):
         with pytest.raises(StageError, match="unknown format"):
@@ -580,7 +604,10 @@ class TestReport:
 _LOADED_MODULES = """
 import json, sys
 from figlex.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as exc:  # --help
+    code = exc.code
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
@@ -600,7 +627,8 @@ class TestColdStart:
     UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy.ma"}
 
     def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
-        # numpy itself imports ctypes, so the check is on the library
+        # `figlex.cli` loads neither numpy nor ctypes, but `_kernels` imports numpy,
+        # which imports ctypes, so the check is on the library
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         proc = run_python("-c", "import figlex.cli, figlex._kernels as k, sys; "
                                 "print(k._lib is None, '_kernels' in open('/proc/self/maps').read())")
@@ -620,6 +648,21 @@ class TestColdStart:
         loaded = _modules_loaded_by("report", "--out", overrides["out"], "--format", "json")
         assert not self.UNLOADED & loaded
         assert (Path(overrides["out"]) / "report.json").exists()
+
+    def test_import_help_and_report_load_only_cli_and_config(self, analyzed):
+        for argv in ((), ("--help",), ("report", "--out", analyzed.out, "--format", "json")):
+            loaded = _modules_loaded_by(*argv)
+            assert "numpy" not in loaded, argv
+            assert {m for m in loaded if m.split(".")[0] == "figlex"} \
+                == {"figlex", "figlex.cli", "figlex.config"}, argv
+
+    def test_prepare_loads_neither_affect_nor_stats(self, tmp_path):
+        argv = []
+        for key, value in tiny_overrides(tmp_path).items():
+            argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        loaded = _modules_loaded_by("prepare", *argv)
+        assert "figlex.matcher" in loaded
+        assert not {"figlex.affect", "figlex.stats"} & loaded
 
 
 class TestMainEntry:
