@@ -1,15 +1,22 @@
-/* The two sequential loops of figlex, in C: skip-gram negative-sampling
- * (SGNS) training over one epoch of the corpus, and the greedy half split
- * of one permutation.  _kernels.py builds this file and loads it with
- * ctypes.  The SGNS kernel draws its noise doubles itself, through the
- * next_double of numpy's generator interface (Generator.bit_generator.ctypes).
+/* The sequential loops of figlex, in C: skip-gram negative-sampling (SGNS)
+ * training over one epoch of the corpus; the Jensen-Shannon divergence of
+ * two probability vectors; and the divergence test's baseline, many greedy
+ * half splits of one group with the divergence of each.  _kernels.py builds
+ * this file and loads it with ctypes.  The SGNS kernel draws its noise
+ * doubles, and the split kernel its shuffles, through numpy's generator
+ * interface (Generator.bit_generator.ctypes): next_double and next_uint32.
  *
- * The arithmetic is IEEE single (SGNS) and int64 (the split walk) in a
- * fixed order, so the results are the same bytes on every CPU.  Compile
- * with -ffp-contract=off and without -ffast-math: a fused multiply-add or
- * a reassociated sum would change them.  No libm function is called.
+ * The arithmetic is IEEE single (SGNS), int64 (the split walk and its
+ * counts) and double (the divergence) in a fixed order, so the results do
+ * not depend on the CPU's vector units.  Compile with -ffp-contract=off and
+ * without -ffast-math: a fused multiply-add or a reassociated sum would
+ * change them.  The divergence calls one libm function, log2, so link libm
+ * after this file (-lm).  Its bytes are libm's: glibc's log2 is an ifunc
+ * that takes an FMA variant on CPUs with FMA, and no environment variable
+ * selects it, so scripts/check_portable_bytes.py cannot vary it.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -155,17 +162,122 @@ double sgns_epoch(float *syn0, float *syn1, int64_t dim,
     return loss_sum / (double)n_pairs;
 }
 
-/* The greedy half split of one permutation: position perm[i] joins the
- * first half while the first half's (tokens, posts) is lexicographically
- * <= the second's, else the second.  key is tokens_0 - tokens_1 scaled by
- * 2n + 1 plus posts_0 - posts_1, and steps[j] is token_counts[j] * (2n + 1)
- * + 1, so key <= 0 exactly when the first half is not ahead. */
-void split_walk(const int64_t *steps, const int64_t *perm, int64_t n, uint8_t *first)
+/* Jensen-Shannon divergence in base 2 of the probability vectors p and q
+ * of length n: half the sum over i of p_i log2(2 p_i / (p_i + q_i)), over
+ * the i with p_i > 0 in index order, plus half the same sum with p and q
+ * swapped, clipped to [0, 1].  2 p_i / (p_i + q_i) is finite where
+ * p_i / m_i with the mixture m_i = (p_i + q_i) / 2 is not: halving the
+ * smallest subnormal underflows to 0. */
+double jsd(const double *p, const double *q, int64_t n)
 {
-    int64_t key = 0;
+    double kl_p = 0, kl_q = 0;
     for (int64_t i = 0; i < n; i++) {
-        int64_t j = perm[i];
-        first[j] = key <= 0;
-        key += first[j] ? steps[j] : -steps[j];
+        double total = p[i] + q[i];
+        if (p[i] > 0)
+            kl_p += p[i] * log2(2 * p[i] / total);
+        if (q[i] > 0)
+            kl_q += q[i] * log2(2 * q[i] / total);
     }
+    double value = 0.5 * kl_p + 0.5 * kl_q;
+    return value < 0 ? 0 : value > 1 ? 1 : value;
+}
+
+/* numpy's random_interval for max < 2^32: a uniform draw from 0..max,
+ * rejecting the draws of next_uint32 masked to max's bit width that
+ * exceed max. */
+static uint32_t random_interval(uint32_t (*next_uint32)(void *), void *state, uint32_t max)
+{
+    uint32_t mask = max, value;
+    if (max == 0)
+        return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = next_uint32(state) & mask) > max)
+        ;
+    return value;
+}
+
+/* order = 0..n-1 shuffled as Generator.permutation(n) shuffles it: the
+ * Fisher-Yates swaps of Generator.shuffle, i from n - 1 down to 1, each
+ * with the position random_interval(i) draws.  n <= 2^32, so every bound
+ * fits next_uint32, as it does in numpy. */
+static void permutation(int64_t *order, int64_t n, uint32_t (*next_uint32)(void *), void *state)
+{
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = random_interval(next_uint32, state, (uint32_t)i);
+        int64_t t = order[i];
+        order[i] = order[j];
+        order[j] = t;
+    }
+}
+
+/* The divergence baseline of one group: n_splits greedy half splits of its
+ * n units, out[s] the JSD of split s's two halves' idiom counts.  Returns 0;
+ * -1 if scratch memory ran out; or 1 + 2 s + h when half h (0 the first, 1
+ * the second) of split s holds no idiom, and then stops.
+ *
+ * Unit u has token_counts[u] tokens and the idioms idioms[starts[u]] ..
+ * idioms[starts[u + 1] - 1], each an index below n_support.  Split s walks
+ * the next permutation(n) of the generator behind next_uint32(state), as
+ * the kernel draws them in turn: unit order[i] joins the first half while
+ * the first half's (tokens, units) is lexicographically <= the second's,
+ * else the second.  The walk's int64 key is tokens_0 - tokens_1 scaled by
+ * 2n + 1 plus units_0 - units_1, so key <= 0 exactly when the first half is
+ * not ahead; the caller bounds the token counts so that it cannot
+ * overflow.  The first half's idioms are counted, the second's are the
+ * group total minus them, and each half is divided by its total before
+ * jsd.  The kernel takes no lock, so nothing else may draw from the
+ * generator during the call. */
+int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *starts,
+                       const int64_t *idioms, int64_t n_support, int64_t n_splits,
+                       uint32_t (*next_uint32)(void *), void *state, double *out)
+{
+    int64_t *order = malloc(n * sizeof *order);
+    int64_t *total = calloc(n_support, sizeof *total);
+    int64_t *first = malloc(n_support * sizeof *first);
+    double *p = malloc(n_support * sizeof *p);
+    double *q = malloc(n_support * sizeof *q);
+    int64_t status = 0;
+    if (!order || !total || !first || !p || !q) {
+        status = -1;
+        goto done;
+    }
+    for (int64_t k = starts[0]; k < starts[n]; k++)
+        total[idioms[k]]++;
+    int64_t all = starts[n] - starts[0], scale = 2 * n + 1;
+
+    for (int64_t s = 0; s < n_splits; s++) {
+        permutation(order, n, next_uint32, state);
+        for (int64_t c = 0; c < n_support; c++)
+            first[c] = 0;
+        int64_t key = 0, in_first = 0;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t u = order[i], step = token_counts[u] * scale + 1;
+            if (key <= 0) {
+                key += step;
+                for (int64_t k = starts[u]; k < starts[u + 1]; k++)
+                    first[idioms[k]]++;
+                in_first += starts[u + 1] - starts[u];
+            } else {
+                key -= step;
+            }
+        }
+        if (in_first == 0 || in_first == all) {
+            status = 1 + 2 * s + (in_first != 0);
+            goto done;
+        }
+        for (int64_t c = 0; c < n_support; c++) {
+            p[c] = (double)first[c] / (double)in_first;
+            q[c] = (double)(total[c] - first[c]) / (double)(all - in_first);
+        }
+        out[s] = jsd(p, q, n_support);
+    }
+done:
+    free(order), free(total), free(first), free(p), free(q);
+    return status;
 }

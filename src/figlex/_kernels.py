@@ -1,4 +1,5 @@
-"""Build and load `_kernels.c`, the C form of figlex's two sequential loops.
+"""Build and load `_kernels.c`: figlex's SGNS training, its Jensen-Shannon
+divergence and the divergence test's split baseline, in C.
 
 The library compiles at its first use, with the compiler that `CC` names
 (default `cc`), into `cache_dir()` under a name keyed by the sha256 of the
@@ -17,9 +18,11 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
-# IEEE single arithmetic in source order: no fused multiply-adds, no
-# -ffast-math and no -march
+# IEEE arithmetic in source order: no fused multiply-adds, no -ffast-math
+# and no -march
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# after the source file, for the divergence's log2
+_LIBS = ("-lm",)
 # word2vec's sigmoid table, as `_kernels.c` defines it
 EXP_TABLE_SIZE = 1000
 MAX_EXP = 6
@@ -43,11 +46,11 @@ def _build() -> Path:
     compiler = shutil.which(cc)
     if compiler is None:
         raise RuntimeError(f"no C compiler: {cc!r} is not on PATH (set CC to one); "
-                           f"figlex builds its SGNS and split kernels with it")
+                           f"figlex builds its SGNS, divergence and split kernels with it")
     identity = subprocess.run([compiler, "--version"], capture_output=True, text=True,
                               check=True).stdout
-    key = b"\0".join([_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), compiler.encode(),
-                      identity.encode()])
+    key = b"\0".join([_SOURCE.read_bytes(), " ".join(_FLAGS + _LIBS).encode(),
+                      compiler.encode(), identity.encode()])
     cache = cache_dir()
     lib = cache / f"_kernels-{hashlib.sha256(key).hexdigest()[:24]}.so"
     if not lib.exists():
@@ -55,7 +58,7 @@ def _build() -> Path:
         fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=cache)
         os.close(fd)
         try:
-            built = subprocess.run([compiler, *_FLAGS, "-o", tmp, str(_SOURCE)],
+            built = subprocess.run([compiler, *_FLAGS, "-o", tmp, str(_SOURCE), *_LIBS],
                                    capture_output=True, text=True)
             if built.returncode != 0:
                 raise RuntimeError(f"{cc} failed to build {_SOURCE.name}:\n{built.stderr}")
@@ -74,12 +77,16 @@ def load():
 
         lib = ctypes.CDLL(str(_build()))
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        # the type of numpy's `bit_generator.ctypes.next_double`
+        # the types of numpy's `bit_generator.ctypes.next_double` and `next_uint32`
         next_double = ctypes.CFUNCTYPE(f64, ptr)
+        next_uint32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ptr)
         lib.sgns_epoch.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, next_double, ptr, i64,
                                    ptr, i64, ptr, ptr, f64, f64, i64, i64]
         lib.sgns_epoch.restype = f64
-        lib.split_walk.argtypes = [ptr, ptr, i64, ptr]
+        lib.jsd.argtypes = [ptr, ptr, i64]
+        lib.jsd.restype = f64
+        lib.split_baseline.argtypes = [ptr, i64, ptr, ptr, i64, i64, next_uint32, ptr, ptr]
+        lib.split_baseline.restype = i64
         _lib = lib
     return _lib
 

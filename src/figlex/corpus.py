@@ -1,10 +1,9 @@
-"""Group-labelled corpora: loading, tokenization, balancing, and random splits.
+"""Group-labelled corpora: loading, tokenization and balancing.
 
 A corpus is an ordered collection of posts, each tagged with one of two
-group labels.  All randomized operations take an explicit seed and are
-pure functions of (input, seed).  The greedy half split draws each seed's
-permutation with numpy and walks it in the C kernel of `_kernels.c`
-(`split_masks`).
+group labels.  Balancing takes an explicit seed and is a pure function of
+(input, seed).  The divergence test's random half splits of a group's
+posts run in `_kernels.c`; `stats.split_baseline` calls them.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 # Runs of word characters (underscores excluded), optionally joined by
@@ -181,27 +179,3 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
         group_labels=corpus.group_labels,
     )
 
-
-def split_masks(token_counts: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
-    """First-half masks of one greedy split of positions 0..n-1 per seed,
-    shape (len(seeds), n).
-
-    Each split assigns the positions in the order of the seed's numpy
-    permutation, each to whichever half has fewer (tokens, posts) so far,
-    ties going to the first, so the two halves' token totals end near
-    equal.  The kernel walks each permutation with an int64 key, whose
-    range bounds the token counts.
-    """
-    n = len(token_counts)
-    if n < 2:
-        raise ValueError("fewer than 2 posts to split")
-    scale = 2 * n + 1
-    if scale * (sum(abs(int(t)) for t in token_counts) + 1) >= 2**63:
-        raise ValueError("token counts too large to split")
-    steps = np.asarray(token_counts, dtype=np.int64) * scale + 1
-    walk = _kernels.load().split_walk
-    masks = np.empty((len(seeds), n), dtype=bool)
-    for mask, seed in zip(masks, seeds):
-        perm = np.random.default_rng(seed).permutation(n)
-        walk(steps.ctypes.data, perm.ctypes.data, n, mask.ctypes.data)
-    return masks

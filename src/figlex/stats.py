@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import split_masks
+from . import _kernels
 from .embeddings import EmbeddingSpace, nearest_neighbors
 from .lexicon import Lexicon, idiom_token
 from .matcher import GroupCounts
@@ -62,22 +62,61 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float:
 
     `p` and `q` are one-dimensional, of one length, finite and nonnegative,
     each with a positive total; each is divided by its total first, as
-    scipy's ``jensenshannon`` does.  Each term is ``a * log2(2a / (a + b))``,
-    not ``a * log2(a / m)`` with the mixture ``m = (a + b) / 2``: halving the
-    smallest subnormal underflows to 0, and ``a / m`` would then be infinite.
+    scipy's ``jensenshannon`` does.  The sum runs in `_kernels.c`, in index
+    order, the arithmetic that `divergence_gap_test`'s baseline uses.  Each
+    term is ``a * log2(2a / (a + b))``, not ``a * log2(a / m)`` with the
+    mixture ``m = (a + b) / 2``: halving the smallest subnormal underflows
+    to 0, and ``a / m`` would then be infinite.
     """
     p, q = np.asarray(p), np.asarray(q)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValueError("p and q must be one-dimensional and of equal length")
     p, q = _normalized(p, "p"), _normalized(q, "q")
-    total = p + q
+    return _kernels.load().jsd(p.ctypes.data, q.ctypes.data, p.size)
 
-    def _kl(a: np.ndarray) -> float:
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log2(2 * a[mask] / total[mask])))
 
-    value = 0.5 * _kl(p) + 0.5 * _kl(q)
-    return float(min(max(value, 0.0), 1.0))
+def split_baseline(
+    token_counts: Sequence[int], span_units: np.ndarray, span_idioms: np.ndarray,
+    n_support: int, n_splits: int, rng: np.random.Generator,
+) -> np.ndarray:
+    """The JSD of each of `n_splits` greedy half splits of units 0..n-1.
+
+    Unit u has ``token_counts[u]`` tokens, and span k puts idiom
+    ``span_idioms[k]`` (below `n_support`) in unit ``span_units[k]``.  Split
+    s takes the next ``rng.permutation(n)`` and assigns the units in its
+    order, each to whichever half has fewer (tokens, units) so far, ties
+    going to the first, so the two halves' token totals end near equal.
+    Its value is `jsd` of the two halves' idiom counts.  One call of the C
+    kernel makes every split, drawing from `rng` as the permutations would;
+    it walks with an int64 key, whose range bounds the token counts.
+    """
+    n = len(token_counts)
+    if n < 2:
+        raise ValueError("fewer than 2 posts to split")
+    scale = 2 * n + 1
+    if scale * (sum(abs(int(t)) for t in token_counts) + 1) >= 2**63:
+        raise ValueError("token counts too large to split")
+    tokens = np.asarray(token_counts, dtype=np.int64)
+    # each unit's idioms as one run: starts[u] .. starts[u + 1] in `idioms`
+    by_unit = np.argsort(span_units, kind="stable")
+    idioms = np.asarray(span_idioms, dtype=np.int64)[by_unit]
+    if idioms.size and not 0 <= idioms.min() <= idioms.max() < n_support:
+        raise ValueError(f"span idioms must lie in 0..{n_support - 1}")
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(span_units, minlength=n), out=starts[1:])
+    out = np.empty(n_splits, dtype=np.float64)
+    # the interface holds only addresses: `rng` keeps the generator alive
+    # through the call, and nothing else draws from it
+    bits = rng.bit_generator.ctypes
+    status = _kernels.load().split_baseline(
+        tokens.ctypes.data, n, starts.ctypes.data, idioms.ctypes.data, n_support, n_splits,
+        bits.next_uint32, bits.state, out.ctypes.data)
+    if status < 0:
+        raise MemoryError("split kernel: no memory for its scratch counts")
+    if status > 0:
+        split, half = divmod(status - 1, 2)
+        raise ValueError(f"split {split}: {'pq'[half]} has zero idiom usage")
+    return out
 
 
 def divergence_gap_test(
@@ -87,13 +126,11 @@ def divergence_gap_test(
 
     Over the posts of `counts` (from `count_usages`), the JSD of the two
     groups' idiom counts is contrasted against `n_splits` random half-half
-    splits inside each group.  Every split draws its own child seed;
-    `split_masks` makes all of a group's greedy splits in one call.  A
-    split's first half is one `bincount` over the group's spans and its
-    second is the group total minus the first.  The reported p-value is the
-    smoothed fraction of pooled baseline samples at least as large as the
-    observed value; z is measured against a normal fit to the pooled
-    baseline.
+    splits of each group's posts (`split_baseline`).  Each group draws its
+    splits from one generator, seeded by its child of
+    ``SeedSequence(seed).spawn(2)``.  The reported p-value is the smoothed
+    fraction of pooled baseline samples at least as large as the observed
+    value; z is measured against a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
@@ -111,21 +148,15 @@ def divergence_gap_test(
         spans[g] = (members, np.searchsorted(members, counts.span_posts[in_group]), idioms)
     cross = jsd(total[ga], total[gb])
 
-    children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples: dict[str, np.ndarray] = {}
-    for gi, g in enumerate((ga, gb)):
+    for g, child in zip((ga, gb), np.random.SeedSequence(seed).spawn(2)):
         members, span_members, idioms = spans[g]
         lengths = [counts.posts[i].token_count for i in members]
-        group_children = children[gi * n_splits:(gi + 1) * n_splits]
-        masks = split_masks(lengths, [int(c.generate_state(1)[0]) for c in group_children])
-        vals = np.empty(n_splits, dtype=np.float64)
-        for s in range(n_splits):
-            first = np.bincount(idioms[masks[s][span_members]], minlength=n_support)
-            try:
-                vals[s] = jsd(first, total[g] - first)
-            except ValueError as exc:  # a half without idiom usage
-                raise ValueError(f"group {g!r}, split {s}: {exc}") from None
-        samples[g] = vals
+        rng = np.random.default_rng(child)
+        try:
+            samples[g] = split_baseline(lengths, span_members, idioms, n_support, n_splits, rng)
+        except ValueError as exc:  # a half without idiom usage, or too few posts
+            raise ValueError(f"group {g!r}, {exc}") from None
 
     pooled = np.concatenate([samples[ga], samples[gb]])
     exceed = int(np.sum(pooled >= cross))
@@ -455,11 +486,14 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
 
     The default bandwidth is Silverman's rule of thumb,
     0.9 * min(sd, IQR/1.34) * n^(-1/5); the grid spans the data range
-    extended by three bandwidths on each side.
+    extended by three bandwidths on each side.  The values and an explicit
+    bandwidth must be finite.
     """
     data = np.asarray(values, dtype=np.float64)
     if data.ndim != 1 or data.size < 2:
         raise ValueError("need at least 2 values")
+    if not np.isfinite(data).all():
+        raise ValueError("values must be finite")
     n = data.size
     if bandwidth is None:
         sd = float(data.std(ddof=1))
@@ -469,8 +503,8 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
         if spread <= 0:
             raise ValueError("zero variance; pass an explicit bandwidth")
         bandwidth = 0.9 * spread * n ** (-0.2)
-    elif bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    elif not math.isfinite(bandwidth) or bandwidth <= 0:
+        raise ValueError("bandwidth must be positive and finite")
 
     h = float(bandwidth)
     grid = np.linspace(data.min() - 3 * h, data.max() + 3 * h, 256)

@@ -42,16 +42,16 @@ def make_corpus(texts_by_group: dict[str, list[str]], labels=None) -> Corpus:
     return Corpus(posts=tuple(posts), group_labels=tuple(labels))
 
 
-def split_halves(token_counts, seed):
-    """The greedy half split as a plain loop, the oracle of `split_masks`:
-    positions in the order of the seed's permutation, each to whichever
-    half has fewer (tokens, posts) so far, ties going to the first.  Each
-    half lists its positions in assignment order."""
+def split_halves(token_counts, rng):
+    """The greedy half split as a plain loop, the oracle of the split
+    kernel: positions in the order of `rng`'s next permutation, each to
+    whichever half has fewer (tokens, posts) so far, ties going to the
+    first.  Each half lists its positions in assignment order."""
     if len(token_counts) < 2:
         raise ValueError("fewer than 2 posts to split")
     halves = ([], [])
     totals = [(0, 0), (0, 0)]  # (tokens, posts) per half
-    for j in np.random.default_rng(seed).permutation(len(token_counts)).tolist():
+    for j in rng.permutation(len(token_counts)).tolist():
         side = 0 if totals[0] <= totals[1] else 1
         halves[side].append(j)
         totals[side] = (totals[side][0] + token_counts[j], totals[side][1] + 1)
@@ -70,11 +70,12 @@ def data_dir() -> Path:
     return DATA_DIR
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a child Python process that imports the figlex under test."""
-    env = dict(os.environ)
+def run_python(*args: str, cwd=None, **variables: str) -> subprocess.CompletedProcess:
+    """Run a child Python process that imports the figlex under test, in
+    `cwd`, with `variables` added to its environment."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(figlex.__file__).parents[1]), env.get("PYTHONPATH")])
     )
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=120)

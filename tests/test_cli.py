@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import shutil
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -663,6 +664,27 @@ class TestColdStart:
         loaded = _modules_loaded_by("prepare", *argv)
         assert "figlex.matcher" in loaded
         assert not {"figlex.affect", "figlex.stats"} & loaded
+
+
+class TestPortableBytes:
+    def test_divergence_json_keeps_its_bytes_at_numpy_baseline_simd(self, tmp_path, monkeypatch):
+        # the divergence and its baseline run in C, so numpy's SIMD level,
+        # one of the settings scripts/check_portable_bytes.py varies, cannot
+        # move them
+        monkeypatch.delenv("NPY_ENABLE_CPU_FEATURES", raising=False)
+
+        def fixture_run(command, out, **variables):
+            proc = run_python("-m", "figlex.cli", command, "--config", "tests/data/fixture.conf",
+                              "--out", str(out), cwd=DATA_DIR.parents[1], **variables)
+            assert proc.returncode == 0, proc.stderr
+
+        fixture_run("prepare", tmp_path / "prepared")
+        written = {}
+        for name, variables in (("native", {}), ("x86_v2", {"NPY_ENABLE_CPU_FEATURES": "X86_V2"})):
+            out = shutil.copytree(tmp_path / "prepared", tmp_path / name)
+            fixture_run("analyze", out, **variables)
+            written[name] = (out / "divergence.json").read_bytes()
+        assert written["native"] == written["x86_v2"]
 
 
 class TestMainEntry:

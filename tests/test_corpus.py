@@ -9,10 +9,10 @@ from figlex.corpus import (
     balance_groups,
     load_corpus,
     save_corpus,
-    split_masks,
     tokenize,
 )
 from figlex.lexicon import load_lexicon
+from figlex.stats import jsd, split_baseline
 
 from conftest import make_corpus, split_halves, write_jsonl
 
@@ -163,55 +163,97 @@ class TestBalanceGroups:
             balance_groups(corpus, seed=0)
 
 
+def split_jsds(lengths, post_idioms, n_splits, rng):
+    """`split_baseline` over posts of the given lengths, post u holding the
+    idioms ``post_idioms[u]``."""
+    units = np.array([u for u, ids in enumerate(post_idioms) for _ in ids], dtype=np.intp)
+    idioms = np.array([i for ids in post_idioms for i in ids], dtype=np.intp)
+    return split_baseline(lengths, units, idioms, max(idioms, default=-1) + 1, n_splits, rng)
+
+
+def marked_post_jsds(n):
+    """n posts, post 0 holding idiom 0 and the others idiom 1: the JSD of a
+    split whose half with post 0 holds k posts, for k = 1..n-1."""
+    return {k: jsd(np.array([1, k - 1]), np.array([0, n - k])) for k in range(1, n)}
+
+
+# The greedy half split runs inside the divergence baseline's kernel, which
+# returns each split's JSD: these tests read the halves from JSD values.
 class TestRandomHalves:
     def test_too_few_posts(self):
         # the divergence test splits each group's posts on their own
         corpus = make_corpus({"A": ["only one"], "B": ["z z"]})
         lengths = [p.token_count for p in corpus.posts if p.group == "A"]
         with pytest.raises(ValueError, match="fewer than 2"):
-            split_masks(lengths, [0])
+            split_jsds(lengths, [[0]], 2, np.random.default_rng(0))
 
 
 class TestSplitHalves:
     def test_partition_property(self):
-        masks = split_masks([3] * 10, [1, 2])
-        assert masks.shape == (2, 10) and masks.dtype == bool
-        # ten equal posts: five on each side, whatever the permutation
-        assert masks.sum(axis=1).tolist() == [5, 5]
+        # ten equal posts: five on each side, whatever the permutation; with
+        # one post marked, only a 5-post half around it gives this JSD
+        by_size = marked_post_jsds(10)
+        assert list(by_size.values()).count(by_size[5]) == 1
+        values = split_jsds([3] * 10, [[0]] + [[1]] * 9, 20, np.random.default_rng(1))
+        assert values.shape == (20,) and values.dtype == np.float64
+        assert values.tolist() == [by_size[5]] * 20
 
     def test_deterministic(self):
-        masks = split_masks([1] * 9, [4, 4, 5])
-        assert np.array_equal(masks[0], masks[1])
-        assert np.array_equal(split_masks([1] * 9, [4, 5]), masks[1:])
+        post_idioms = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [0], [1], [2, 2]]
+        three = split_jsds([1] * 9, post_idioms, 3, np.random.default_rng(4))
+        assert np.array_equal(split_jsds([1] * 9, post_idioms, 3, np.random.default_rng(4)),
+                              three)
+        # the splits draw in turn from one generator: a later call goes on
+        rng = np.random.default_rng(4)
+        parts = [split_jsds([1] * 9, post_idioms, k, rng) for k in (1, 2)]
+        assert np.array_equal(np.concatenate(parts), three)
 
     def test_equal_length_posts_balance(self):
-        mask = split_masks([4] * 1000, [2])[0]
-        assert abs(4 * mask.sum() - 4 * (~mask).sum()) <= 4
+        by_size = marked_post_jsds(1000)
+        assert list(by_size.values()).count(by_size[500]) == 1
+        values = split_jsds([4] * 1000, [[0]] + [[1]] * 999, 5, np.random.default_rng(2))
+        assert values.tolist() == [by_size[500]] * 5
 
     # few distinct lengths, zeros included, so (tokens, posts) ties are common;
-    # the large ones take the walk's int64 key near its range
+    # the large ones take the walk's int64 key near its range.  Every post
+    # holds an idiom, so no half is without one.
     @settings(max_examples=200, deadline=None)
     @given(
-        lengths=st.lists(st.one_of(st.sampled_from([0, 0, 1, 2, 3, 5, 40]),
-                                   st.integers(0, 10**15)), min_size=2, max_size=40),
-        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+        posts=st.lists(st.tuples(st.one_of(st.sampled_from([0, 0, 1, 2, 3, 5, 40]),
+                                           st.integers(0, 10**15)),
+                                 st.lists(st.integers(0, 5), min_size=1, max_size=3)),
+                       min_size=2, max_size=40),
+        seed=st.integers(0, 2**64 - 1),
+        n_splits=st.integers(1, 8),
     )
-    @example(lengths=[7, 7], seeds=[0])
-    @example(lengths=[0, 0, 0], seeds=[1, 2])
-    def test_batch_equals_reference_loop(self, lengths, seeds):
-        # split_halves is the rule as a plain loop, the kernel walk's oracle
-        masks = split_masks(lengths, seeds)
-        assert masks.shape == (len(seeds), len(lengths))
-        for seed, mask in zip(seeds, masks):
-            first, second = split_halves(lengths, seed)
-            assert np.flatnonzero(mask).tolist() == sorted(first)
-            assert np.flatnonzero(~mask).tolist() == sorted(second)
+    @example(posts=[(7, [0]), (7, [1])], seed=0, n_splits=1)
+    @example(posts=[(0, [0]), (0, [1]), (0, [0, 1])], seed=1, n_splits=2)
+    def test_batch_equals_reference_loop(self, posts, seed, n_splits):
+        # split_halves is the rule as a plain loop, the kernel walk's oracle,
+        # driven by one generator as the kernel's splits are
+        lengths, post_idioms = (list(column) for column in zip(*posts))
+        values = split_jsds(lengths, post_idioms, n_splits, np.random.default_rng(seed))
+        assert values.shape == (n_splits,)
+        n_support = max(max(ids) for ids in post_idioms) + 1
+        rng = np.random.default_rng(seed)
+        for value in values:
+            halves = split_halves(lengths, rng)
+            counts = [np.bincount([i for j in half for i in post_idioms[j]], minlength=n_support)
+                      for half in halves]
+            assert np.float64(value).tobytes() == np.float64(jsd(*counts)).tobytes()
 
     @pytest.mark.parametrize("lengths", [[], [3]])
     def test_fewer_than_two_posts(self, lengths):
         with pytest.raises(ValueError, match="fewer than 2 posts to split"):
-            split_masks(lengths, [0, 1])
+            split_jsds(lengths, [[0]] * len(lengths), 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("idiom", [-1, 2])
+    def test_idiom_outside_the_support_rejected(self, idiom):
+        # the kernel counts into an array of n_support entries
+        with pytest.raises(ValueError, match="span idioms must lie in 0..1"):
+            split_baseline([3, 4], np.array([0, 1]), np.array([0, idiom]), 2, 1,
+                           np.random.default_rng(0))
 
     def test_token_counts_beyond_int64_key_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            split_masks([2**62, 1], [0])
+            split_jsds([2**62, 1], [[0], [1]], 1, np.random.default_rng(0))

@@ -1,7 +1,7 @@
-"""The C kernels' tables, their noise mapping, and how they are built and
-cached.  The SGNS kernel is checked against a scalar loop in
-test_embeddings.py and the split walk against a plain loop in
-test_corpus.py."""
+"""The C kernels' tables, their noise mapping, their shuffle, and how they
+are built and cached.  The SGNS kernel is checked against a scalar loop in
+test_embeddings.py, the split walk against a plain loop in test_corpus.py,
+and the divergence against exact sums and scipy in test_stats.py."""
 
 import ctypes
 import hashlib
@@ -33,8 +33,9 @@ TABLE_SHA256 = (
 )
 
 
-# Includes the kernel source, so its static noise_row is in scope.
-NOISE_HARNESS = """#include "_kernels.c"
+# Includes the kernel source, so its static noise_row and permutation are in
+# scope.
+HARNESS = """#include "_kernels.c"
 
 void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
                 const double *draws, int64_t count, int64_t *out)
@@ -42,24 +43,38 @@ void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
     for (int64_t c = 0; c < count; c++)
         out[c] = noise_row(cdf, n, guide, draws[c]);
 }
+
+void permutations(int64_t n, int64_t rows, uint32_t (*next_uint32)(void *), void *state,
+                  int64_t *out)
+{
+    for (int64_t r = 0; r < rows; r++)
+        permutation(out + r * n, n, next_uint32, state);
+}
 """
 
 
 @pytest.fixture(scope="module")
-def kernel_noise_rows(tmp_path_factory):
-    """The kernel's noise mapping of `uniforms` through `cdf`, from a
-    harness built with the library's flags."""
-    tmp = tmp_path_factory.mktemp("noise-harness")
-    (tmp / "harness.c").write_text(NOISE_HARNESS)
+def harness(tmp_path_factory):
+    """`HARNESS`, built with the library's flags."""
+    tmp = tmp_path_factory.mktemp("harness")
+    (tmp / "harness.c").write_text(HARNESS)
     built = subprocess.run(
         [os.environ.get("CC") or "cc", *_kernels._FLAGS, "-I", str(_kernels._SOURCE.parent),
-         "-o", str(tmp / "harness.so"), str(tmp / "harness.c")],
+         "-o", str(tmp / "harness.so"), str(tmp / "harness.c"), *_kernels._LIBS],
         capture_output=True, text=True, timeout=120)
     assert built.returncode == 0, built.stderr
-    harness = ctypes.CDLL(str(tmp / "harness.so"))
+    lib = ctypes.CDLL(str(tmp / "harness.so"))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    harness.noise_rows.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
-    harness.noise_rows.restype = None
+    lib.noise_rows.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
+    lib.noise_rows.restype = None
+    lib.permutations.argtypes = [i64, i64, ctypes.CFUNCTYPE(ctypes.c_uint32, ptr), ptr, ptr]
+    lib.permutations.restype = None
+    return lib
+
+
+@pytest.fixture(scope="module")
+def kernel_noise_rows(harness):
+    """The kernel's noise mapping of `uniforms` through `cdf`."""
 
     def noise_rows(cdf, uniforms):
         guide = _kernels.noise_guide(cdf)
@@ -108,6 +123,20 @@ class TestNoiseMapping:
         assert np.array_equal(kernel_noise_rows(cdf, uniforms), np.searchsorted(cdf, uniforms))
 
 
+class TestShuffle:
+    @pytest.mark.parametrize("n", [2, 3, 1500])
+    def test_rows_equal_successive_generator_permutations(self, harness, n):
+        rows = 50
+        rng = np.random.default_rng(n)
+        bits = rng.bit_generator.ctypes
+        out = np.empty((rows, n), dtype=np.int64)
+        harness.permutations(n, rows, bits.next_uint32, bits.state, out.ctypes.data)
+        reference = np.random.default_rng(n)
+        assert np.array_equal(out, [reference.permutation(n) for _ in range(rows)])
+        # both generators are left at the same point of their streams
+        assert rng.integers(2**63) == reference.integers(2**63)
+
+
 def child_env(**extra):
     env = {k: v for k, v in os.environ.items() if k != "CC"}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -135,7 +164,8 @@ class TestBuildAndCache:
         # pointer, shows here before it can crash a training run
         built = subprocess.run(
             [os.environ.get("CC") or "cc", *_kernels._FLAGS, "-Wall", "-Wextra", "-Wpedantic",
-             "-Werror", "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
+             "-Werror", "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE),
+             *_kernels._LIBS],
             capture_output=True, text=True, timeout=120)
         assert built.returncode == 0, built.stderr
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -176,6 +177,27 @@ class TestDivergenceGapTest:
         assert result.baseline_std == {"M": 0.0, "F": 0.0}
         assert result.z == sign * math.inf
 
+    def test_memory_does_not_grow_with_the_splits(self, tmp_path):
+        # a split adds its two JSD values (16 bytes) and their pooled copy,
+        # not a mask or a count vector
+        rng = np.random.default_rng(3)
+        idioms = ["over the moon", "under fire"]
+        texts = {g: [f"w{int(rng.integers(0, 50))} {idioms[int(rng.integers(0, 2))]} "
+                     + " ".join(f"w{int(k)}" for k in rng.integers(0, 50, rng.integers(0, 12)))
+                     for _ in range(1500)] for g in ("M", "F")}
+        corpus, lexicon = self.make_inputs(tmp_path, texts["M"], texts["F"])
+        counts = count_usages(build_matcher(lexicon), corpus)
+        divergence_gap_test(counts, n_splits=2, seed=0)  # builds and loads the kernel
+        peaks = {}
+        for n_splits in (500, 2000):
+            tracemalloc.start()
+            try:
+                divergence_gap_test(counts, n_splits=n_splits, seed=0)
+                peaks[n_splits] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[2000] - peaks[500]) / 1500 < 64
+
     def test_n_splits_validation(self, tmp_path):
         corpus, lexicon = self.make_inputs(
             tmp_path, ["over the moon", "under fire"], ["over the moon", "under fire"]
@@ -200,17 +222,18 @@ def oracle_lexicon() -> Lexicon:
     return lexicon
 
 
-def group_halves(corpus, group, seed):
+def group_halves(corpus, group, rng):
     """One group's posts in corpus order, split into two post lists by
     `split_halves` over their token counts."""
     posts = [p for p in corpus.posts if p.group == group]
-    first, second = split_halves([p.token_count for p in posts], seed)
+    first, second = split_halves([p.token_count for p in posts], rng)
     return [posts[j] for j in first], [posts[j] for j in second]
 
 
 def reference_divergence(corpus, lexicon, n_splits, seed):
     """Cross JSD and baseline samples by matching every post and splitting
-    each group's whole posts with `group_halves`."""
+    each group's whole posts with `group_halves`, one generator per group
+    drawing its splits' permutations in turn."""
     matcher = build_matcher(lexicon)
     support = lexicon.canonicals()
     per_post = {p: Counter(m.canonical for m in find_matches(matcher, list(p.tokens)))
@@ -227,13 +250,12 @@ def reference_divergence(corpus, lexicon, n_splits, seed):
 
     ga, gb = corpus.group_labels
     cross = jsd(*(usage([p for p in corpus.posts if p.group == g]) for g in (ga, gb)))
-    children = np.random.SeedSequence(seed).spawn(2 * n_splits)
     samples = {}
-    for gi, g in enumerate((ga, gb)):
+    for g, child in zip((ga, gb), np.random.SeedSequence(seed).spawn(2)):
+        rng = np.random.default_rng(child)
         vals = []
-        for s in range(n_splits):
-            child_seed = int(children[gi * n_splits + s].generate_state(1)[0])
-            h1, h2 = group_halves(corpus, g, child_seed)
+        for _ in range(n_splits):
+            h1, h2 = group_halves(corpus, g, rng)
             vals.append(jsd(usage(h1), usage(h2)))
         samples[g] = np.array(vals, dtype=np.float64)
     return cross, samples
@@ -694,6 +716,17 @@ class TestKde:
     def test_too_few_values(self):
         with pytest.raises(ValueError):
             kde([1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bandwidth(self, bad):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            kde([0.1, 0.5, 0.9], bandwidth=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bandwidth", [None, 0.2])
+    def test_rejects_non_finite_values(self, bad, bandwidth):
+        with pytest.raises(ValueError, match="values must be finite"):
+            kde([0.1, bad, 0.9], bandwidth=bandwidth)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
