@@ -1,19 +1,25 @@
 /* The sequential loops of figlex, in C: skip-gram negative-sampling (SGNS)
- * training over one epoch of the corpus; the Jensen-Shannon divergence of
- * two probability vectors; and the divergence test's baseline, many greedy
- * half splits of one group with the divergence of each.  _kernels.py builds
- * this file and loads it with ctypes.  The SGNS kernel draws its noise
- * doubles, and the split kernel its shuffles, through numpy's generator
- * interface (Generator.bit_generator.ctypes): next_double and next_uint32.
+ * training over one epoch of the corpus and its initial vectors; the
+ * float64 cosine of two vectors; the Jensen-Shannon divergence of two
+ * probability vectors; the divergence test's baseline, many greedy half
+ * splits of one group with the divergence of each; and numpy's PCG64
+ * generator with the draws figlex makes from it.  _kernels.py builds this
+ * file and loads it with ctypes.  The SGNS kernel draws its noise doubles,
+ * and the split kernel and the shuffle their bounded integers, through
+ * numpy's generator interface (Generator.bit_generator.ctypes):
+ * next_double and next_uint32, which pcg64_next_double and
+ * pcg64_next_uint32 implement here.
  *
  * The arithmetic is IEEE single (SGNS), int64 (the split walk and its
- * counts) and double (the divergence) in a fixed order, so the results do
- * not depend on the CPU's vector units.  Compile with -ffp-contract=off and
- * without -ffast-math: a fused multiply-add or a reassociated sum would
- * change them.  The divergence calls one libm function, log2, so link libm
- * after this file (-lm).  Its bytes are libm's: glibc's log2 is an ifunc
- * that takes an FMA variant on CPUs with FMA, and no environment variable
- * selects it, so scripts/check_portable_bytes.py cannot vary it.
+ * counts) and double (the cosine and the divergence) in a fixed order, so
+ * the results do not depend on the CPU's vector units.  Compile with
+ * -ffp-contract=off and without -ffast-math: a fused multiply-add or a
+ * reassociated sum would change them.  The divergence calls one libm
+ * function, log2, so link libm after this file (-lm).  Its bytes are
+ * libm's: glibc's log2 is an ifunc that takes an FMA variant on CPUs with
+ * FMA, and no environment variable selects it, so
+ * scripts/check_portable_bytes.py cannot vary it.  The cosine's sqrt is
+ * correctly rounded everywhere.
  */
 
 #include <math.h>
@@ -43,6 +49,33 @@ static float dot(const float *a, const float *b, int64_t n)
         lane[q] += a[j + q] * b[j + q];
     return ((lane[0] + lane[1]) + (lane[2] + lane[3]))
          + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+/* dot in double: the same 8 lanes and tree, each product and sum in
+ * double.  The product of two floats widened to double is exact. */
+static double dot64(const double *a, const double *b, int64_t n)
+{
+    double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (int q = 0; q < 8; q++)
+            lane[q] += a[j + q] * b[j + q];
+    for (int q = 0; j + q < n; q++)
+        lane[q] += a[j + q] * b[j + q];
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+         + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+/* The cosine of a and b, dot64(a, b) / (sqrt(dot64(a, a)) sqrt(dot64(b, b))),
+ * clamped to [-1, 1]; NaN when either vector is zero or has a non-finite
+ * entry. */
+double cosine(const double *a, const double *b, int64_t n)
+{
+    double aa = dot64(a, a, n), bb = dot64(b, b, n);
+    if (aa == 0 || bb == 0)
+        return NAN;
+    double c = dot64(a, b, n) / (sqrt(aa) * sqrt(bb));
+    return c < -1 ? -1 : c > 1 ? 1 : c;
 }
 
 /* y += a x, in runs of 8 that the compiler can turn into vector code
@@ -162,6 +195,16 @@ double sgns_epoch(float *syn0, float *syn1, int64_t dim,
     return loss_sum / (double)n_pairs;
 }
 
+/* The initial input vectors: syn0[i] = (float)((u_i - 0.5) / dim) for
+ * i < n, u_i the next double of next_double(state), as numpy's
+ * ((Generator.random(n) - 0.5) / dim).astype(float32) gives them. */
+void sgns_init(float *syn0, int64_t n, int64_t dim, double (*next_double)(void *),
+               void *state)
+{
+    for (int64_t i = 0; i < n; i++)
+        syn0[i] = (float)((next_double(state) - 0.5) / (double)dim);
+}
+
 /* Jensen-Shannon divergence in base 2 of the probability vectors p and q
  * of length n: half the sum over i of p_i log2(2 p_i / (p_i + q_i)), over
  * the i with p_i > 0 in index order, plus half the same sum with p and q
@@ -204,7 +247,7 @@ static uint32_t random_interval(uint32_t (*next_uint32)(void *), void *state, ui
  * Fisher-Yates swaps of Generator.shuffle, i from n - 1 down to 1, each
  * with the position random_interval(i) draws.  n <= 2^32, so every bound
  * fits next_uint32, as it does in numpy. */
-static void permutation(int64_t *order, int64_t n, uint32_t (*next_uint32)(void *), void *state)
+void permutation(int64_t *order, int64_t n, uint32_t (*next_uint32)(void *), void *state)
 {
     for (int64_t i = 0; i < n; i++)
         order[i] = i;
@@ -280,4 +323,114 @@ int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *st
 done:
     free(order), free(total), free(first), free(p), free(q);
     return status;
+}
+
+/* numpy's PCG64 (O'Neill 2014): a 128-bit linear congruential generator,
+ * stepped before each output, with the XSL-RR output function.  Seeded
+ * from the four words of SeedSequence.generate_state(4, uint64), it gives
+ * numpy.random.PCG64's stream: the same 64-bit outputs, the doubles of
+ * next_double and the buffered halves of next_uint32.  The 128-bit words
+ * are stored as two uint64, high first, so the struct needs only 8-byte
+ * alignment: _kernels.py holds it in 5 uint64. */
+__extension__ typedef unsigned __int128 u128;
+
+typedef struct {
+    uint64_t state[2], inc[2];
+    uint32_t has_uint32, uinteger;
+} pcg64;
+
+static u128 join128(const uint64_t w[2])
+{
+    return (u128)w[0] << 64 | w[1];
+}
+
+static void split128(uint64_t w[2], u128 x)
+{
+    w[0] = (uint64_t)(x >> 64);
+    w[1] = (uint64_t)x;
+}
+
+static void pcg64_step(pcg64 *g)
+{
+    static const u128 mult = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+    split128(g->state, join128(g->state) * mult + join128(g->inc));
+}
+
+/* numpy's pcg64_set_seed: seed words[0..1], stream words[2..3]. */
+void pcg64_seed(pcg64 *g, const uint64_t *words)
+{
+    split128(g->state, 0);
+    split128(g->inc, join128(words + 2) << 1 | 1);
+    pcg64_step(g);
+    split128(g->state, join128(g->state) + join128(words));
+    pcg64_step(g);
+    g->has_uint32 = g->uinteger = 0;
+}
+
+static uint64_t pcg64_next64(pcg64 *g)
+{
+    pcg64_step(g);
+    uint64_t x = g->state[0] ^ g->state[1];
+    unsigned rot = (unsigned)(g->state[0] >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* A double in [0, 1) from the top 53 bits of the next output. */
+double pcg64_next_double(void *g)
+{
+    return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The low half of a new output, or the high half of the last one when it
+ * is still held. */
+uint32_t pcg64_next_uint32(void *state)
+{
+    pcg64 *g = state;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* out[i] = low + a uniform draw from 0..range, for i < n, as
+ * Generator.integers(low, low + range + 1, n) draws int64s (numpy's
+ * random_bounded_uint64_fill, unmasked): no draw for range 0, a bare
+ * next_uint32 for range 2^32 - 1, Lemire's (2019) multiply-and-reject
+ * over next_uint32 below it, a bare 64-bit output for range 2^64 - 1, and
+ * the same rejection over 64-bit outputs otherwise. */
+void pcg64_integers(pcg64 *g, int64_t low, uint64_t range, int64_t n, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t value;
+        if (range == 0) {
+            value = 0;
+        } else if (range == UINT32_MAX) {
+            value = pcg64_next_uint32(g);
+        } else if (range < UINT32_MAX) {
+            uint32_t excl = (uint32_t)range + 1;
+            uint64_t m = (uint64_t)pcg64_next_uint32(g) * excl;
+            if ((uint32_t)m < excl) {
+                uint32_t threshold = (UINT32_MAX - (uint32_t)range) % excl;
+                while ((uint32_t)m < threshold)
+                    m = (uint64_t)pcg64_next_uint32(g) * excl;
+            }
+            value = m >> 32;
+        } else if (range == UINT64_MAX) {
+            value = pcg64_next64(g);
+        } else {
+            uint64_t excl = range + 1;
+            u128 m = (u128)pcg64_next64(g) * excl;
+            if ((uint64_t)m < excl) {
+                uint64_t threshold = (UINT64_MAX - range) % excl;
+                while ((uint64_t)m < threshold)
+                    m = (u128)pcg64_next64(g) * excl;
+            }
+            value = (uint64_t)(m >> 64);
+        }
+        out[i] = (int64_t)((uint64_t)low + value);
+    }
 }

@@ -336,7 +336,7 @@ def train_vad_models(
     words = sorted(w for w in vad if w in space)
     if not words:
         raise ValueError("no VAD lexicon word is in the embedding vocabulary")
-    X = np.stack([space.vector(w).astype(np.float64) for w in words])
+    X = space.vectors[[space.vocab[w] for w in words]].astype(np.float64)
     whitened = _whiten(X)  # once for the three fits
     return {
         dim: fit_beta_regression(X, np.array([vad[w][i] for w in words]), dimension=dim,

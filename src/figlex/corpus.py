@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
+from . import _kernels
 
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -151,7 +151,9 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
     Posts are removed in random order until the larger group's token total
     no longer exceeds the smaller's, so the residual imbalance is bounded
     by the last removed post's length.  Posts are never truncated and the
-    smaller group is never touched.
+    smaller group is never touched.  The removal order is
+    ``numpy.random.default_rng(seed).permutation`` of the larger group's
+    posts, drawn by `_kernels.Pcg64`.
     """
     totals = corpus.token_totals()
     a, b = corpus.group_labels
@@ -163,8 +165,7 @@ def balance_groups(corpus: Corpus, seed: int) -> Corpus:
 
     larger, smaller = (a, b) if totals[a] > totals[b] else (b, a)
     larger_idx = [i for i, p in enumerate(corpus.posts) if p.group == larger]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(larger_idx))
+    order = _kernels.Pcg64(seed).permutation(len(larger_idx))
 
     diff = totals[larger] - totals[smaller]
     removed: set[int] = set()

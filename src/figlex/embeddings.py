@@ -9,34 +9,51 @@ units or BLAS.  Frequent-token subsampling is deliberately omitted
 The arithmetic runs in the C kernel of `_kernels.c`, one center token at a
 time in corpus order, in float32 with fixed-order sums and word2vec's
 sigmoid and log tables, one kernel call per epoch.  The randomness comes
-from two numpy generators: one window size per center, drawn once as an
-array, and one double per noise row, which the kernel draws itself through
-numpy's ctypes generator interface (the `next_double` that
-`Generator.random` fills its output with) and maps to a token through the
-unigram^0.75 CDF.
+from three seeded PCG64 streams of `_kernels.Pcg64`, each equal to the
+``numpy.random.default_rng`` stream of its seed: the initial vectors, one
+window size per center, drawn once as an array, and one double per noise
+row, which the kernel draws itself and maps to a token through the
+unigram^0.75 CDF.  Training, the store and `cosine` load no numpy; the
+`vectors` view, `nearest_neighbors` and `sentence_embedding` do.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
+from ._kernels import address
 from .config import TrainParams
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass
 class EmbeddingSpace:
+    """A vocabulary and its vectors: token t's vector is row ``vocab[t]`` of
+    the (|vocab|, dim) float32 matrix that `data` holds row by row."""
+
     vocab: dict[str, int]
-    vectors: np.ndarray  # shape (|vocab|, dim), float32
+    data: array  # typecode "f"
+    dim: int
     epoch_losses: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.data.typecode != "f" or len(self.data) != len(self.vocab) * self.dim:
+            raise ValueError(f"data must be a float32 array of {len(self.vocab)} x {self.dim} "
+                             f"entries, got {len(self.data)} of type {self.data.typecode!r}")
+
     @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
+    def vectors(self) -> np.ndarray:
+        """`data` as a (|vocab|, dim) float32 ndarray, a view."""
+        import numpy as np
+
+        return np.frombuffer(self.data, dtype=np.float32).reshape(len(self.vocab), self.dim)
 
     @property
     def tokens(self) -> list[str]:
@@ -48,23 +65,28 @@ class EmbeddingSpace:
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
 
-    def vector(self, token: str) -> np.ndarray:
+    def vector(self, token: str) -> memoryview:
+        """`token`'s row of `data`, a float32 memoryview."""
         if token not in self.vocab:
             raise KeyError(f"token {token!r} not in vocabulary")
-        return self.vectors[self.vocab[token]]
+        start = self.vocab[token] * self.dim
+        return memoryview(self.data)[start:start + self.dim]
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine undefined for zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """Cosine similarity, clamped to [-1, 1] against rounding.
+
+    Both vectors are taken as float64; the three dot products run in
+    `_kernels.c` in fixed-order lanes, so the value does not depend on the
+    CPU's vector units or BLAS.
+    """
+    a, b = array("d", u), array("d", v)
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    value = _kernels.load().cosine(address(a), address(b), len(a))
+    if math.isnan(value):
+        raise ValueError("cosine undefined for zero vector or non-finite entries")
+    return value
 
 
 def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> EmbeddingSpace:
@@ -93,45 +115,41 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     id_sentences = [ids for ids in id_sentences if len(ids) >= 2]
     if not id_sentences:
         raise ValueError("corpus too small: no sentence with 2 in-vocabulary tokens")
-    lengths = np.array([len(ids) for ids in id_sentences], dtype=np.int64)
-    ids = np.array([i for sent in id_sentences for i in sent], dtype=np.int64)
+    lengths = array("q", map(len, id_sentences))
+    ids = array("q", [i for sent in id_sentences for i in sent])
     del id_sentences
 
-    freq = np.array([counts[t] for t in vocab_tokens], dtype=np.float64) ** 0.75
-    noise_cdf = np.cumsum(freq / freq.sum())
-    noise_cdf[-1] = 1.0
-    guide = _kernels.noise_guide(noise_cdf)
+    noise_cdf, guide = _kernels.noise_table([counts[t] for t in vocab_tokens])
     tables = _kernels.score_tables()
-    kernel = _kernels.load().sgns_epoch
+    lib = _kernels.load()
 
-    init_rng = np.random.default_rng(params.seed)
     dim = params.dim
-    syn0 = ((init_rng.random((len(vocab), dim)) - 0.5) / dim).astype(np.float32)
-    syn1 = np.zeros((len(vocab), dim), dtype=np.float32)
+    syn0 = array("f", [0.0]) * (len(vocab) * dim)
+    syn1 = array("f", [0.0]) * (len(vocab) * dim)
+    init = _kernels.Pcg64(params.seed)
+    lib.sgns_init(address(syn0), len(syn0), dim, init.next_double, init.state)
 
     # identical draw streams every epoch: the per-epoch mean loss is then
     # measured on the same sampled objective, so it decreases under the
     # decaying learning rate instead of wobbling with sampling noise
-    windows = np.random.default_rng([params.seed, 0x5E9, 0]).integers(
-        1, params.window + 1, size=len(ids))
+    windows = _kernels.Pcg64([params.seed, 0x5E9, 0]).integers(1, params.window + 1, len(ids))
     epoch_losses: list[float] = []
     for epoch in range(params.epochs):
-        # the interface holds only addresses: `noise_rng` keeps the
-        # generator alive through the call, and nothing else draws from it
-        noise_rng = np.random.default_rng([params.seed, 0x5E9, 1])
-        noise = noise_rng.bit_generator.ctypes
-        loss = kernel(
-            syn0.ctypes.data, syn1.ctypes.data, dim, ids.ctypes.data, lengths.ctypes.data,
-            len(lengths), windows.ctypes.data, noise.next_double, noise.state,
-            params.negatives, noise_cdf.ctypes.data, len(vocab), guide.ctypes.data,
-            tables.ctypes.data, params.initial_lr, params.initial_lr * 1e-4,
-            epoch * len(ids), params.epochs * len(ids),
+        # the kernel reads the generator's state by address: `noise` keeps it
+        # alive through the call, and nothing else draws from it
+        noise = _kernels.Pcg64([params.seed, 0x5E9, 1])
+        loss = lib.sgns_epoch(
+            address(syn0), address(syn1), dim, address(ids), address(lengths), len(lengths),
+            address(windows), noise.next_double, noise.state, params.negatives,
+            address(noise_cdf), len(vocab), address(guide), address(tables),
+            params.initial_lr, params.initial_lr * 1e-4, epoch * len(ids),
+            params.epochs * len(ids),
         )
         if loss < 0:
             raise MemoryError("SGNS kernel: no memory for its scratch rows")
         epoch_losses.append(loss)
 
-    return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
+    return EmbeddingSpace(vocab=vocab, data=syn0, dim=dim, epoch_losses=epoch_losses)
 
 
 def save_vectors(space: EmbeddingSpace, path: str) -> None:
@@ -141,8 +159,9 @@ def save_vectors(space: EmbeddingSpace, path: str) -> None:
         fh.write(f"{len(space.vocab)} {space.dim}\n")
         # a float32 widened to a Python float prints the same digits
         fmt = "{:.9g}".format
+        dim, data = space.dim, space.data
         for i, token in enumerate(space.tokens):
-            fh.write(token + " " + " ".join(map(fmt, space.vectors[i].tolist())) + "\n")
+            fh.write(token + " " + " ".join(map(fmt, data[i * dim:(i + 1) * dim])) + "\n")
 
 
 def load_vectors(path: str) -> EmbeddingSpace:
@@ -156,7 +175,7 @@ def load_vectors(path: str) -> EmbeddingSpace:
             raise ValueError("bad header: expected two integers") from exc
 
         vocab: dict[str, int] = {}
-        vectors = np.empty((size, dim), dtype=np.float32)
+        data = array("f")
         row = 0
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
@@ -170,11 +189,12 @@ def load_vectors(path: str) -> EmbeddingSpace:
             if len(parts) - 1 != dim:
                 raise ValueError(f"row {lineno}: expected {dim} values, got {len(parts) - 1}")
             vocab[token] = row
-            vectors[row] = np.array(parts[1:], dtype=np.float32)
+            # each value parsed as a double and rounded, as numpy parses it
+            data.extend(map(float, parts[1:]))
             row += 1
         if row != size:
             raise ValueError(f"header declares {size} rows but file has {row}")
-    return EmbeddingSpace(vocab=vocab, vectors=vectors)
+    return EmbeddingSpace(vocab=vocab, data=data, dim=dim)
 
 
 def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> list[tuple[str, float]]:
@@ -188,6 +208,7 @@ def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> list[tuple[s
         raise ValueError(f"k={k} exceeds vocabulary size minus one ({len(space.vocab) - 1})")
     if k <= 0:
         return []
+    import numpy as np
 
     mat = space.vectors.astype(np.float64)
     norms = np.linalg.norm(mat, axis=1)
@@ -226,4 +247,6 @@ def sentence_embedding(space: EmbeddingSpace, tokens: Sequence[str]) -> np.ndarr
     rows = _embedded_rows(space, tokens)
     if not rows:
         raise ValueError("no in-vocabulary, non-stopword token to embed")
+    import numpy as np
+
     return space.vectors[rows].astype(np.float64).mean(axis=0)

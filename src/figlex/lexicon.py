@@ -364,7 +364,8 @@ def literality_score(entry: IdiomEntry, space: EmbeddingSpace) -> float:
     """Propensity of the idiom to occur with its literal meaning.
 
     Mean cosine similarity between the idiom's single-token vector and the
-    vectors of its in-vocabulary, non-stopword constituent words.
+    vectors of its in-vocabulary, non-stopword constituent words, each
+    `cosine` taken in float64 in `_kernels.c`'s fixed order.
     """
     token = idiom_token(entry.canonical)
     if token not in space:

@@ -8,11 +8,10 @@ This makes usage counts and stream rewriting well defined.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .corpus import Corpus, Post
 from .lexicon import Lexicon, idiom_token
@@ -115,9 +114,9 @@ class GroupCounts:
     streams on request, so a matched span counts once as its idiom token.
     ``idiom_counts`` accumulates over all surface variants of an entry, and
     ``variant_counts`` holds one total per surface form, over both groups.
-    Each matched span is also recorded by where it sits:
-    ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]`` indexes the
-    key order of ``idiom_counts``.
+    Each matched span is also recorded by where it sits, in two int64
+    arrays: ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]``
+    indexes the key order of ``idiom_counts``.
     """
 
     groups: tuple[str, str]
@@ -125,8 +124,8 @@ class GroupCounts:
     variant_counts: dict[tuple[str, ...], int] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
     streams: list[Sequence[str]] = field(default_factory=list)
-    span_posts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    span_idioms: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    span_posts: array = field(default_factory=lambda: array("q"))
+    span_idioms: array = field(default_factory=lambda: array("q"))
 
     def tokens_for(self, group: str) -> Counter[str]:
         """Token tallies over `group`'s rewritten streams."""
@@ -145,8 +144,7 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
     for canonical in column:
         counts.idiom_counts[canonical] = {g: 0 for g in groups}
 
-    span_posts: list[int] = []
-    span_idioms: list[int] = []
+    span_posts, span_idioms = counts.span_posts, counts.span_idioms
     for i, post in enumerate(corpus.posts):
         matches = find_matches(matcher, post.tokens)
         for m in matches:
@@ -155,6 +153,4 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
             span_posts.append(i)
             span_idioms.append(column[m.canonical])
         counts.streams.append(_apply_rewrite(post.tokens, matches) if matches else post.tokens)
-    counts.span_posts = np.array(span_posts, dtype=np.intp)
-    counts.span_idioms = np.array(span_idioms, dtype=np.intp)
     return counts

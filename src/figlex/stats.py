@@ -137,15 +137,17 @@ def divergence_gap_test(
     ga, gb = counts.groups
     n_support = len(counts.idiom_counts)
     spans, total = {}, {}
+    span_posts = np.frombuffer(counts.span_posts, dtype=np.int64)
+    span_idioms = np.frombuffer(counts.span_idioms, dtype=np.int64)
     for g in (ga, gb):
         members = np.flatnonzero([p.group == g for p in counts.posts])
-        in_group = np.isin(counts.span_posts, members)
-        idioms = counts.span_idioms[in_group]
+        in_group = np.isin(span_posts, members)
+        idioms = span_idioms[in_group]
         total[g] = np.bincount(idioms, minlength=n_support)
         if total[g].sum() == 0:
             raise ValueError(f"group {g!r} has zero idiom usage")
         # each span's post as a position among the group's members
-        spans[g] = (members, np.searchsorted(members, counts.span_posts[in_group]), idioms)
+        spans[g] = (members, np.searchsorted(members, span_posts[in_group]), idioms)
     cross = jsd(total[ga], total[gb])
 
     samples: dict[str, np.ndarray] = {}
@@ -486,8 +488,8 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
 
     The default bandwidth is Silverman's rule of thumb,
     0.9 * min(sd, IQR/1.34) * n^(-1/5); the grid spans the data range
-    extended by three bandwidths on each side.  The values and an explicit
-    bandwidth must be finite.
+    extended by three bandwidths on each side.  The values, an explicit
+    bandwidth and both grid ends must be finite.
     """
     data = np.asarray(values, dtype=np.float64)
     if data.ndim != 1 or data.size < 2:
@@ -507,7 +509,10 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
         raise ValueError("bandwidth must be positive and finite")
 
     h = float(bandwidth)
-    grid = np.linspace(data.min() - 3 * h, data.max() + 3 * h, 256)
+    lo, hi = float(data.min()) - 3 * h, float(data.max()) + 3 * h
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid ends {lo} and {hi} are not finite")
+    grid = np.linspace(lo, hi, 256)
     density = np.zeros_like(grid)
     norm = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
     # 32 grid points by 4096 values at a time, so each temporary is 1 MB;

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import settings
 
 import figlex
 from figlex.corpus import Corpus, Post, tokenize
+from figlex.embeddings import EmbeddingSpace
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -40,6 +42,14 @@ def make_corpus(texts_by_group: dict[str, list[str]], labels=None) -> Corpus:
             posts.append(make_post(text, group=group, author=f"{group}{i}"))
     labels = labels or tuple(texts_by_group)
     return Corpus(posts=tuple(posts), group_labels=tuple(labels))
+
+
+def make_space(vocab: dict[str, int], rows, epoch_losses=()) -> EmbeddingSpace:
+    """An `EmbeddingSpace` whose vector table is `rows`, a (|vocab|, dim)
+    array-like, rounded to float32."""
+    table = np.asarray(rows, dtype=np.float32)
+    return EmbeddingSpace(vocab=vocab, data=array("f", table.tobytes()), dim=table.shape[1],
+                          epoch_losses=list(epoch_losses))
 
 
 def split_halves(token_counts, rng):

@@ -30,11 +30,11 @@ from figlex.affect import (
     _sigmoid,
 )
 from figlex.corpus import Corpus
-from figlex.embeddings import EmbeddingSpace, sentence_embedding
+from figlex.embeddings import sentence_embedding
 from figlex.lexicon import Lexicon, IdiomEntry
 from figlex.matcher import GroupCounts, Matcher, count_usages
 
-from conftest import make_corpus, make_post
+from conftest import make_corpus, make_post, make_space
 
 
 def synthetic_beta_data(n, beta, phi, seed):
@@ -290,8 +290,7 @@ class TestPredictBeta:
 def word_space(words, dim=6, seed=0):
     rng = np.random.default_rng(seed)
     vocab = {w: i for i, w in enumerate(words)}
-    return EmbeddingSpace(vocab=vocab,
-                          vectors=rng.normal(size=(len(words), dim)).astype(np.float32))
+    return make_space(vocab, rng.normal(size=(len(words), dim)))
 
 
 WORD_POOL = [
@@ -308,7 +307,7 @@ class TestScoreDefinitions:
         # the likelihood has a finite-phi maximum
         words = sorted(space.vocab)
         rng = np.random.default_rng(1)
-        X = np.stack([space.vector(w).astype(np.float64) for w in words])
+        X = np.stack([np.asarray(space.vector(w), dtype=np.float64) for w in words])
         models = {}
         for dim_name in DIMENSIONS:
             w = rng.normal(scale=0.4, size=X.shape[1] + 1)
@@ -325,7 +324,7 @@ class TestScoreDefinitions:
         lexicon.entries[entry.key] = entry
         scores = score_definitions(lexicon, space, models)
         direct = tuple(
-            predict_beta(models[d], space.vector("sunrise").astype(np.float64))
+            predict_beta(models[d], np.asarray(space.vector("sunrise"), dtype=np.float64))
             for d in DIMENSIONS
         )
         assert scores["x y"] == pytest.approx(direct, abs=1e-12)

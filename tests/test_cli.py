@@ -628,8 +628,8 @@ class TestColdStart:
     UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy.ma"}
 
     def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
-        # `figlex.cli` loads neither numpy nor ctypes, but `_kernels` imports numpy,
-        # which imports ctypes, so the check is on the library
+        # `figlex.cli` loads no ctypes, but `_kernels` imports it, so the check
+        # is on the library
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         proc = run_python("-c", "import figlex.cli, figlex._kernels as k, sys; "
                                 "print(k._lib is None, '_kernels' in open('/proc/self/maps').read())")
@@ -656,6 +656,16 @@ class TestColdStart:
             assert "numpy" not in loaded, argv
             assert {m for m in loaded if m.split(".")[0] == "figlex"} \
                 == {"figlex", "figlex.cli", "figlex.config"}, argv
+
+    def test_prepare_and_its_modules_load_no_numpy(self, tmp_path):
+        argv = []
+        for key, value in medium_inputs(tmp_path).items():
+            argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        assert "numpy" not in _modules_loaded_by("prepare", *argv)
+        proc = run_python("-c", "import sys, figlex.corpus, figlex.lexicon, figlex.matcher, "
+                                "figlex.embeddings, figlex._kernels; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_prepare_loads_neither_affect_nor_stats(self, tmp_path):
         argv = []

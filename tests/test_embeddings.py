@@ -1,5 +1,6 @@
 import hashlib
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from figlex.embeddings import (
 from figlex.lexicon import load_lexicon
 from figlex.matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
 
-from conftest import make_corpus, write_jsonl
+from conftest import make_corpus, make_space, write_jsonl
 
 
 def small_corpus(n_sent=120, seed=0):
@@ -89,10 +90,10 @@ def reference_train_sgns(corpus, matcher, params):
         if ids.size >= 2:
             id_sentences.append(ids)
 
-    freq = np.array([counts[t] for t in vocab_tokens], dtype=np.float64) ** 0.75
+    freq = np.array([math.pow(counts[t], 0.75) for t in vocab_tokens])
     noise_cdf = np.cumsum(freq / freq.sum())
     noise_cdf[-1] = 1.0
-    score, log_score, log_rest = _kernels.score_tables()
+    score, log_score, log_rest = np.frombuffer(_kernels.score_tables(), np.float32).reshape(3, -1)
 
     init_rng = np.random.default_rng(params.seed)
     dim = params.dim
@@ -138,7 +139,7 @@ def reference_train_sgns(corpus, matcher, params):
                 loss_sum -= float(loss)
         epoch_losses.append(loss_sum / n_pairs)
 
-    return EmbeddingSpace(vocab=vocab, vectors=syn0, epoch_losses=epoch_losses)
+    return make_space(vocab, syn0, epoch_losses)
 
 
 def idiom_corpus_and_matcher(tmp_path):
@@ -201,6 +202,41 @@ class TestCosine:
     def test_clamped(self):
         u = np.array([1e-30, 1e-30])
         assert -1.0 <= cosine(u, u) <= 1.0
+
+    def test_fixed_lane_order(self):
+        # the float64 twin of the SGNS kernel's dot: lane q sums the products
+        # at j = q mod 8 in order, and the lanes add up in a fixed tree
+        def dot(a, b):
+            lanes = [0.0] * 8
+            for j, (x, y) in enumerate(zip(a, b)):
+                lanes[j % 8] += x * y
+            return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+                (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 8, 9, 100, 203):
+            u, v = rng.normal(size=n).tolist(), rng.normal(size=n).tolist()
+            want = dot(u, v) / (math.sqrt(dot(u, u)) * math.sqrt(dot(v, v)))
+            assert cosine(u, v) == max(-1.0, min(1.0, want))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+class TestEmbeddingSpace:
+    def test_vectors_and_rows_are_views_of_the_data(self):
+        space = make_space({"a": 0, "b": 1}, [[1, 2, 3], [4, 5, 6]])
+        assert space.vectors.shape == (2, 3) and space.vectors.dtype == np.float32
+        space.vectors[1, 2] = 9
+        assert space.data[5] == 9
+        assert space.vector("b").tolist() == [4, 5, 9]
+
+    def test_rejects_data_of_another_size_or_type(self):
+        with pytest.raises(ValueError, match="float32 array of 2 x 3 entries, got 5"):
+            EmbeddingSpace(vocab={"a": 0, "b": 1}, data=array("f", [0.0] * 5), dim=3)
+        with pytest.raises(ValueError, match="of type 'd'"):
+            EmbeddingSpace(vocab={"a": 0}, data=array("d", [0.0] * 3), dim=3)
 
 
 class TestTrainSgns:
@@ -327,7 +363,7 @@ class TestVectorFile:
         bits = np.random.default_rng(2).integers(0, 2**32, size=4 * 12, dtype=np.uint64)
         vectors = np.vstack([np.array(edges, dtype=np.float32),
                              bits.astype(np.uint32).view(np.float32).reshape(4, 12)])
-        space = EmbeddingSpace(vocab={f"t{i}": i for i in range(5)}, vectors=vectors)
+        space = make_space({f"t{i}": i for i in range(5)}, vectors)
         path = tmp_path / "v.txt"
         save_vectors(space, str(path))
         want = "5 12\n" + "".join(
@@ -353,10 +389,8 @@ class TestVectorFile:
 
 
 def toy_space():
-    return EmbeddingSpace(
-        vocab={"apple": 0, "brick": 1, "cloud": 2, "dune": 3},
-        vectors=np.array([[1, 0], [0.9, 0.1], [0, 1], [-1, 0]], dtype=np.float32),
-    )
+    return make_space({"apple": 0, "brick": 1, "cloud": 2, "dune": 3},
+                      [[1, 0], [0.9, 0.1], [0, 1], [-1, 0]])
 
 
 class TestNearestNeighbors:
@@ -375,18 +409,12 @@ class TestNearestNeighbors:
         assert longer[:2] == shorter
 
     def test_tie_broken_lexicographically(self):
-        space = EmbeddingSpace(
-            vocab={"a": 0, "z": 1, "m": 2},
-            vectors=np.array([[1, 0], [1, 1], [2, 2]], dtype=np.float32),
-        )
+        space = make_space({"a": 0, "z": 1, "m": 2}, [[1, 0], [1, 1], [2, 2]])
         ranked = nearest_neighbors(space, "a", 2)
         assert [t for t, _ in ranked] == ["m", "z"]
 
     def test_tie_straddling_rank_k(self):
-        space = EmbeddingSpace(
-            vocab={"a": 0, "z": 1, "m": 2, "q": 3},
-            vectors=np.array([[1, 0], [1, 1], [2, 2], [0, 1]], dtype=np.float32),
-        )
+        space = make_space({"a": 0, "z": 1, "m": 2, "q": 3}, [[1, 0], [1, 1], [2, 2], [0, 1]])
         assert [t for t, _ in nearest_neighbors(space, "a", 1)] == ["m"]
         assert [t for t, _ in nearest_neighbors(space, "a", 2)] == ["m", "z"]
 
@@ -398,7 +426,7 @@ class TestNearestNeighbors:
             names = [f"t{j:02d}" for j in rng.permutation(size)]
             vectors = rng.integers(-2, 3, size=(size, 3)).astype(np.float32)
             vectors[0] = [1, 1, 0]
-            space = EmbeddingSpace(vocab={t: j for j, t in enumerate(names)}, vectors=vectors)
+            space = make_space({t: j for j, t in enumerate(names)}, vectors)
             anchor = names[0]
             mat = vectors.astype(np.float64)
             norms = np.linalg.norm(mat, axis=1)
@@ -426,10 +454,7 @@ class TestSentenceEmbedding:
                                    space.vector("apple"))
 
     def test_mean_of_two(self):
-        space = EmbeddingSpace(
-            vocab={"x": 0, "y": 1},
-            vectors=np.array([[1, 0], [0, 1]], dtype=np.float32),
-        )
+        space = make_space({"x": 0, "y": 1}, [[1, 0], [0, 1]])
         np.testing.assert_allclose(sentence_embedding(space, ["x", "y"]), [0.5, 0.5])
 
     def test_order_invariant(self):
@@ -439,10 +464,7 @@ class TestSentenceEmbedding:
         np.testing.assert_allclose(one, two)
 
     def test_stopwords_ignored(self):
-        space = EmbeddingSpace(
-            vocab={"the": 0, "fence": 1},
-            vectors=np.array([[9, 9], [1, 0]], dtype=np.float32),
-        )
+        space = make_space({"the": 0, "fence": 1}, [[9, 9], [1, 0]])
         np.testing.assert_allclose(sentence_embedding(space, ["the", "fence"]), [1, 0])
 
     def test_all_oov_error(self):

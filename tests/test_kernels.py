@@ -1,12 +1,15 @@
-"""The C kernels' tables, their noise mapping, their shuffle, and how they
-are built and cached.  The SGNS kernel is checked against a scalar loop in
+"""The C kernels' tables, their noise mapping, their shuffle, the PCG64
+port and its seeding against numpy, and how the library is built and
+cached.  The SGNS kernel is checked against a scalar loop in
 test_embeddings.py, the split walk against a plain loop in test_corpus.py,
 and the divergence against exact sums and scipy in test_stats.py."""
 
 import ctypes
 import hashlib
+import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,7 +80,7 @@ def kernel_noise_rows(harness):
     """The kernel's noise mapping of `uniforms` through `cdf`."""
 
     def noise_rows(cdf, uniforms):
-        guide = _kernels.noise_guide(cdf)
+        guide = np.frombuffer(_kernels.noise_guide(cdf), dtype=np.int64)
         out = np.empty(uniforms.size, dtype=np.int64)
         harness.noise_rows(cdf.ctypes.data, cdf.size, guide.ctypes.data,
                            uniforms.ctypes.data, uniforms.size, out.ctypes.data)
@@ -86,15 +89,21 @@ def kernel_noise_rows(harness):
     return noise_rows
 
 
+def table_rows():
+    """The kernel's three tables as the rows of a (3, EXP_TABLE_SIZE + 3)
+    float32 array."""
+    tables = _kernels.score_tables()
+    assert tables.typecode == "f"
+    return np.frombuffer(tables, dtype=np.float32).reshape(3, _kernels.EXP_TABLE_SIZE + 3)
+
+
 class TestTables:
     def test_tables_are_pinned(self):
-        tables = _kernels.score_tables()
-        assert tables.dtype == np.float32
-        assert tables.shape == (3, _kernels.EXP_TABLE_SIZE + 3)
+        tables = table_rows()
         assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == TABLE_SHA256
 
     def test_saturated_entries(self):
-        score, log_score, log_rest = _kernels.score_tables()
+        score, log_score, log_rest = table_rows()
         assert score[SCORE_ZERO] == 0 and score[SCORE_ONE] == 1
         assert log_score[SCORE_ONE] == 0 and log_rest[SCORE_ZERO] == 0
         assert log_score[SCORE_ZERO] == log_rest[SCORE_ONE] == np.float32(np.log(1e-10))
@@ -137,6 +146,94 @@ class TestShuffle:
         assert rng.integers(2**63) == reference.integers(2**63)
 
 
+def numpy_seed_words(entropy, spawn_key=()):
+    words = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(4, np.uint64)
+    return tuple(int(w) for w in words)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("spawn_key", [(), (0,), (1,)])
+    def test_equal_numpy_seed_sequence(self, seed, spawn_key):
+        for entropy in (seed, [seed, 0x5E9, 0], [seed, 0x5E9, 1]):
+            assert _kernels.seed_words(entropy, spawn_key) == numpy_seed_words(entropy, spawn_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entropy=st.integers(0, 2**160) | st.lists(st.integers(0, 2**70), max_size=9),
+           spawn_key=st.lists(st.integers(0, 2**40), max_size=3))
+    def test_equal_numpy_seed_sequence_everywhere(self, entropy, spawn_key):
+        assert (_kernels.seed_words(entropy, tuple(spawn_key))
+                == numpy_seed_words(entropy, tuple(spawn_key)))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _kernels.seed_words(-1)
+
+
+def draws_match(seed, kernel_draws, numpy_draws):
+    """`kernel_draws(Pcg64(seed))` equals `numpy_draws(default_rng(seed))`,
+    and the two generators are then at the same point of their streams,
+    held 32-bit half included."""
+    kernel, reference = _kernels.Pcg64(seed), np.random.default_rng(seed)
+    assert list(kernel_draws(kernel)) == list(numpy_draws(reference))
+    assert kernel.next_uint32(kernel.state) == reference.integers(2**32, dtype=np.uint32)
+    assert kernel.next_double(kernel.state) == reference.random()
+
+
+class TestPcg64:
+    @pytest.mark.parametrize("seed", SEEDS + [[7, 0x5E9, 1]])
+    def test_doubles(self, seed):
+        draws_match(seed, lambda g: [g.next_double(g.state) for _ in range(2000)],
+                    lambda rng: rng.random(2000).tolist())
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 2**32 - 1, 2**32, 2**33])
+    def test_integers(self, width):
+        draws_match([width, 0x5E9, 0], lambda g: g.integers(1, width + 1, 3001),
+                    lambda rng: rng.integers(1, width + 1, size=3001).tolist())
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1500])
+    def test_permutations(self, n):
+        draws_match(n, lambda g: [g.permutation(n).tolist() for _ in range(5)],
+                    lambda rng: [rng.permutation(n).tolist() for _ in range(5)])
+
+    def test_rejects_an_empty_interval(self):
+        with pytest.raises(ValueError, match="low < high"):
+            _kernels.Pcg64(0).integers(3, 3, 1)
+
+
+def reference_noise_table(counts):
+    """The unigram^0.75 CDF from libm's pow, numpy's sum and cumsum, and its
+    guide from searchsorted."""
+    weights = np.array([math.pow(c, 0.75) for c in counts])
+    cdf = np.cumsum(weights / np.add.reduce(weights))
+    cdf[-1] = 1.0
+    return cdf, np.searchsorted(cdf, np.arange(len(cdf) + 1) / len(cdf))
+
+
+class TestNoiseTable:
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 10**9), min_size=1, max_size=300))
+    def test_equals_numpy_reference(self, counts):
+        cdf, guide = _kernels.noise_table(counts)
+        want_cdf, want_guide = reference_noise_table(counts)
+        assert cdf.typecode == "d" and guide.typecode == "q"
+        assert cdf.tobytes() == want_cdf.tobytes()
+        assert guide.tolist() == want_guide.tolist()
+
+    @pytest.mark.parametrize("size", [127, 128, 129, 8192, 20000])
+    def test_equals_numpy_reference_on_zipf_vocabularies(self, size):
+        # the pairwise sum's block and split boundaries, and beyond numpy's
+        # 8192-element buffer
+        counts = sorted(np.random.default_rng(size).zipf(1.3, size).tolist(), reverse=True)
+        cdf, guide = _kernels.noise_table(counts)
+        want_cdf, want_guide = reference_noise_table(counts)
+        assert cdf.tobytes() == want_cdf.tobytes()
+        assert guide.tolist() == want_guide.tolist()
+
+
 def child_env(**extra):
     env = {k: v for k, v in os.environ.items() if k != "CC"}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -158,6 +255,34 @@ class TestBuildAndCache:
         monkeypatch.setenv("XDG_CACHE_HOME", "")
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         assert _kernels.cache_dir() == tmp_path / "home" / ".cache" / "figlex"
+
+    def test_cached_library_loads_without_a_child_process(self, monkeypatch):
+        _kernels.load()  # built and cached
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a cached library started a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        monkeypatch.setattr(_kernels, "_lib", None)
+        assert _kernels.load().jsd  # loaded again, from the cache
+
+    def test_compiler_with_another_stat_gets_another_library(self, tmp_path, monkeypatch):
+        compiler = _kernels._find_compiler()
+        copy = tmp_path / "cc"
+        shutil.copy(compiler, copy)
+        st = os.stat(compiler)
+        os.utime(copy, ns=(st.st_atime_ns, st.st_mtime_ns))
+        names = {_kernels._library_path(compiler).name,
+                 _kernels._library_path(str(copy)).name}  # another path
+        os.utime(copy, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        names.add(_kernels._library_path(str(copy)).name)  # another mtime
+        with open(copy, "ab") as fh:
+            fh.write(b"\0")
+        os.utime(copy, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        names.add(_kernels._library_path(str(copy)).name)  # another size
+        assert len(names) == 4
+        monkeypatch.setenv("CC", str(copy))
+        assert _kernels._find_compiler() == str(copy)
 
     def test_source_compiles_without_warnings(self, tmp_path):
         # a mistyped parameter, such as the noise generator's function

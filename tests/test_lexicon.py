@@ -25,7 +25,7 @@ from figlex.lexicon import (
 )
 from figlex.matcher import GroupCounts, build_matcher, count_usages
 
-from conftest import make_corpus, write_jsonl
+from conftest import make_corpus, make_space, write_jsonl
 
 
 class TestInflectVerb:
@@ -345,8 +345,7 @@ class TestPruneVariants:
 
 def space_from(vectors: dict[str, list[float]]) -> EmbeddingSpace:
     vocab = {t: i for i, t in enumerate(vectors)}
-    return EmbeddingSpace(vocab=vocab, vectors=np.array(list(vectors.values()),
-                                                        dtype=np.float32))
+    return make_space(vocab, list(vectors.values()))
 
 
 class TestLiterality:

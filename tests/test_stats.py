@@ -728,6 +728,15 @@ class TestKde:
         with pytest.raises(ValueError, match="values must be finite"):
             kde([0.1, bad, 0.9], bandwidth=bandwidth)
 
+    def test_rejects_a_data_range_whose_grid_overflows(self):
+        # Silverman's bandwidth of this range is infinite
+        with pytest.raises(ValueError, match="grid ends .* not finite"):
+            kde([-1.7e308, 1.7e308])
+
+    def test_rejects_a_bandwidth_whose_grid_overflows(self):
+        with pytest.raises(ValueError, match="grid ends .* not finite"):
+            kde([0.0, 1.0], bandwidth=1e308)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
                     min_size=2, max_size=40))
