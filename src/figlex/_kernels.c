@@ -4,11 +4,9 @@
  * probability vectors; the divergence test's baseline, many greedy half
  * splits of one group with the divergence of each; and numpy's PCG64
  * generator with the draws figlex makes from it.  _kernels.py builds this
- * file and loads it with ctypes.  The SGNS kernel draws its noise doubles,
- * and the split kernel and the shuffle their bounded integers, through
- * numpy's generator interface (Generator.bit_generator.ctypes):
- * next_double and next_uint32, which pcg64_next_double and
- * pcg64_next_uint32 implement here.
+ * file and loads it with ctypes.  Every draw comes from a pcg64 that the
+ * caller seeds and passes by address: the SGNS kernels take their doubles
+ * from it, and the split kernel and the shuffle their bounded integers.
  *
  * The arithmetic is IEEE single (SGNS), int64 (the split walk and its
  * counts) and double (the cosine and the divergence) in a fixed order, so
@@ -25,6 +23,115 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* numpy's PCG64 (O'Neill 2014): a 128-bit linear congruential generator,
+ * stepped before each output, with the XSL-RR output function.  Seeded
+ * from the four words of SeedSequence.generate_state(4, uint64), it gives
+ * numpy.random.PCG64's stream: the same 64-bit outputs, the same doubles
+ * and the same buffered 32-bit halves.  The 128-bit words are stored as
+ * two uint64, high first, so the struct needs only 8-byte alignment:
+ * _kernels.py holds it in 5 uint64. */
+__extension__ typedef unsigned __int128 u128;
+
+typedef struct {
+    uint64_t state[2], inc[2];
+    uint32_t has_uint32, uinteger;
+} pcg64;
+
+static u128 join128(const uint64_t w[2])
+{
+    return (u128)w[0] << 64 | w[1];
+}
+
+static void split128(uint64_t w[2], u128 x)
+{
+    w[0] = (uint64_t)(x >> 64);
+    w[1] = (uint64_t)x;
+}
+
+static void pcg64_step(pcg64 *g)
+{
+    static const u128 mult = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+    split128(g->state, join128(g->state) * mult + join128(g->inc));
+}
+
+/* numpy's pcg64_set_seed: seed words[0..1], stream words[2..3]. */
+void pcg64_seed(pcg64 *g, const uint64_t *words)
+{
+    split128(g->state, 0);
+    split128(g->inc, join128(words + 2) << 1 | 1);
+    pcg64_step(g);
+    split128(g->state, join128(g->state) + join128(words));
+    pcg64_step(g);
+    g->has_uint32 = g->uinteger = 0;
+}
+
+static uint64_t pcg64_next64(pcg64 *g)
+{
+    pcg64_step(g);
+    uint64_t x = g->state[0] ^ g->state[1];
+    unsigned rot = (unsigned)(g->state[0] >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* A double in [0, 1) from the top 53 bits of the next output. */
+static double pcg64_next_double(pcg64 *g)
+{
+    return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The low half of a new output, or the high half of the last one when it
+ * is still held. */
+static uint32_t pcg64_next_uint32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* out[i] = low + a uniform draw from 0..range, for i < n, as
+ * Generator.integers(low, low + range + 1, n) draws int64s (numpy's
+ * random_bounded_uint64_fill, unmasked): no draw for range 0, a bare
+ * 32-bit draw for range 2^32 - 1, Lemire's (2019) multiply-and-reject
+ * over 32-bit draws below it, a bare 64-bit output for range 2^64 - 1, and
+ * the same rejection over 64-bit outputs otherwise. */
+void pcg64_integers(pcg64 *g, int64_t low, uint64_t range, int64_t n, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t value;
+        if (range == 0) {
+            value = 0;
+        } else if (range == UINT32_MAX) {
+            value = pcg64_next_uint32(g);
+        } else if (range < UINT32_MAX) {
+            uint32_t excl = (uint32_t)range + 1;
+            uint64_t m = (uint64_t)pcg64_next_uint32(g) * excl;
+            if ((uint32_t)m < excl) {
+                uint32_t threshold = (UINT32_MAX - (uint32_t)range) % excl;
+                while ((uint32_t)m < threshold)
+                    m = (uint64_t)pcg64_next_uint32(g) * excl;
+            }
+            value = m >> 32;
+        } else if (range == UINT64_MAX) {
+            value = pcg64_next64(g);
+        } else {
+            uint64_t excl = range + 1;
+            u128 m = (u128)pcg64_next64(g) * excl;
+            if ((uint64_t)m < excl) {
+                uint64_t threshold = (UINT64_MAX - range) % excl;
+                while ((uint64_t)m < threshold)
+                    m = (u128)pcg64_next64(g) * excl;
+            }
+            value = (uint64_t)(m >> 64);
+        }
+        out[i] = (int64_t)((uint64_t)low + value);
+    }
+}
 
 /* word2vec's sigmoid table (Mikolov et al. 2013): the grid entries
  * 0..EXP_TABLE_SIZE hold sigmoid((2 i / EXP_TABLE_SIZE - 1) MAX_EXP); the two
@@ -122,10 +229,7 @@ static int64_t noise_row(const double *cdf, int64_t n, const int64_t *guide, dou
  *
  * Center i of a sentence of n ids with window w has k context rows, the
  * ids at i - w .. i + w inside the sentence except i itself, then k *
- * negatives noise rows, each mapped from the next double that
- * next_double(noise_state) returns: numpy's generator interface, the
- * function Generator.random fills its output with.  The kernel takes no
- * lock, so nothing else may draw from that generator during the call.
+ * negatives noise rows, each mapped from the next double of `noise`.
  * Every row's score and the center's gradient are computed from the rows
  * as they were before the center's update; the row updates then go in row
  * order, so a repeated row takes each of its updates in turn.  The
@@ -133,10 +237,10 @@ static int64_t noise_row(const double *cdf, int64_t n, const int64_t *guide, dou
  * starts the epoch at `step`. */
 double sgns_epoch(float *syn0, float *syn1, int64_t dim,
                   const int64_t *ids, const int64_t *lengths, int64_t n_sentences,
-                  const int64_t *windows, double (*next_double)(void *), void *noise_state,
-                  int64_t negatives, const double *noise_cdf, int64_t vocab_size,
-                  const int64_t *guide, const float *tables, double initial_lr,
-                  double min_lr, int64_t step, int64_t total_steps)
+                  const int64_t *windows, pcg64 *noise, int64_t negatives,
+                  const double *noise_cdf, int64_t vocab_size, const int64_t *guide,
+                  const float *tables, double initial_lr, double min_lr, int64_t step,
+                  int64_t total_steps)
 {
     const float *score = tables, *log_score = tables + TABLE_LEN,
                 *log_rest = tables + 2 * TABLE_LEN;
@@ -166,7 +270,7 @@ double sgns_epoch(float *syn0, float *syn1, int64_t dim,
                     rows[k++] = ids[c];
             int64_t n_rows = k * (1 + negatives);
             for (int64_t r = k; r < n_rows; r++)
-                rows[r] = noise_row(noise_cdf, vocab_size, guide, next_double(noise_state));
+                rows[r] = noise_row(noise_cdf, vocab_size, guide, pcg64_next_double(noise));
 
             double decayed = initial_lr * (1.0 - (double)step / (double)total_steps);
             float lr = (float)(decayed > min_lr ? decayed : min_lr);
@@ -196,13 +300,12 @@ double sgns_epoch(float *syn0, float *syn1, int64_t dim,
 }
 
 /* The initial input vectors: syn0[i] = (float)((u_i - 0.5) / dim) for
- * i < n, u_i the next double of next_double(state), as numpy's
+ * i < n, u_i the next double of g, as numpy's
  * ((Generator.random(n) - 0.5) / dim).astype(float32) gives them. */
-void sgns_init(float *syn0, int64_t n, int64_t dim, double (*next_double)(void *),
-               void *state)
+void sgns_init(float *syn0, int64_t n, int64_t dim, pcg64 *g)
 {
     for (int64_t i = 0; i < n; i++)
-        syn0[i] = (float)((next_double(state) - 0.5) / (double)dim);
+        syn0[i] = (float)((pcg64_next_double(g) - 0.5) / (double)dim);
 }
 
 /* Jensen-Shannon divergence in base 2 of the probability vectors p and q
@@ -226,9 +329,8 @@ double jsd(const double *p, const double *q, int64_t n)
 }
 
 /* numpy's random_interval for max < 2^32: a uniform draw from 0..max,
- * rejecting the draws of next_uint32 masked to max's bit width that
- * exceed max. */
-static uint32_t random_interval(uint32_t (*next_uint32)(void *), void *state, uint32_t max)
+ * rejecting the 32-bit draws masked to max's bit width that exceed max. */
+static uint32_t random_interval(pcg64 *g, uint32_t max)
 {
     uint32_t mask = max, value;
     if (max == 0)
@@ -238,7 +340,7 @@ static uint32_t random_interval(uint32_t (*next_uint32)(void *), void *state, ui
     mask |= mask >> 4;
     mask |= mask >> 8;
     mask |= mask >> 16;
-    while ((value = next_uint32(state) & mask) > max)
+    while ((value = pcg64_next_uint32(g) & mask) > max)
         ;
     return value;
 }
@@ -246,13 +348,13 @@ static uint32_t random_interval(uint32_t (*next_uint32)(void *), void *state, ui
 /* order = 0..n-1 shuffled as Generator.permutation(n) shuffles it: the
  * Fisher-Yates swaps of Generator.shuffle, i from n - 1 down to 1, each
  * with the position random_interval(i) draws.  n <= 2^32, so every bound
- * fits next_uint32, as it does in numpy. */
-void permutation(int64_t *order, int64_t n, uint32_t (*next_uint32)(void *), void *state)
+ * fits a 32-bit draw, as it does in numpy. */
+void permutation(int64_t *order, int64_t n, pcg64 *g)
 {
     for (int64_t i = 0; i < n; i++)
         order[i] = i;
     for (int64_t i = n - 1; i > 0; i--) {
-        int64_t j = random_interval(next_uint32, state, (uint32_t)i);
+        int64_t j = random_interval(g, (uint32_t)i);
         int64_t t = order[i];
         order[i] = order[j];
         order[j] = t;
@@ -266,19 +368,17 @@ void permutation(int64_t *order, int64_t n, uint32_t (*next_uint32)(void *), voi
  *
  * Unit u has token_counts[u] tokens and the idioms idioms[starts[u]] ..
  * idioms[starts[u + 1] - 1], each an index below n_support.  Split s walks
- * the next permutation(n) of the generator behind next_uint32(state), as
- * the kernel draws them in turn: unit order[i] joins the first half while
- * the first half's (tokens, units) is lexicographically <= the second's,
- * else the second.  The walk's int64 key is tokens_0 - tokens_1 scaled by
+ * the next permutation(n) of g, as the kernel draws them in turn: unit
+ * order[i] joins the first half while the first half's (tokens, units) is
+ * lexicographically <= the second's, else the second.  The walk's int64 key is tokens_0 - tokens_1 scaled by
  * 2n + 1 plus units_0 - units_1, so key <= 0 exactly when the first half is
  * not ahead; the caller bounds the token counts so that it cannot
  * overflow.  The first half's idioms are counted, the second's are the
  * group total minus them, and each half is divided by its total before
- * jsd.  The kernel takes no lock, so nothing else may draw from the
- * generator during the call. */
+ * jsd. */
 int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *starts,
                        const int64_t *idioms, int64_t n_support, int64_t n_splits,
-                       uint32_t (*next_uint32)(void *), void *state, double *out)
+                       pcg64 *g, double *out)
 {
     int64_t *order = malloc(n * sizeof *order);
     int64_t *total = calloc(n_support, sizeof *total);
@@ -295,7 +395,7 @@ int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *st
     int64_t all = starts[n] - starts[0], scale = 2 * n + 1;
 
     for (int64_t s = 0; s < n_splits; s++) {
-        permutation(order, n, next_uint32, state);
+        permutation(order, n, g);
         for (int64_t c = 0; c < n_support; c++)
             first[c] = 0;
         int64_t key = 0, in_first = 0;
@@ -323,114 +423,4 @@ int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *st
 done:
     free(order), free(total), free(first), free(p), free(q);
     return status;
-}
-
-/* numpy's PCG64 (O'Neill 2014): a 128-bit linear congruential generator,
- * stepped before each output, with the XSL-RR output function.  Seeded
- * from the four words of SeedSequence.generate_state(4, uint64), it gives
- * numpy.random.PCG64's stream: the same 64-bit outputs, the doubles of
- * next_double and the buffered halves of next_uint32.  The 128-bit words
- * are stored as two uint64, high first, so the struct needs only 8-byte
- * alignment: _kernels.py holds it in 5 uint64. */
-__extension__ typedef unsigned __int128 u128;
-
-typedef struct {
-    uint64_t state[2], inc[2];
-    uint32_t has_uint32, uinteger;
-} pcg64;
-
-static u128 join128(const uint64_t w[2])
-{
-    return (u128)w[0] << 64 | w[1];
-}
-
-static void split128(uint64_t w[2], u128 x)
-{
-    w[0] = (uint64_t)(x >> 64);
-    w[1] = (uint64_t)x;
-}
-
-static void pcg64_step(pcg64 *g)
-{
-    static const u128 mult = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
-    split128(g->state, join128(g->state) * mult + join128(g->inc));
-}
-
-/* numpy's pcg64_set_seed: seed words[0..1], stream words[2..3]. */
-void pcg64_seed(pcg64 *g, const uint64_t *words)
-{
-    split128(g->state, 0);
-    split128(g->inc, join128(words + 2) << 1 | 1);
-    pcg64_step(g);
-    split128(g->state, join128(g->state) + join128(words));
-    pcg64_step(g);
-    g->has_uint32 = g->uinteger = 0;
-}
-
-static uint64_t pcg64_next64(pcg64 *g)
-{
-    pcg64_step(g);
-    uint64_t x = g->state[0] ^ g->state[1];
-    unsigned rot = (unsigned)(g->state[0] >> 58);
-    return (x >> rot) | (x << ((64 - rot) & 63));
-}
-
-/* A double in [0, 1) from the top 53 bits of the next output. */
-double pcg64_next_double(void *g)
-{
-    return (double)(pcg64_next64(g) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* The low half of a new output, or the high half of the last one when it
- * is still held. */
-uint32_t pcg64_next_uint32(void *state)
-{
-    pcg64 *g = state;
-    if (g->has_uint32) {
-        g->has_uint32 = 0;
-        return g->uinteger;
-    }
-    uint64_t next = pcg64_next64(g);
-    g->has_uint32 = 1;
-    g->uinteger = (uint32_t)(next >> 32);
-    return (uint32_t)next;
-}
-
-/* out[i] = low + a uniform draw from 0..range, for i < n, as
- * Generator.integers(low, low + range + 1, n) draws int64s (numpy's
- * random_bounded_uint64_fill, unmasked): no draw for range 0, a bare
- * next_uint32 for range 2^32 - 1, Lemire's (2019) multiply-and-reject
- * over next_uint32 below it, a bare 64-bit output for range 2^64 - 1, and
- * the same rejection over 64-bit outputs otherwise. */
-void pcg64_integers(pcg64 *g, int64_t low, uint64_t range, int64_t n, int64_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t value;
-        if (range == 0) {
-            value = 0;
-        } else if (range == UINT32_MAX) {
-            value = pcg64_next_uint32(g);
-        } else if (range < UINT32_MAX) {
-            uint32_t excl = (uint32_t)range + 1;
-            uint64_t m = (uint64_t)pcg64_next_uint32(g) * excl;
-            if ((uint32_t)m < excl) {
-                uint32_t threshold = (UINT32_MAX - (uint32_t)range) % excl;
-                while ((uint32_t)m < threshold)
-                    m = (uint64_t)pcg64_next_uint32(g) * excl;
-            }
-            value = m >> 32;
-        } else if (range == UINT64_MAX) {
-            value = pcg64_next64(g);
-        } else {
-            uint64_t excl = range + 1;
-            u128 m = (u128)pcg64_next64(g) * excl;
-            if ((uint64_t)m < excl) {
-                uint64_t threshold = (UINT64_MAX - range) % excl;
-                while ((uint64_t)m < threshold)
-                    m = (u128)pcg64_next64(g) * excl;
-            }
-            value = (uint64_t)(m >> 64);
-        }
-        out[i] = (int64_t)((uint64_t)low + value);
-    }
 }

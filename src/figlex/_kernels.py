@@ -1,7 +1,7 @@
 """Build and load `_kernels.c`: figlex's SGNS training, its cosine, its
 Jensen-Shannon divergence, the divergence test's split baseline and
-numpy's PCG64 generator, in C; and the tables and seeds they take, in
-Python.  Nothing here imports numpy.
+numpy's PCG64 generator, figlex's one source of random draws, in C; and
+the tables and seeds they take, in Python.  Nothing here imports numpy.
 
 The library compiles at its first use, with the compiler that `CC` names
 (default `cc`), into `cache_dir()` under a name keyed by the sha256 of the
@@ -34,9 +34,6 @@ EXP_TABLE_SIZE = 1000
 MAX_EXP = 6
 
 _ptr, _i64, _u64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
-# the types of numpy's `bit_generator.ctypes.next_double` and `next_uint32`
-NextDouble = ctypes.CFUNCTYPE(_f64, _ptr)
-NextUint32 = ctypes.CFUNCTYPE(ctypes.c_uint32, _ptr)
 
 _lib = None
 
@@ -101,14 +98,13 @@ def load():
     if _lib is None:
         lib = ctypes.CDLL(str(_build()))
         signatures = {
-            "sgns_epoch": (_f64, [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, NextDouble, _ptr,
-                                  _i64, _ptr, _i64, _ptr, _ptr, _f64, _f64, _i64, _i64]),
-            "sgns_init": (None, [_ptr, _i64, _i64, NextDouble, _ptr]),
+            "sgns_epoch": (_f64, [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr,
+                                  _i64, _ptr, _ptr, _f64, _f64, _i64, _i64]),
+            "sgns_init": (None, [_ptr, _i64, _i64, _ptr]),
             "cosine": (_f64, [_ptr, _ptr, _i64]),
             "jsd": (_f64, [_ptr, _ptr, _i64]),
-            "split_baseline": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _i64, NextUint32, _ptr,
-                                      _ptr]),
-            "permutation": (None, [_ptr, _i64, NextUint32, _ptr]),
+            "split_baseline": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr, _ptr]),
+            "permutation": (None, [_ptr, _i64, _ptr]),
             "pcg64_seed": (None, [_ptr, _ptr]),
             "pcg64_integers": (None, [_ptr, _i64, _u64, _i64, _ptr]),
         }
@@ -186,20 +182,15 @@ def seed_words(entropy, spawn_key: Sequence[int] = ()) -> tuple[int, int, int, i
 
 
 class Pcg64:
-    """numpy's PCG64 bit generator in `_kernels.c`, seeded as
-    ``numpy.random.default_rng(entropy)`` seeds it, so each draw method
-    equals that generator's method of the same name bit for bit.
-    `next_double`, `next_uint32` and `state` are the interface the kernels
-    draw through, named as numpy's ``bit_generator.ctypes`` names it; only
-    one call may draw at a time."""
+    """numpy's PCG64 bit generator in `_kernels.c`, seeded from
+    ``SeedSequence(entropy, spawn_key=spawn_key)`` as ``default_rng`` seeds
+    it, so each draw method equals that `Generator`'s method of the same
+    name bit for bit.  `state` is the `pcg64` struct the kernels take, so a
+    call holds it while it draws; only one call may draw at a time."""
 
-    def __init__(self, entropy):
-        lib = load()
-        self._struct = (_u64 * 5)()  # a `pcg64` of _kernels.c
-        self.state = ctypes.addressof(self._struct)
-        lib.pcg64_seed(self.state, (_u64 * 4)(*seed_words(entropy)))
-        self.next_double = NextDouble(("pcg64_next_double", lib))
-        self.next_uint32 = NextUint32(("pcg64_next_uint32", lib))
+    def __init__(self, entropy, spawn_key: Sequence[int] = ()):
+        self.state = (_u64 * 5)()
+        load().pcg64_seed(self.state, (_u64 * 4)(*seed_words(entropy, spawn_key)))
 
     def integers(self, low: int, high: int, size: int) -> array:
         """`size` int64 draws from low..high - 1."""
@@ -214,8 +205,36 @@ class Pcg64:
         if not 0 <= n <= 2**32:
             raise ValueError(f"permutation length {n} outside 0..2**32")
         out = array("q", [0]) * n
-        load().permutation(address(out), n, self.next_uint32, self.state)
+        load().permutation(address(out), n, self.state)
         return out
+
+    def choice(self, pop: int, size: int) -> list[int]:
+        """``choice(pop, size, replace=False)``: `size` distinct draws from
+        0..pop-1 in a random order.  Like numpy, it shuffles the tail of
+        0..pop-1 when pop > 10000 and size > pop // 50, and otherwise
+        samples by Floyd's algorithm (Bentley & Floyd 1987), then shuffles
+        the sample; each bound k is drawn as ``integers(0, k + 1)`` draws
+        it."""
+        if not 0 <= size <= pop:
+            raise ValueError(f"cannot take {size} of {pop} without replacement")
+        lib, drawn = load(), array("q", [0])
+
+        def upto(k: int) -> int:
+            lib.pcg64_integers(self.state, 0, k, 1, address(drawn))
+            return drawn[0]
+
+        if pop > 10000 and size > pop // 50:
+            out, first = list(range(pop)), max(pop - size, 1)
+        else:
+            out, taken, first = [], set(), 1
+            for j in range(pop - size, pop):
+                v = upto(j)
+                out.append(j if v in taken else v)
+                taken.add(out[-1])
+        for i in range(len(out) - 1, first - 1, -1):
+            j = upto(i)
+            out[i], out[j] = out[j], out[i]
+        return out[len(out) - size:]
 
 
 def score_tables() -> array:

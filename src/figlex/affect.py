@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._kernels import Pcg64
 from .embeddings import EmbeddingSpace, _embedded_rows, sentence_embedding
 from .lexicon import Lexicon
 from .matcher import GroupCounts
@@ -430,7 +431,7 @@ def literal_baseline(
     deterministic given the seed, and only the sampled posts are embedded.
     """
     matched = set(counts.span_posts.tolist())
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     out: dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]] = {}
     for group in counts.groups:
         candidates = [
@@ -443,7 +444,7 @@ def literal_baseline(
                 f"need {n}"
             )
         chosen = [sentence_embedding(space, candidates[i])
-                  for i in rng.choice(len(candidates), size=n, replace=False)]
+                  for i in rng.choice(len(candidates), n)]
         preds = {
             dim: np.array([predict_beta(models[dim], vec) for vec in chosen])
             for dim in DIMENSIONS

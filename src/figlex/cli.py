@@ -54,6 +54,13 @@ def _num(value: float | None) -> float | str:
     return float(value)
 
 
+def _prepared_settings(config: RunConfig) -> dict[str, object]:
+    """The settings that `prepare_meta.json` records, which `analyze` shares."""
+    return {"seed": config.seed, "min_count": config.min_count,
+            "literality_threshold": config.literality_threshold,
+            "train": {k: v for k, v in asdict(config.train).items() if k != "seed"}}
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -126,14 +133,11 @@ def cmd_prepare(config: RunConfig) -> None:
         _write_json(
             config.out_path("prepare_meta.json"),
             {
-                "seed": config.seed,
-                "min_count": config.min_count,
-                "literality_threshold": config.literality_threshold,
+                **_prepared_settings(config),
                 "group_labels": list(balanced.group_labels),
                 "balanced_totals": totals,
                 "entries_after_prune": len(pruned),
                 "entries_after_literality": len(filtered),
-                "train": {k: v for k, v in asdict(config.train).items() if k != "seed"},
             },
         )
     except Exception as exc:
@@ -160,8 +164,7 @@ def cmd_analyze(config: RunConfig) -> None:
     files of an earlier run are removed first: they would no longer
     describe the artifacts beside them.
     """
-    from numpy.random import SeedSequence
-
+    from ._kernels import seed_words
     from .affect import (
         DIMENSIONS,
         compare_vad,
@@ -190,6 +193,15 @@ def cmd_analyze(config: RunConfig) -> None:
     try:
         for name in _ANALYZE_RECORDS:
             config.out_path(name).unlink(missing_ok=True)
+        # refuse artifacts that prepare made with other settings
+        meta = _require_artifact(config, "prepare_meta.json", "prepare")
+        prepared = json.loads(meta.read_text("utf-8"))
+        prepared["groups"] = sorted(prepared["group_labels"])
+        for key, value in {**_prepared_settings(config),
+                           "groups": sorted(config.groups or prepared["groups"])}.items():
+            if prepared.get(key) != value:
+                raise ValueError(f"{key} is {value!r} here but {prepared.get(key)!r} in "
+                                 f"{meta.name}; run prepare with this config first")
         corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl", "prepare")))
         lexicon = load_lexicon(str(_require_artifact(config, "lexicon_filtered.jsonl", "prepare")))
         space = load_vectors(str(_require_artifact(config, "vectors_combined.txt", "prepare")))
@@ -277,7 +289,7 @@ def cmd_analyze(config: RunConfig) -> None:
         # Each group space trains on its streams as count_usages rewrote them,
         # with its own child seed; the sorted labels take the seeds in order.
         stage = "embeddings"
-        seeds = [int(s.generate_state(1)[0]) for s in SeedSequence(config.seed).spawn(2)]
+        seeds = [seed_words(config.seed, (k,))[0] & 0xFFFFFFFF for k in range(2)]
         spaces = {g: train_sgns(counts.streams_for(g), replace(config.train, seed=s))
                   for g, s in zip((group_a, group_b), seeds)}
         for group, space in spaces.items():

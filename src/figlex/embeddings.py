@@ -127,7 +127,7 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     syn0 = array("f", [0.0]) * (len(vocab) * dim)
     syn1 = array("f", [0.0]) * (len(vocab) * dim)
     init = _kernels.Pcg64(params.seed)
-    lib.sgns_init(address(syn0), len(syn0), dim, init.next_double, init.state)
+    lib.sgns_init(address(syn0), len(syn0), dim, init.state)
 
     # identical draw streams every epoch: the per-epoch mean loss is then
     # measured on the same sampled objective, so it decreases under the
@@ -135,12 +135,10 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     windows = _kernels.Pcg64([params.seed, 0x5E9, 0]).integers(1, params.window + 1, len(ids))
     epoch_losses: list[float] = []
     for epoch in range(params.epochs):
-        # the kernel reads the generator's state by address: `noise` keeps it
-        # alive through the call, and nothing else draws from it
         noise = _kernels.Pcg64([params.seed, 0x5E9, 1])
         loss = lib.sgns_epoch(
             address(syn0), address(syn1), dim, address(ids), address(lengths), len(lengths),
-            address(windows), noise.next_double, noise.state, params.negatives,
+            address(windows), noise.state, params.negatives,
             address(noise_cdf), len(vocab), address(guide), address(tables),
             params.initial_lr, params.initial_lr * 1e-4, epoch * len(ids),
             params.epochs * len(ids),

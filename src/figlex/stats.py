@@ -77,7 +77,7 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float:
 
 def split_baseline(
     token_counts: Sequence[int], span_units: np.ndarray, span_idioms: np.ndarray,
-    n_support: int, n_splits: int, rng: np.random.Generator,
+    n_support: int, n_splits: int, rng: _kernels.Pcg64,
 ) -> np.ndarray:
     """The JSD of each of `n_splits` greedy half splits of units 0..n-1.
 
@@ -105,12 +105,9 @@ def split_baseline(
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(span_units, minlength=n), out=starts[1:])
     out = np.empty(n_splits, dtype=np.float64)
-    # the interface holds only addresses: `rng` keeps the generator alive
-    # through the call, and nothing else draws from it
-    bits = rng.bit_generator.ctypes
     status = _kernels.load().split_baseline(
         tokens.ctypes.data, n, starts.ctypes.data, idioms.ctypes.data, n_support, n_splits,
-        bits.next_uint32, bits.state, out.ctypes.data)
+        rng.state, out.ctypes.data)
     if status < 0:
         raise MemoryError("split kernel: no memory for its scratch counts")
     if status > 0:
@@ -126,9 +123,9 @@ def divergence_gap_test(
 
     Over the posts of `counts` (from `count_usages`), the JSD of the two
     groups' idiom counts is contrasted against `n_splits` random half-half
-    splits of each group's posts (`split_baseline`).  Each group draws its
-    splits from one generator, seeded by its child of
-    ``SeedSequence(seed).spawn(2)``.  The reported p-value is the smoothed
+    splits of each group's posts (`split_baseline`).  Group k of
+    ``counts.groups`` draws its splits from ``Pcg64(seed, (k,))``, the
+    seed's k-th spawned child.  The reported p-value is the smoothed
     fraction of pooled baseline samples at least as large as the observed
     value; z is measured against a normal fit to the pooled baseline.
     """
@@ -151,10 +148,10 @@ def divergence_gap_test(
     cross = jsd(total[ga], total[gb])
 
     samples: dict[str, np.ndarray] = {}
-    for g, child in zip((ga, gb), np.random.SeedSequence(seed).spawn(2)):
+    for k, g in enumerate((ga, gb)):
         members, span_members, idioms = spans[g]
         lengths = [counts.posts[i].token_count for i in members]
-        rng = np.random.default_rng(child)
+        rng = _kernels.Pcg64(seed, (k,))
         try:
             samples[g] = split_baseline(lengths, span_members, idioms, n_support, n_splits, rng)
         except ValueError as exc:  # a half without idiom usage, or too few posts

@@ -70,6 +70,12 @@ def tiny_overrides(tmp_path, **extra):
     return overrides
 
 
+def flags(overrides):
+    """`overrides` as command-line flags."""
+    return [arg for key, value in overrides.items()
+            for arg in (f"--{key.replace('_', '-')}", str(value))]
+
+
 MEDIUM_LEXICON = TINY_LEXICON + [
     {"canonical": "sit on the fence", "definition": "to avoid taking sides",
      "verb_index": 0},
@@ -494,6 +500,65 @@ class TestGroupEmbeddings:
             assert config.out_path(name).exists()
 
 
+class TestPreparedProvenance:
+    def test_refuses_another_runs_artifacts_and_accepts_a_new_split_count(self, tmp_path,
+                                                                          capsys):
+        overrides = medium_inputs(tmp_path)
+        out = Path(overrides["out"])
+        assert main(["prepare", *flags(overrides)]) == 0
+        capsys.readouterr()
+        reseeded = {**overrides, "seed": 999, "min_count": 7, "dim": 50}
+        assert main(["analyze", *flags(reseeded)]) == 1
+        assert ("stage load: seed is 999 here but 3 in prepare_meta.json"
+                in capsys.readouterr().err)
+        assert json.loads((out / "failure.json").read_text())["stage"] == "load"
+        # n_splits is analyze's own setting
+        assert main(["analyze", *flags({**overrides, "n_splits": 41})]) == 0
+        assert json.loads((out / "divergence.json").read_text())["n_splits"] == 41
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("min_count", 1, "min_count"),
+        ("literality_threshold", 0.5, "literality_threshold"),
+        ("dim", 16, "train"),
+        ("train_min_count", 2, "train"),
+        ("initial_lr", 0.05, "train"),
+        ("groups", "M,X", "groups"),
+    ])
+    def test_each_prepared_setting_must_match(self, tmp_path, key, value, named):
+        cmd_prepare(build_config({}, tiny_overrides(tmp_path)))
+        with pytest.raises(StageError, match=f"stage load: {named} is ") as info:
+            cmd_analyze(build_config({}, tiny_overrides(tmp_path, **{key: value})))
+        assert info.value.stage == "load"
+
+    def test_groups_match_in_either_order(self, tmp_path):
+        overrides = medium_inputs(tmp_path)
+        cmd_prepare(build_config({}, {**overrides, "groups": "M,F"}))
+        cmd_analyze(build_config({}, {**overrides, "groups": "F,M"}))
+        assert (Path(overrides["out"]) / "run_meta.json").exists()
+
+
+class TestGroupOrder:
+    def test_reversed_groups_keep_every_analyze_byte(self, tmp_path):
+        # `groups` declares the labels' order, which the per-group seeds do
+        # not follow: the divergence stage takes them in the corpus's order
+        # and the embeddings stage in sorted order
+        written = {}
+        for groups in ("M,F", "F,M"):
+            out = tmp_path / groups.replace(",", "")
+            overrides = {**parse_config_file(str(DATA_DIR / "fixture.conf")), "groups": groups,
+                         "out": str(out)}
+            for name in ("corpus", "lexicon", "vad_lexicon"):
+                overrides[name] = str(DATA_DIR.parent.parent / overrides[name])
+            config = build_config({}, overrides)
+            cmd_prepare(config)
+            prepared = {p.name for p in out.iterdir()}
+            cmd_analyze(config)
+            written[groups] = {p.name: p.read_bytes() for p in out.iterdir()
+                               if p.name not in prepared}
+        assert "simrbo.csv" in written["M,F"] and "divergence.json" in written["M,F"]
+        assert written["M,F"] == written["F,M"]
+
+
 @pytest.fixture(scope="module")
 def analyzed(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("report")
@@ -623,9 +688,10 @@ def _modules_loaded_by(*argv):
 
 
 class TestColdStart:
-    # every command runs in one process, scipy is a test oracle only, and
-    # numpy.ma (which np.percentile imports) costs ~10 ms to load
-    UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy.ma"}
+    # every command runs in one process, scipy is a test oracle only,
+    # numpy.ma (which np.percentile imports) costs ~10 ms to load, and every
+    # draw comes from `_kernels.Pcg64`, so no command needs numpy.random
+    UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy.ma", "numpy.random"}
 
     def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
         # `figlex.cli` loads no ctypes, but `_kernels` imports it, so the check
@@ -640,11 +706,8 @@ class TestColdStart:
     def test_no_command_loads_scipy_or_a_process_pool(self, tmp_path):
         assert not self.UNLOADED & _modules_loaded_by()
         overrides = medium_inputs(tmp_path)
-        argv = []
-        for key, value in overrides.items():
-            argv.extend([f"--{key.replace('_', '-')}", str(value)])
         for command in ("prepare", "analyze"):
-            loaded = _modules_loaded_by(command, *argv)
+            loaded = _modules_loaded_by(command, *flags(overrides))
             assert not self.UNLOADED & loaded
         loaded = _modules_loaded_by("report", "--out", overrides["out"], "--format", "json")
         assert not self.UNLOADED & loaded
@@ -658,20 +721,14 @@ class TestColdStart:
                 == {"figlex", "figlex.cli", "figlex.config"}, argv
 
     def test_prepare_and_its_modules_load_no_numpy(self, tmp_path):
-        argv = []
-        for key, value in medium_inputs(tmp_path).items():
-            argv.extend([f"--{key.replace('_', '-')}", str(value)])
-        assert "numpy" not in _modules_loaded_by("prepare", *argv)
+        assert "numpy" not in _modules_loaded_by("prepare", *flags(medium_inputs(tmp_path)))
         proc = run_python("-c", "import sys, figlex.corpus, figlex.lexicon, figlex.matcher, "
                                 "figlex.embeddings, figlex._kernels; print('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
 
     def test_prepare_loads_neither_affect_nor_stats(self, tmp_path):
-        argv = []
-        for key, value in tiny_overrides(tmp_path).items():
-            argv.extend([f"--{key.replace('_', '-')}", str(value)])
-        loaded = _modules_loaded_by("prepare", *argv)
+        loaded = _modules_loaded_by("prepare", *flags(tiny_overrides(tmp_path)))
         assert "figlex.matcher" in loaded
         assert not {"figlex.affect", "figlex.stats"} & loaded
 
@@ -773,10 +830,7 @@ class TestMainEntry:
 
     def test_negative_seed_exits_two_before_any_file(self, tmp_path, capsys):
         overrides = tiny_overrides(tmp_path, seed=-1)
-        argv = ["prepare"]
-        for key, value in overrides.items():
-            argv.extend([f"--{key.replace('_', '-')}", str(value)])
-        assert main(argv) == 2
+        assert main(["prepare", *flags(overrides)]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert not Path(overrides["out"]).exists()
 
@@ -802,8 +856,5 @@ class TestMainEntry:
 
     def test_prepare_via_flags(self, tmp_path):
         overrides = tiny_overrides(tmp_path)
-        argv = ["prepare"]
-        for key, value in overrides.items():
-            argv.extend([f"--{key.replace('_', '-')}", str(value)])
-        assert main(argv) == 0
+        assert main(["prepare", *flags(overrides)]) == 0
         assert (Path(overrides["out"]) / "counts_idioms.csv").exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from figlex._kernels import Pcg64
 from figlex.corpus import (
     balance_groups,
     load_corpus,
@@ -185,7 +186,7 @@ class TestRandomHalves:
         corpus = make_corpus({"A": ["only one"], "B": ["z z"]})
         lengths = [p.token_count for p in corpus.posts if p.group == "A"]
         with pytest.raises(ValueError, match="fewer than 2"):
-            split_jsds(lengths, [[0]], 2, np.random.default_rng(0))
+            split_jsds(lengths, [[0]], 2, Pcg64(0))
 
 
 class TestSplitHalves:
@@ -194,24 +195,23 @@ class TestSplitHalves:
         # one post marked, only a 5-post half around it gives this JSD
         by_size = marked_post_jsds(10)
         assert list(by_size.values()).count(by_size[5]) == 1
-        values = split_jsds([3] * 10, [[0]] + [[1]] * 9, 20, np.random.default_rng(1))
+        values = split_jsds([3] * 10, [[0]] + [[1]] * 9, 20, Pcg64(1))
         assert values.shape == (20,) and values.dtype == np.float64
         assert values.tolist() == [by_size[5]] * 20
 
     def test_deterministic(self):
         post_idioms = [[0], [1], [2], [0, 1], [1, 2], [0, 2], [0], [1], [2, 2]]
-        three = split_jsds([1] * 9, post_idioms, 3, np.random.default_rng(4))
-        assert np.array_equal(split_jsds([1] * 9, post_idioms, 3, np.random.default_rng(4)),
-                              three)
+        three = split_jsds([1] * 9, post_idioms, 3, Pcg64(4))
+        assert np.array_equal(split_jsds([1] * 9, post_idioms, 3, Pcg64(4)), three)
         # the splits draw in turn from one generator: a later call goes on
-        rng = np.random.default_rng(4)
+        rng = Pcg64(4)
         parts = [split_jsds([1] * 9, post_idioms, k, rng) for k in (1, 2)]
         assert np.array_equal(np.concatenate(parts), three)
 
     def test_equal_length_posts_balance(self):
         by_size = marked_post_jsds(1000)
         assert list(by_size.values()).count(by_size[500]) == 1
-        values = split_jsds([4] * 1000, [[0]] + [[1]] * 999, 5, np.random.default_rng(2))
+        values = split_jsds([4] * 1000, [[0]] + [[1]] * 999, 5, Pcg64(2))
         assert values.tolist() == [by_size[500]] * 5
 
     # few distinct lengths, zeros included, so (tokens, posts) ties are common;
@@ -230,9 +230,9 @@ class TestSplitHalves:
     @example(posts=[(0, [0]), (0, [1]), (0, [0, 1])], seed=1, n_splits=2)
     def test_batch_equals_reference_loop(self, posts, seed, n_splits):
         # split_halves is the rule as a plain loop, the kernel walk's oracle,
-        # driven by one generator as the kernel's splits are
+        # driven by numpy's generator as the kernel's splits are by the port
         lengths, post_idioms = (list(column) for column in zip(*posts))
-        values = split_jsds(lengths, post_idioms, n_splits, np.random.default_rng(seed))
+        values = split_jsds(lengths, post_idioms, n_splits, Pcg64(seed))
         assert values.shape == (n_splits,)
         n_support = max(max(ids) for ids in post_idioms) + 1
         rng = np.random.default_rng(seed)
@@ -245,15 +245,14 @@ class TestSplitHalves:
     @pytest.mark.parametrize("lengths", [[], [3]])
     def test_fewer_than_two_posts(self, lengths):
         with pytest.raises(ValueError, match="fewer than 2 posts to split"):
-            split_jsds(lengths, [[0]] * len(lengths), 2, np.random.default_rng(0))
+            split_jsds(lengths, [[0]] * len(lengths), 2, Pcg64(0))
 
     @pytest.mark.parametrize("idiom", [-1, 2])
     def test_idiom_outside_the_support_rejected(self, idiom):
         # the kernel counts into an array of n_support entries
         with pytest.raises(ValueError, match="span idioms must lie in 0..1"):
-            split_baseline([3, 4], np.array([0, 1]), np.array([0, idiom]), 2, 1,
-                           np.random.default_rng(0))
+            split_baseline([3, 4], np.array([0, 1]), np.array([0, idiom]), 2, 1, Pcg64(0))
 
     def test_token_counts_beyond_int64_key_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            split_jsds([2**62, 1], [[0], [1]], 1, np.random.default_rng(0))
+            split_jsds([2**62, 1], [[0], [1]], 1, Pcg64(0))

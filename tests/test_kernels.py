@@ -1,8 +1,8 @@
-"""The C kernels' tables, their noise mapping, their shuffle, the PCG64
-port and its seeding against numpy, and how the library is built and
-cached.  The SGNS kernel is checked against a scalar loop in
-test_embeddings.py, the split walk against a plain loop in test_corpus.py,
-and the divergence against exact sums and scipy in test_stats.py."""
+"""The C kernels' tables, their noise mapping, the PCG64 port's draws and
+its seeding against numpy, and how the library is built and cached.  The
+SGNS kernel is checked against a scalar loop in test_embeddings.py, the
+split walk against a plain loop in test_corpus.py, and the divergence
+against exact sums and scipy in test_stats.py."""
 
 import ctypes
 import hashlib
@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,8 @@ TABLE_SHA256 = (
 )
 
 
-# Includes the kernel source, so its static noise_row and permutation are in
-# scope.
+# Includes the kernel source, so its static noise_row and pcg64_next_double
+# are in scope.
 HARNESS = """#include "_kernels.c"
 
 void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
@@ -47,11 +48,16 @@ void noise_rows(const double *cdf, int64_t n, const int64_t *guide,
         out[c] = noise_row(cdf, n, guide, draws[c]);
 }
 
-void permutations(int64_t n, int64_t rows, uint32_t (*next_uint32)(void *), void *state,
-                  int64_t *out)
+void doubles(pcg64 *g, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = pcg64_next_double(g);
+}
+
+void permutations(int64_t n, int64_t rows, pcg64 *g, int64_t *out)
 {
     for (int64_t r = 0; r < rows; r++)
-        permutation(out + r * n, n, next_uint32, state);
+        permutation(out + r * n, n, g);
 }
 """
 
@@ -70,9 +76,23 @@ def harness(tmp_path_factory):
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.noise_rows.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
     lib.noise_rows.restype = None
-    lib.permutations.argtypes = [i64, i64, ctypes.CFUNCTYPE(ctypes.c_uint32, ptr), ptr, ptr]
+    lib.doubles.argtypes = [ptr, i64, ptr]
+    lib.doubles.restype = None
+    lib.permutations.argtypes = [i64, i64, ptr, ptr]
     lib.permutations.restype = None
     return lib
+
+
+@pytest.fixture(scope="module")
+def kernel_doubles(harness):
+    """The next n doubles of a `Pcg64`, as the SGNS kernels draw them."""
+
+    def doubles(g, n):
+        out = array("d", [0.0]) * n
+        harness.doubles(g.state, n, _kernels.address(out))
+        return out.tolist()
+
+    return doubles
 
 
 @pytest.fixture(scope="module")
@@ -134,16 +154,17 @@ class TestNoiseMapping:
 
 class TestShuffle:
     @pytest.mark.parametrize("n", [2, 3, 1500])
-    def test_rows_equal_successive_generator_permutations(self, harness, n):
+    def test_rows_equal_successive_generator_permutations(self, harness, kernel_doubles, n):
+        # 50 shuffles in one C call, each going on from the last
         rows = 50
-        rng = np.random.default_rng(n)
-        bits = rng.bit_generator.ctypes
+        g = _kernels.Pcg64(n)
         out = np.empty((rows, n), dtype=np.int64)
-        harness.permutations(n, rows, bits.next_uint32, bits.state, out.ctypes.data)
+        harness.permutations(n, rows, g.state, out.ctypes.data)
         reference = np.random.default_rng(n)
         assert np.array_equal(out, [reference.permutation(n) for _ in range(rows)])
         # both generators are left at the same point of their streams
-        assert rng.integers(2**63) == reference.integers(2**63)
+        assert g.integers(0, 2**63, 1)[0] == reference.integers(2**63)
+        assert kernel_doubles(g, 1) == [reference.random()]
 
 
 def numpy_seed_words(entropy, spawn_key=()):
@@ -173,31 +194,54 @@ class TestSeedWords:
             _kernels.seed_words(-1)
 
 
-def draws_match(seed, kernel_draws, numpy_draws):
+def draws_match(seed, kernel_draws, numpy_draws, doubles):
     """`kernel_draws(Pcg64(seed))` equals `numpy_draws(default_rng(seed))`,
-    and the two generators are then at the same point of their streams,
-    held 32-bit half included."""
+    and the two generators are then at the same point of their streams:
+    the next 32-bit draw, a held half if there is one, and then the next
+    double, which `doubles(g, 1)` reads, agree."""
     kernel, reference = _kernels.Pcg64(seed), np.random.default_rng(seed)
     assert list(kernel_draws(kernel)) == list(numpy_draws(reference))
-    assert kernel.next_uint32(kernel.state) == reference.integers(2**32, dtype=np.uint32)
-    assert kernel.next_double(kernel.state) == reference.random()
+    assert kernel.integers(0, 2**32, 1)[0] == reference.integers(0, 2**32)
+    assert doubles(kernel, 1) == [reference.random()]
 
 
 class TestPcg64:
     @pytest.mark.parametrize("seed", SEEDS + [[7, 0x5E9, 1]])
-    def test_doubles(self, seed):
-        draws_match(seed, lambda g: [g.next_double(g.state) for _ in range(2000)],
-                    lambda rng: rng.random(2000).tolist())
+    def test_doubles(self, kernel_doubles, seed):
+        draws_match(seed, lambda g: kernel_doubles(g, 2000),
+                    lambda rng: rng.random(2000).tolist(), kernel_doubles)
 
     @pytest.mark.parametrize("width", [1, 2, 5, 2**32 - 1, 2**32, 2**33])
-    def test_integers(self, width):
+    def test_integers(self, kernel_doubles, width):
         draws_match([width, 0x5E9, 0], lambda g: g.integers(1, width + 1, 3001),
-                    lambda rng: rng.integers(1, width + 1, size=3001).tolist())
+                    lambda rng: rng.integers(1, width + 1, size=3001).tolist(), kernel_doubles)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 1500])
-    def test_permutations(self, n):
-        draws_match(n, lambda g: [g.permutation(n).tolist() for _ in range(5)],
-                    lambda rng: [rng.permutation(n).tolist() for _ in range(5)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1500])
+    def test_permutations(self, kernel_doubles, n):
+        draws_match(n, lambda g: [g.permutation(n).tolist() for _ in range(50)],
+                    lambda rng: [rng.permutation(n).tolist() for _ in range(50)], kernel_doubles)
+
+    def test_spawned_child_is_numpy_child(self, kernel_doubles):
+        child = np.random.SeedSequence(9).spawn(2)[1]
+        assert (kernel_doubles(_kernels.Pcg64(9, (1,)), 50)
+                == np.random.default_rng(child).random(50).tolist())
+
+    # numpy shuffles the tail of 0..pop-1 when pop > 10000 and size > pop // 50,
+    # and samples by Floyd's algorithm otherwise: both paths, their boundary
+    # at (10001, 200) and (10001, 201), the empty and the whole sample
+    @pytest.mark.parametrize("pop, size", [(0, 0), (1, 1), (7, 0), (7, 7), (100, 37),
+                                           (10000, 10000), (10001, 200), (10001, 201),
+                                           (10001, 10001), (40000, 0), (40000, 801)])
+    def test_choice(self, kernel_doubles, pop, size):
+        for seed in range(3):
+            # two calls in a row: the second goes on from the first
+            draws_match([seed, pop, size], lambda g: [g.choice(pop, size) for _ in range(2)],
+                        lambda rng: [rng.choice(pop, size, replace=False).tolist()
+                                     for _ in range(2)], kernel_doubles)
+
+    def test_choice_rejects_a_sample_larger_than_the_population(self):
+        with pytest.raises(ValueError, match="cannot take 4 of 3"):
+            _kernels.Pcg64(0).choice(3, 4)
 
     def test_rejects_an_empty_interval(self):
         with pytest.raises(ValueError, match="low < high"):
@@ -285,8 +329,8 @@ class TestBuildAndCache:
         assert _kernels._find_compiler() == str(copy)
 
     def test_source_compiles_without_warnings(self, tmp_path):
-        # a mistyped parameter, such as the noise generator's function
-        # pointer, shows here before it can crash a training run
+        # a mistyped parameter, such as a kernel's generator pointer, shows
+        # here before it can crash a training run
         built = subprocess.run(
             [os.environ.get("CC") or "cc", *_kernels._FLAGS, "-Wall", "-Wextra", "-Wpedantic",
              "-Werror", "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE),
