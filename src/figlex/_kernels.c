@@ -366,33 +366,33 @@ void permutation(int64_t *order, int64_t n, pcg64 *g)
  * -1 if scratch memory ran out; or 1 + 2 s + h when half h (0 the first, 1
  * the second) of split s holds no idiom, and then stops.
  *
- * Unit u has token_counts[u] tokens and the idioms idioms[starts[u]] ..
- * idioms[starts[u + 1] - 1], each an index below n_support.  Split s walks
- * the next permutation(n) of g, as the kernel draws them in turn: unit
- * order[i] joins the first half while the first half's (tokens, units) is
- * lexicographically <= the second's, else the second.  The walk's int64 key is tokens_0 - tokens_1 scaled by
- * 2n + 1 plus units_0 - units_1, so key <= 0 exactly when the first half is
- * not ahead; the caller bounds the token counts so that it cannot
- * overflow.  The first half's idioms are counted, the second's are the
- * group total minus them, and each half is divided by its total before
- * jsd. */
-int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *starts,
-                       const int64_t *idioms, int64_t n_support, int64_t n_splits,
-                       pcg64 *g, double *out)
+ * Post p has token_counts[p] tokens and the idioms idioms[starts[p]] ..
+ * idioms[starts[p + 1] - 1], each below n_support; the group's units are
+ * the posts units[0..n-1], among any others.  Split s walks the next
+ * permutation(n) of g: unit units[order[i]] joins the first half while its
+ * (tokens, units) is lexicographically <= the second's, else the second.
+ * The walk's int64 key is tokens_0 - tokens_1 scaled by 2n + 1 plus
+ * units_0 - units_1, so key <= 0 exactly when the first half is not ahead;
+ * the caller bounds the token counts so that it cannot overflow.  The
+ * first half's idioms are counted, the second's are the group total minus
+ * them, and each half is divided by its total before jsd. */
+int64_t split_baseline(const int64_t *token_counts, const int64_t *starts,
+                       const int64_t *idioms, const int64_t *units, int64_t n,
+                       int64_t n_support, int64_t n_splits, pcg64 *g, double *out)
 {
     int64_t *order = malloc(n * sizeof *order);
     int64_t *total = calloc(n_support, sizeof *total);
     int64_t *first = malloc(n_support * sizeof *first);
     double *p = malloc(n_support * sizeof *p);
     double *q = malloc(n_support * sizeof *q);
-    int64_t status = 0;
+    int64_t status = 0, all = 0, scale = 2 * n + 1;
     if (!order || !total || !first || !p || !q) {
         status = -1;
         goto done;
     }
-    for (int64_t k = starts[0]; k < starts[n]; k++)
-        total[idioms[k]]++;
-    int64_t all = starts[n] - starts[0], scale = 2 * n + 1;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = starts[units[i]]; k < starts[units[i] + 1]; k++, all++)
+            total[idioms[k]]++;
 
     for (int64_t s = 0; s < n_splits; s++) {
         permutation(order, n, g);
@@ -400,7 +400,7 @@ int64_t split_baseline(const int64_t *token_counts, int64_t n, const int64_t *st
             first[c] = 0;
         int64_t key = 0, in_first = 0;
         for (int64_t i = 0; i < n; i++) {
-            int64_t u = order[i], step = token_counts[u] * scale + 1;
+            int64_t u = units[order[i]], step = token_counts[u] * scale + 1;
             if (key <= 0) {
                 key += step;
                 for (int64_t k = starts[u]; k < starts[u + 1]; k++)

@@ -103,7 +103,7 @@ def load():
             "sgns_init": (None, [_ptr, _i64, _i64, _ptr]),
             "cosine": (_f64, [_ptr, _ptr, _i64]),
             "jsd": (_f64, [_ptr, _ptr, _i64]),
-            "split_baseline": (_i64, [_ptr, _i64, _ptr, _ptr, _i64, _i64, _ptr, _ptr]),
+            "split_baseline": (_i64, [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr]),
             "permutation": (None, [_ptr, _i64, _ptr]),
             "pcg64_seed": (None, [_ptr, _ptr]),
             "pcg64_integers": (None, [_ptr, _i64, _u64, _i64, _ptr]),

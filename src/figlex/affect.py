@@ -430,13 +430,13 @@ def literal_baseline(
     and at least one token `sentence_embedding` embeds; sampling is
     deterministic given the seed, and only the sampled posts are embedded.
     """
-    matched = set(counts.span_posts.tolist())
+    starts = counts.span_starts
     rng = Pcg64(seed)
     out: dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]] = {}
     for group in counts.groups:
         candidates = [
-            post.tokens for i, post in enumerate(counts.posts)
-            if post.group == group and i not in matched and _embedded_rows(space, post.tokens)
+            post.tokens for post, start, end in zip(counts.posts, starts, starts[1:])
+            if post.group == group and start == end and _embedded_rows(space, post.tokens)
         ]
         if len(candidates) < n:
             raise ValueError(

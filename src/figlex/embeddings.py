@@ -187,8 +187,13 @@ def load_vectors(path: str) -> EmbeddingSpace:
             if len(parts) - 1 != dim:
                 raise ValueError(f"row {lineno}: expected {dim} values, got {len(parts) - 1}")
             vocab[token] = row
-            # each value parsed as a double and rounded, as numpy parses it
-            data.extend(map(float, parts[1:]))
+            try:  # each value parsed as a double and rounded, as numpy parses it
+                values = array("f", map(float, parts[1:]))
+            except ValueError as exc:
+                raise ValueError(f"row {lineno}: {exc}") from None
+            if not math.isfinite(sum(values)):  # finite unless a float32 is inf or nan
+                raise ValueError(f"row {lineno}: values must be finite as float32")
+            data.extend(values)
             row += 1
         if row != size:
             raise ValueError(f"header declares {size} rows but file has {row}")

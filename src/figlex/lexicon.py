@@ -342,7 +342,7 @@ def save_lexicon(lexicon: Lexicon, path: str) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def prune_variants(lexicon: Lexicon, counts: "GroupCounts", min_count: int = 50) -> Lexicon:
+def prune_variants(lexicon: Lexicon, counts: "GroupCounts", min_count: int) -> Lexicon:
     """Drop surface forms whose count over both groups together does not
     exceed `min_count`.
 
@@ -381,7 +381,7 @@ def literality_score(entry: IdiomEntry, space: EmbeddingSpace) -> float:
 
 
 def filter_literal(
-    lexicon: Lexicon, space: EmbeddingSpace, threshold: float = 0.25
+    lexicon: Lexicon, space: EmbeddingSpace, threshold: float
 ) -> tuple[Lexicon, list[tuple[str, float | None, str, str]]]:
     """Remove entries whose literality score exceeds `threshold`.
 

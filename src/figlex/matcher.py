@@ -114,9 +114,9 @@ class GroupCounts:
     streams on request, so a matched span counts once as its idiom token.
     ``idiom_counts`` accumulates over all surface variants of an entry, and
     ``variant_counts`` holds one total per surface form, over both groups.
-    Each matched span is also recorded by where it sits, in two int64
-    arrays: ``span_posts[k]`` indexes ``posts`` and ``span_idioms[k]``
-    indexes the key order of ``idiom_counts``.
+    Each matched span is also an int64 index into the key order of
+    ``idiom_counts``, stored in one run per post, like CSR rows: post i's are
+    ``span_idioms[span_starts[i]:span_starts[i + 1]]``, in token order.
     """
 
     groups: tuple[str, str]
@@ -124,7 +124,7 @@ class GroupCounts:
     variant_counts: dict[tuple[str, ...], int] = field(default_factory=dict)
     posts: tuple[Post, ...] = ()
     streams: list[Sequence[str]] = field(default_factory=list)
-    span_posts: array = field(default_factory=lambda: array("q"))
+    span_starts: array = field(default_factory=lambda: array("q", [0]))
     span_idioms: array = field(default_factory=lambda: array("q"))
 
     def tokens_for(self, group: str) -> Counter[str]:
@@ -144,13 +144,12 @@ def count_usages(matcher: Matcher, corpus: Corpus) -> GroupCounts:
     for canonical in column:
         counts.idiom_counts[canonical] = {g: 0 for g in groups}
 
-    span_posts, span_idioms = counts.span_posts, counts.span_idioms
-    for i, post in enumerate(corpus.posts):
+    for post in corpus.posts:
         matches = find_matches(matcher, post.tokens)
         for m in matches:
             counts.idiom_counts[m.canonical][post.group] += 1
             counts.variant_counts[m.surface] = counts.variant_counts.get(m.surface, 0) + 1
-            span_posts.append(i)
-            span_idioms.append(column[m.canonical])
+            counts.span_idioms.append(column[m.canonical])
+        counts.span_starts.append(len(counts.span_idioms))
         counts.streams.append(_apply_rewrite(post.tokens, matches) if matches else post.tokens)
     return counts

@@ -76,38 +76,40 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def split_baseline(
-    token_counts: Sequence[int], span_units: np.ndarray, span_idioms: np.ndarray,
-    n_support: int, n_splits: int, rng: _kernels.Pcg64,
+    token_counts: Sequence[int], starts: Sequence[int], idioms: Sequence[int],
+    units: Sequence[int], n_support: int, n_splits: int, rng: _kernels.Pcg64,
 ) -> np.ndarray:
-    """The JSD of each of `n_splits` greedy half splits of units 0..n-1.
+    """The JSD of each of `n_splits` greedy half splits of the posts `units`.
 
-    Unit u has ``token_counts[u]`` tokens, and span k puts idiom
-    ``span_idioms[k]`` (below `n_support`) in unit ``span_units[k]``.  Split
-    s takes the next ``rng.permutation(n)`` and assigns the units in its
+    Post p has ``token_counts[p]`` tokens and the idioms
+    ``idioms[starts[p]:starts[p + 1]]``, each below `n_support`, as in
+    `GroupCounts`' ``span_starts`` and ``span_idioms``.  Split s takes the
+    next ``rng.permutation(len(units))`` and assigns the units in its
     order, each to whichever half has fewer (tokens, units) so far, ties
     going to the first, so the two halves' token totals end near equal.
     Its value is `jsd` of the two halves' idiom counts.  One call of the C
     kernel makes every split, drawing from `rng` as the permutations would;
     it walks with an int64 key, whose range bounds the token counts.
     """
-    n = len(token_counts)
-    if n < 2:
+    units, starts, idioms = (np.ascontiguousarray(a, dtype=np.int64)
+                             for a in (units, starts, idioms))
+    if units.size < 2:
         raise ValueError("fewer than 2 posts to split")
-    scale = 2 * n + 1
-    if scale * (sum(abs(int(t)) for t in token_counts) + 1) >= 2**63:
+    # the kernel reads each unit's token count and its run of idioms
+    if units.ndim != 1 or not 0 <= units.min() <= units.max() < len(token_counts):
+        raise ValueError(f"units must index the {len(token_counts)} token counts")
+    if (starts.shape != (len(token_counts) + 1,) or starts[0] != 0 or starts[-1] != idioms.size
+            or (starts[1:] < starts[:-1]).any()):
+        raise ValueError("starts must run from 0 to len(idioms), one per post and one more")
+    if (2 * units.size + 1) * (sum(abs(int(token_counts[u])) for u in units) + 1) >= 2**63:
         raise ValueError("token counts too large to split")
-    tokens = np.asarray(token_counts, dtype=np.int64)
-    # each unit's idioms as one run: starts[u] .. starts[u + 1] in `idioms`
-    by_unit = np.argsort(span_units, kind="stable")
-    idioms = np.asarray(span_idioms, dtype=np.int64)[by_unit]
+    tokens = np.ascontiguousarray(token_counts, dtype=np.int64)
     if idioms.size and not 0 <= idioms.min() <= idioms.max() < n_support:
         raise ValueError(f"span idioms must lie in 0..{n_support - 1}")
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(span_units, minlength=n), out=starts[1:])
     out = np.empty(n_splits, dtype=np.float64)
     status = _kernels.load().split_baseline(
-        tokens.ctypes.data, n, starts.ctypes.data, idioms.ctypes.data, n_support, n_splits,
-        rng.state, out.ctypes.data)
+        tokens.ctypes.data, starts.ctypes.data, idioms.ctypes.data, units.ctypes.data, units.size,
+        n_support, n_splits, rng.state, out.ctypes.data)
     if status < 0:
         raise MemoryError("split kernel: no memory for its scratch counts")
     if status > 0:
@@ -116,44 +118,36 @@ def split_baseline(
     return out
 
 
-def divergence_gap_test(
-    counts: GroupCounts, n_splits: int = 500, seed: int = 0
-) -> DivergenceResult:
+def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> DivergenceResult:
     """Compare the cross-group usage divergence with within-group baselines.
 
     Over the posts of `counts` (from `count_usages`), the JSD of the two
-    groups' idiom counts is contrasted against `n_splits` random half-half
-    splits of each group's posts (`split_baseline`).  Group k of
-    ``counts.groups`` draws its splits from ``Pcg64(seed, (k,))``, the
-    seed's k-th spawned child.  The reported p-value is the smoothed
-    fraction of pooled baseline samples at least as large as the observed
-    value; z is measured against a normal fit to the pooled baseline.
+    groups' ``idiom_counts`` is contrasted against `n_splits` random
+    half-half splits of each group's posts, one `split_baseline` call per
+    group over the corpus-wide span runs.  Group k of ``counts.groups``
+    draws its splits from ``Pcg64(seed, (k,))``, the seed's k-th spawned
+    child.  The reported p-value is the smoothed fraction of pooled baseline
+    samples at least as large as the observed value; z is measured against
+    a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
     ga, gb = counts.groups
-    n_support = len(counts.idiom_counts)
-    spans, total = {}, {}
-    span_posts = np.frombuffer(counts.span_posts, dtype=np.int64)
-    span_idioms = np.frombuffer(counts.span_idioms, dtype=np.int64)
+    total = {g: np.array([per_group[g] for per_group in counts.idiom_counts.values()])
+             for g in (ga, gb)}
     for g in (ga, gb):
-        members = np.flatnonzero([p.group == g for p in counts.posts])
-        in_group = np.isin(span_posts, members)
-        idioms = span_idioms[in_group]
-        total[g] = np.bincount(idioms, minlength=n_support)
         if total[g].sum() == 0:
             raise ValueError(f"group {g!r} has zero idiom usage")
-        # each span's post as a position among the group's members
-        spans[g] = (members, np.searchsorted(members, span_posts[in_group]), idioms)
     cross = jsd(total[ga], total[gb])
 
+    lengths = [post.token_count for post in counts.posts]
     samples: dict[str, np.ndarray] = {}
     for k, g in enumerate((ga, gb)):
-        members, span_members, idioms = spans[g]
-        lengths = [counts.posts[i].token_count for i in members]
+        members = [i for i, post in enumerate(counts.posts) if post.group == g]
         rng = _kernels.Pcg64(seed, (k,))
         try:
-            samples[g] = split_baseline(lengths, span_members, idioms, n_support, n_splits, rng)
+            samples[g] = split_baseline(lengths, counts.span_starts, counts.span_idioms,
+                                        members, len(counts.idiom_counts), n_splits, rng)
         except ValueError as exc:  # a half without idiom usage, or too few posts
             raise ValueError(f"group {g!r}, {exc}") from None
 
@@ -396,7 +390,7 @@ def cohens_d(x: Sequence[float], y: Sequence[float]) -> float:
     return float((xa.mean() - ya.mean()) / math.sqrt(pooled_var))
 
 
-def sim_rbo(list_a: Sequence[str], list_b: Sequence[str], depth: int = 100) -> float:
+def sim_rbo(list_a: Sequence[str], list_b: Sequence[str], depth: int) -> float:
     """Rank-weighted overlap of two ranked lists.
 
     Mean over k = 1..depth of |prefix_k(a) n prefix_k(b)| / k, so agreement
@@ -495,7 +489,8 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
         raise ValueError("values must be finite")
     n = data.size
     if bandwidth is None:
-        sd = float(data.std(ddof=1))
+        with np.errstate(over="ignore"):  # past ~1e154 sd = inf; the grid check rejects it
+            sd = float(data.std(ddof=1))
         ordered = np.sort(data)
         iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
         spread = min(sd, iqr / 1.34) if iqr > 0 else sd

@@ -469,13 +469,13 @@ def oracle_space_and_models():
 def reference_literal_baseline(counts, space, models, n, seed):
     """The baseline as first written: embed every idiom-free post of a
     group, then sample `n` of the embeddings."""
-    matched = set(counts.span_posts.tolist())
     rng = np.random.default_rng(seed)
     out = {}
     for group in counts.groups:
         candidates = []
-        for i, post in enumerate(counts.posts):
-            if post.group != group or i in matched:
+        for stream, post in zip(counts.streams, counts.posts):
+            # a post with a match has a rewritten stream of its own
+            if post.group != group or stream is not post.tokens:
                 continue
             try:
                 candidates.append(sentence_embedding(space, list(post.tokens)))

@@ -516,6 +516,19 @@ class TestPreparedProvenance:
         assert main(["analyze", *flags({**overrides, "n_splits": 41})]) == 0
         assert json.loads((out / "divergence.json").read_text())["n_splits"] == 41
 
+    def test_a_vector_file_with_a_nonfinite_value_fails_at_load(self, tmp_path, capsys):
+        # without the loader's check it would fail in the affect stage
+        overrides = medium_inputs(tmp_path)
+        assert main(["prepare", *flags(overrides)]) == 0
+        vectors = Path(overrides["out"]) / "vectors_combined.txt"
+        header, first, *rest = vectors.read_text().splitlines(keepends=True)
+        token, _, *values = first.split()
+        vectors.write_text(header + " ".join([token, "nan", *values]) + "\n" + "".join(rest))
+        capsys.readouterr()
+        assert main(["analyze", *flags(overrides)]) == 1
+        assert "stage load: row 2: values must be finite" in capsys.readouterr().err
+        assert json.loads((Path(overrides["out"]) / "failure.json").read_text())["stage"] == "load"
+
     @pytest.mark.parametrize("key, value, named", [
         ("min_count", 1, "min_count"),
         ("literality_threshold", 0.5, "literality_threshold"),

@@ -167,9 +167,10 @@ class TestBalanceGroups:
 def split_jsds(lengths, post_idioms, n_splits, rng):
     """`split_baseline` over posts of the given lengths, post u holding the
     idioms ``post_idioms[u]``."""
-    units = np.array([u for u, ids in enumerate(post_idioms) for _ in ids], dtype=np.intp)
-    idioms = np.array([i for ids in post_idioms for i in ids], dtype=np.intp)
-    return split_baseline(lengths, units, idioms, max(idioms, default=-1) + 1, n_splits, rng)
+    starts = np.cumsum([0] + [len(ids) for ids in post_idioms])
+    idioms = [i for ids in post_idioms for i in ids]
+    return split_baseline(lengths, starts, idioms, range(len(lengths)),
+                          max(idioms, default=-1) + 1, n_splits, rng)
 
 
 def marked_post_jsds(n):
@@ -251,7 +252,56 @@ class TestSplitHalves:
     def test_idiom_outside_the_support_rejected(self, idiom):
         # the kernel counts into an array of n_support entries
         with pytest.raises(ValueError, match="span idioms must lie in 0..1"):
-            split_baseline([3, 4], np.array([0, 1]), np.array([0, idiom]), 2, 1, Pcg64(0))
+            split_baseline([3, 4], [0, 1, 2], [0, idiom], range(2), 2, 1, Pcg64(0))
+
+    # a group's posts as the divergence test lays them out, among the other
+    # group's, some of whose runs are empty
+    @settings(max_examples=100, deadline=None)
+    @given(
+        posts=st.lists(st.tuples(st.integers(0, 9), st.lists(st.integers(0, 4), min_size=1,
+                                                             max_size=3)),
+                       min_size=2, max_size=12),
+        others=st.lists(st.tuples(st.integers(0, 9), st.lists(st.integers(0, 4), max_size=3)),
+                        max_size=12),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_units_among_other_posts_split_as_alone(self, posts, others, seed):
+        def split(layout, units):
+            starts = np.cumsum([0] + [len(ids) for _, ids in layout])
+            idioms = [i for _, ids in layout for i in ids]
+            return split_baseline([length for length, _ in layout], starts, idioms, units,
+                                  5, 4, Pcg64(seed))
+
+        layout, units = [], []
+        for k in range(max(len(posts), len(others))):
+            if k < len(others):
+                layout.append(others[k])
+            if k < len(posts):
+                units.append(len(layout))
+                layout.append(posts[k])
+        alone = split(posts, range(len(posts)))
+        assert split(layout, units).tobytes() == alone.tobytes()
+
+    def test_strided_arrays_read_as_their_values(self):
+        # the kernel takes each array's address, so a strided view is copied first
+        lengths, starts, idioms, units = [3, 4, 5, 6], [0, 1, 2, 4, 5], [0, 1, 0, 1, 1], [3, 1, 2]
+        want = split_baseline(lengths, starts, idioms, units, 2, 6, Pcg64(3))
+        strided = (np.repeat(np.array(a, dtype=np.int64), 2)[::2]
+                   for a in (lengths, starts, idioms, units))
+        got = split_baseline(*strided, 2, 6, Pcg64(3))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lengths, starts, units, message", [
+        ([3, 4], [0, 1, 2], [0, 2], "units must"),        # a unit past the last post
+        ([3, 4], [0, 1, 2], [-1, 0], "units must"),       # a negative unit
+        ([3, 4], [0, 1, 1], [0, 1], "starts must"),       # short of len(idioms)
+        ([3, 4, 5], [0, 2, 1, 2], [0, 1], "starts must"),  # decreasing
+        ([3, 4], [0, 2], [0, 1], "starts must"),          # one offset too few
+        ([3, 4], [1, 1, 2], [0, 1], "starts must"),       # not from 0
+    ])
+    def test_layout_the_kernel_cannot_read_rejected(self, lengths, starts, units, message):
+        with pytest.raises(ValueError, match=message):
+            split_baseline(lengths, starts, [0, 1], units, 2, 1, Pcg64(0))
 
     def test_token_counts_beyond_int64_key_rejected(self):
         with pytest.raises(ValueError, match="too large"):

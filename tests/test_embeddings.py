@@ -345,6 +345,26 @@ class TestVectorFile:
         with pytest.raises(ValueError, match="row 3"):
             load_vectors(str(path))
 
+    def test_unparsable_value_names_its_row(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\nfoo 1 0\nbar x 3\n")
+        with pytest.raises(ValueError, match="row 3: could not convert string to float: 'x'"):
+            load_vectors(str(path))
+
+    # 1e300 and 3.5e38 are finite doubles that round to float32 infinity
+    @pytest.mark.parametrize("row", ["nan 1", "1 inf", "-inf 0", "1e300 0", "0 -3.5e38"])
+    def test_value_not_finite_as_float32_rejected(self, tmp_path, row):
+        path = tmp_path / "v.txt"
+        path.write_text(f"2 2\nfoo 1 0\nbar {row}\n")
+        with pytest.raises(ValueError, match="row 3: values must be finite as float32"):
+            load_vectors(str(path))
+
+    def test_largest_float32_loads(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("1 2\nfoo 3.4028235e38 -3.4028235e38\n")
+        assert list(load_vectors(str(path)).data) == [3.4028234663852886e38,
+                                                      -3.4028234663852886e38]
+
     def test_duplicate_token_error(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\nfoo 1 0\nfoo 0 1\n")

@@ -1,5 +1,6 @@
 """The C kernels' tables, their noise mapping, the PCG64 port's draws and
-its seeding against numpy, and how the library is built and cached.  The
+its seeding against numpy, how the library is built and cached, and the
+kernels run under address and undefined-behaviour sanitizers.  The
 SGNS kernel is checked against a scalar loop in test_embeddings.py, the
 split walk against a plain loop in test_corpus.py, and the divergence
 against exact sums and scipy in test_stats.py."""
@@ -370,3 +371,84 @@ class TestBuildAndCache:
         built = list((tmp_path / "figlex").iterdir())  # no temporary file left
         assert len(built) == 1
         assert names == [str(built[0])] * 2
+
+
+# Runs the kernels the pipeline calls on small inputs, each result checked
+# in C, so a read or write outside a buffer, or undefined arithmetic, stops
+# the program under the sanitizers.
+SANITIZED = r"""#include <stdio.h>
+#include "_kernels.c"
+
+#define CHECK(cond) do { if (!(cond)) { fprintf(stderr, "failed: %s\n", #cond); return 1; } } while (0)
+
+int main(void)
+{
+    pcg64 g;
+    const uint64_t words[4] = {1, 2, 3, 4};
+    pcg64_seed(&g, words);
+
+    /* six posts in one layout; posts 2 and 5 have empty runs */
+    const int64_t tokens[6] = {2, 5, 1, 3, 0, 7};
+    const int64_t starts[7] = {0, 1, 3, 3, 4, 6, 6};
+    const int64_t idioms[6] = {2, 0, 1, 2, 1, 0};
+    double out[8];
+    /* a group of posts 1, 3 and 4, among the others */
+    const int64_t group[3] = {4, 1, 3};
+    CHECK(split_baseline(tokens, starts, idioms, group, 3, 3, 8, &g, out) == 0);
+    for (int s = 0; s < 8; s++)
+        CHECK(out[s] >= 0 && out[s] <= 1);
+    /* posts 5 and 0: one half of the first split holds no idiom */
+    const int64_t lone[2] = {5, 0};
+    int64_t status = split_baseline(tokens, starts, idioms, lone, 2, 3, 8, &g, out);
+    CHECK(status == 1 || status == 2);
+
+    int64_t order[10], seen = 0;
+    permutation(order, 10, &g);
+    for (int i = 0; i < 10; i++)
+        seen |= (int64_t)1 << order[i];
+    CHECK(seen == 1023);
+
+    int64_t drawn[4];
+    pcg64_integers(&g, -3, 6, 4, drawn);
+    for (int i = 0; i < 4; i++)
+        CHECK(drawn[i] >= -3 && drawn[i] <= 3);
+
+    /* two sentences over a vocabulary of 3 at dim 4 */
+    float syn0[12], syn1[12] = {0}, tables[3 * TABLE_LEN];
+    for (int i = 0; i < TABLE_LEN; i++) {
+        tables[i] = 0.5f;
+        tables[TABLE_LEN + i] = tables[2 * TABLE_LEN + i] = -0.6931472f;
+    }
+    const int64_t ids[5] = {0, 1, 2, 2, 0}, lengths[2] = {3, 2}, windows[5] = {1, 2, 1, 1, 1};
+    const double cdf[3] = {0.2, 0.5, 1.0};
+    const int64_t guide[4] = {0, 1, 2, 2};
+    sgns_init(syn0, 12, 4, &g);
+    double loss = sgns_epoch(syn0, syn1, 4, ids, lengths, 2, windows, &g, 2, cdf, 3, guide,
+                             tables, 0.025, 0.0001, 0, 5);
+    CHECK(loss > 0 && loss < 1);
+    return 0;
+}
+"""
+
+SANITIZER_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                   "-ffp-contract=off")
+
+
+class TestSanitizers:
+    def test_kernels_run_clean_under_address_and_undefined_behaviour_sanitizers(self, tmp_path):
+        cc = os.environ.get("CC") or "cc"
+        (tmp_path / "empty.c").write_text("int main(void) { return 0; }\n")
+        probe = subprocess.run([cc, *SANITIZER_FLAGS, "-o", str(tmp_path / "empty"),
+                                str(tmp_path / "empty.c")],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0:
+            pytest.skip(f"{cc} rejects {' '.join(SANITIZER_FLAGS)}: {probe.stderr.strip()}")
+        (tmp_path / "sanitized.c").write_text(SANITIZED)
+        built = subprocess.run(
+            [cc, *SANITIZER_FLAGS, "-I", str(_kernels._SOURCE.parent), "-o",
+             str(tmp_path / "sanitized"), str(tmp_path / "sanitized.c"), *_kernels._LIBS],
+            capture_output=True, text=True, timeout=60)
+        assert built.returncode == 0, built.stderr
+        ran = subprocess.run([str(tmp_path / "sanitized")], capture_output=True, text=True,
+                             timeout=60)
+        assert ran.returncode == 0, ran.stderr

@@ -227,6 +227,37 @@ class TestCountUsages:
             assert counts.tokens_for(g) == want[g]
             assert sum(counts.tokens_for(g).values()) == want[g].total()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        patterns=st.dictionaries(
+            st.lists(st.sampled_from("abcd"), min_size=1, max_size=3).map(tuple),
+            st.sampled_from(["p", "q", "r"]),
+            max_size=6,
+        ),
+        posts=st.lists(st.tuples(st.sampled_from(["M", "F"]),
+                                 st.lists(st.sampled_from("abcdx"), max_size=10)),
+                       max_size=10),
+    )
+    def test_span_runs_hold_each_posts_matches(self, patterns, posts):
+        matcher = Matcher(patterns)
+        corpus = Corpus(posts=tuple(make_post(" ".join(words), group=g, author=f"a{i}")
+                                    for i, (g, words) in enumerate(posts)),
+                        group_labels=("M", "F"))
+        counts = count_usages(matcher, corpus)
+        starts, idioms = list(counts.span_starts), list(counts.span_idioms)
+        assert len(starts) == len(corpus.posts) + 1 and starts[0] == 0
+        assert all(a <= b for a, b in zip(starts, starts[1:]))
+        assert starts[-1] == len(idioms)
+        column = list(counts.idiom_counts)
+        runs = [idioms[starts[i]:starts[i + 1]] for i in range(len(corpus.posts))]
+        for run, post in zip(runs, corpus.posts):
+            assert run == [column.index(m.canonical) for m in find_matches(matcher, post.tokens)]
+        for g in ("M", "F"):
+            used = Counter(j for run, post in zip(runs, corpus.posts) if post.group == g
+                           for j in run)
+            assert [used[j] for j in range(len(column))] == [
+                counts.idiom_counts[c][g] for c in column]
+
     def test_streams_for_keeps_a_groups_posts_in_corpus_order(self):
         matcher = Matcher(PATTERNS)
         posts = [("M", "over the moon x"), ("F", "y"), ("M", "kick the bucket"),

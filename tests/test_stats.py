@@ -728,11 +728,13 @@ class TestKde:
         with pytest.raises(ValueError, match="values must be finite"):
             kde([0.1, bad, 0.9], bandwidth=bandwidth)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_a_data_range_whose_grid_overflows(self):
         # Silverman's bandwidth of this range is infinite
         with pytest.raises(ValueError, match="grid ends .* not finite"):
             kde([-1.7e308, 1.7e308])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_a_bandwidth_whose_grid_overflows(self):
         with pytest.raises(ValueError, match="grid ends .* not finite"):
             kde([0.0, 1.0], bandwidth=1e308)
