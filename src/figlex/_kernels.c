@@ -1,25 +1,30 @@
 /* The sequential loops of figlex, in C: skip-gram negative-sampling (SGNS)
  * training over one epoch of the corpus and its initial vectors; the
- * float64 cosine of two vectors; the Jensen-Shannon divergence of two
- * probability vectors; the divergence test's baseline, many greedy half
- * splits of one group with the divergence of each; and numpy's PCG64
+ * float64 cosine of two vectors and of one row against a whole table; the
+ * Jensen-Shannon divergence of two probability vectors; the divergence
+ * test's baseline, many greedy half splits of one group with the
+ * divergence of each; analyze's float64 stages: the beta regression's
+ * whitening, log-likelihood, gradient and prediction, the mean of
+ * embedding rows and the Gaussian kernel density sum; and numpy's PCG64
  * generator with the draws figlex makes from it.  _kernels.py builds this
  * file and loads it with ctypes.  Every draw comes from a pcg64 that the
  * caller seeds and passes by address: the SGNS kernels take their doubles
  * from it, and the split kernel and the shuffle their bounded integers.
  *
  * The arithmetic is IEEE single (SGNS), int64 (the split walk and its
- * counts) and double (the cosine and the divergence) in a fixed order, so
- * the results do not depend on the CPU's vector units.  Compile with
- * -ffp-contract=off and without -ffast-math: a fused multiply-add or a
- * reassociated sum would change them.  The divergence calls one libm
- * function, log2, so link libm after this file (-lm).  Its bytes are
- * libm's: glibc's log2 is an ifunc that takes an FMA variant on CPUs with
- * FMA, and no environment variable selects it, so
- * scripts/check_portable_bytes.py cannot vary it.  The cosine's sqrt is
- * correctly rounded everywhere.
+ * counts) and double (everything else) in a fixed order, so the results do
+ * not depend on the CPU's vector units.  Compile with -ffp-contract=off and
+ * without -ffast-math: a fused multiply-add or a reassociated sum would
+ * change them.  Four libm functions are called, so link libm after this
+ * file (-lm): log2 (the divergence), exp (the logistic function and the
+ * density), log (ln Gamma and digamma) and sqrt (the cosine and the
+ * whitening).  sqrt is correctly rounded everywhere.  The bytes of
+ * the other three are libm's: glibc's log2, exp and log are ifuncs that
+ * take an FMA variant on CPUs with FMA, and no environment variable
+ * selects it, so scripts/check_portable_bytes.py cannot vary them.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -183,6 +188,39 @@ double cosine(const double *a, const double *b, int64_t n)
         return NAN;
     double c = dot64(a, b, n) / (sqrt(aa) * sqrt(bb));
     return c < -1 ? -1 : c > 1 ? 1 : c;
+}
+
+/* out[i] = the cosine of rows i and anchor of the n x dim float32 table
+ * rows, each widened to double, or -2 where cosine gives NaN.  Returns 0,
+ * or -1 if scratch memory ran out. */
+int64_t cosines(const float *rows, int64_t n, int64_t dim, int64_t anchor, double *out)
+{
+    double *a = malloc(2 * dim * sizeof *a + 1), *v = a + dim;
+    if (!a)
+        return -1;
+    for (int64_t j = 0; j < dim; j++)
+        a[j] = rows[anchor * dim + j];
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < dim; j++)
+            v[j] = rows[i * dim + j];
+        double c = cosine(a, v, dim);
+        out[i] = isnan(c) ? -2 : c;
+    }
+    free(a);
+    return 0;
+}
+
+/* out[j] = the mean of column j over rows[0..n-1] of the float32 table
+ * data with dim columns, summed in double in the order of rows. */
+void row_mean(const float *data, int64_t dim, const int64_t *rows, int64_t n, double *out)
+{
+    for (int64_t j = 0; j < dim; j++)
+        out[j] = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < dim; j++)
+            out[j] += data[rows[i] * dim + j];
+    for (int64_t j = 0; j < dim; j++)
+        out[j] /= (double)n;
 }
 
 /* y += a x, in runs of 8 that the compiler can turn into vector code
@@ -423,4 +461,350 @@ int64_t split_baseline(const int64_t *token_counts, const int64_t *starts,
 done:
     free(order), free(total), free(first), free(p), free(q);
     return status;
+}
+
+/* out[g] = scale times the sum over i of exp(-z^2 / 2), z = (grid[g] -
+ * sorted[i]) / h, for g < m: the Gaussian kernel density on a grid.  The n
+ * values are sorted, so each run of equal values is one term, its length
+ * times the run's exp, and runs go in ascending order. */
+void kde(const double *sorted, int64_t n, const double *grid, int64_t m, double h,
+         double scale, double *out)
+{
+    for (int64_t g = 0; g < m; g++) {
+        double acc = 0;
+        for (int64_t i = 0, j; i < n; i = j) {
+            for (j = i + 1; j < n && sorted[j] == sorted[i]; j++)
+                ;
+            double z = (grid[g] - sorted[i]) / h;
+            acc += (double)(j - i) * exp(-0.5 * (z * z));
+        }
+        out[g] = acc * scale;
+    }
+}
+
+/* The inverse logit, 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x))
+ * below, one expression: exp(-|x|) never overflows. */
+double sigmoid(double x)
+{
+    double e = exp(-fabs(x));
+    return (x >= 0 ? 1 : e) / (1 + e);
+}
+
+/* Coefficients of 1/z, 1/z^3, ... in Stirling's series for ln Gamma(z)
+ * (Abramowitz & Stegun 6.1.41) and of 1/z^2, 1/z^4, ... in the asymptotic
+ * series for digamma(z) (A&S 6.3.18).  At z >= 8 the first omitted term of
+ * either is below 2e-15. */
+static const double lgamma_series[] = {1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680,
+                                       1.0 / 1188, -691.0 / 360360, 1.0 / 156};
+static const double digamma_series[] = {1.0 / 12, -1.0 / 120, 1.0 / 252, -1.0 / 240,
+                                        1.0 / 132, -691.0 / 32760, 1.0 / 12};
+#define SERIES_LEN 7
+#define HALF_LOG_2PI 0.91893853320467274178
+
+/* c[0] + c[1] r2 + c[2] r2^2 + ... */
+static double horner(double r2, const double *c)
+{
+    double acc = c[SERIES_LEN - 1];
+    for (int i = SERIES_LEN - 2; i >= 0; i--)
+        acc = acc * r2 + c[i];
+    return acc;
+}
+
+/* Both functions below shift the argument by 8 with the recurrence, so that
+ * the series is evaluated at z = x + 8.  The eight factors x, x + 1, ...,
+ * x + 7 pair up around x + 3.5: with u = x (x + 7), the pairs' products are
+ * u, u + 6, u + 10 and u + 12, and each pair's two reciprocals sum to
+ * (2x + 7) / (its product). */
+
+/* ln Gamma(x) for 0 < x < 1e30: ln Gamma(x + 8) - ln(x (x + 1) ... (x + 7)). */
+double gammaln(double x)
+{
+    double u = x * (x + 7), prod = u * (u + 6) * (u + 10) * (u + 12);
+    double z = x + 8, r = 1 / z;
+    return (z - 0.5) * log(z) - z + HALF_LOG_2PI + r * horner(r * r, lgamma_series)
+           - log(prod);
+}
+
+/* digamma(x) for x > 0: digamma(x + 8) - (1/x + 1/(x + 1) + ... + 1/(x + 7)). */
+double digamma(double x)
+{
+    double u = x * (x + 7);
+    double acc = (2 * x + 7) * (1 / u + 1 / (u + 6) + 1 / (u + 10) + 1 / (u + 12));
+    double z = x + 8, r2 = 1 / (z * z);
+    return log(z) - 0.5 / z - r2 * horner(r2, digamma_series) - acc;
+}
+
+/* The beta regression's mean at features x (d of them): the logistic
+ * function of coef[0] + dot64(coef + 1, x), clipped to [1e-12, 1 - 1e-12]. */
+double beta_predict(const double *coef, const double *x, int64_t d)
+{
+    double mu = sigmoid(coef[0] + dot64(coef + 1, x, d));
+    return mu < 1e-12 ? 1e-12 : mu > 1 - 1e-12 ? 1 - 1e-12 : mu;
+}
+
+/* The mean beta log-likelihood of n rows at params = (intercept, r
+ * coefficients, log phi): row i has the r features z[i r .. i r + r - 1],
+ * log y_i and log(1 - y_i), the mean mu_i = beta_predict(params, row) and
+ * the shapes a = mu_i phi and b = (1 - mu_i) phi.  When grad is not NULL it
+ * receives the gradient in params.  Every sum runs over the rows in order. */
+double beta_loglik(const double *z, int64_t n, int64_t r, const double *log_y,
+                   const double *log_1my, const double *params, double *grad)
+{
+    double phi = exp(params[r + 1]), ln_gamma_phi = gammaln(phi), psi_phi = digamma(phi);
+    double ll = 0, dphi = 0;
+    if (grad)
+        for (int64_t j = 0; j <= r; j++)
+            grad[j] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = z + i * r;
+        double mu = beta_predict(params, row, r), a = mu * phi, b = (1 - mu) * phi;
+        ll += ln_gamma_phi - gammaln(a) - gammaln(b) + (a - 1) * log_y[i]
+              + (b - 1) * log_1my[i];
+        if (!grad)
+            continue;
+        double psi_a = digamma(a), psi_b = digamma(b);
+        double w = phi * ((log_y[i] - log_1my[i]) - psi_a + psi_b) * mu * (1 - mu);
+        grad[0] += w;
+        for (int64_t j = 0; j < r; j++)
+            grad[j + 1] += row[j] * w;
+        dphi += psi_phi - mu * psi_a - (1 - mu) * psi_b + mu * log_y[i] + (1 - mu) * log_1my[i];
+    }
+    if (grad) {
+        for (int64_t j = 0; j <= r; j++)
+            grad[j] /= (double)n;
+        grad[r + 1] = dphi / (double)n * phi;
+    }
+    return ll / (double)n;
+}
+
+/* sqrt(a^2 + b^2) without overflow or underflow in the square. */
+static double hypot2(double a, double b)
+{
+    double r;
+    if (fabs(a) > fabs(b)) {
+        r = b / a;
+        return fabs(a) * sqrt(1 + r * r);
+    }
+    if (b == 0)
+        return 0;
+    r = a / b;
+    return fabs(b) * sqrt(1 + r * r);
+}
+
+/* The eigenvalues w and eigenvectors (the columns of the d x d row-major v)
+ * of the symmetric matrix that v holds on entry: Householder reduction to
+ * tridiagonal form, then the implicit QL iteration (the EISPACK routines
+ * tred2 and tql2, as JAMA ports them; Golub & Van Loan, ch. 8).  e is d
+ * doubles of scratch.  Returns 0, or 1 if an eigenvalue took more than 60
+ * QL steps. */
+static int symmetric_eigen(double *v, int64_t d, double *w, double *e)
+{
+#define V(i, j) v[(i) * d + (j)]
+    for (int64_t j = 0; j < d; j++)
+        w[j] = V(d - 1, j);
+    for (int64_t i = d - 1; i > 0; i--) {
+        double scale = 0, h = 0;
+        for (int64_t k = 0; k < i; k++)
+            scale += fabs(w[k]);
+        if (scale == 0) {
+            e[i] = w[i - 1];
+            for (int64_t j = 0; j < i; j++) {
+                w[j] = V(i - 1, j);
+                V(i, j) = 0;
+                V(j, i) = 0;
+            }
+        } else {
+            for (int64_t k = 0; k < i; k++) {
+                w[k] /= scale;
+                h += w[k] * w[k];
+            }
+            double f = w[i - 1], g = sqrt(h);
+            if (f > 0)
+                g = -g;
+            e[i] = scale * g;
+            h -= f * g;
+            w[i - 1] = f - g;
+            for (int64_t j = 0; j < i; j++)
+                e[j] = 0;
+            for (int64_t j = 0; j < i; j++) {
+                f = w[j];
+                V(j, i) = f;
+                g = e[j] + V(j, j) * f;
+                for (int64_t k = j + 1; k <= i - 1; k++) {
+                    g += V(k, j) * w[k];
+                    e[k] += V(k, j) * f;
+                }
+                e[j] = g;
+            }
+            f = 0;
+            for (int64_t j = 0; j < i; j++) {
+                e[j] /= h;
+                f += e[j] * w[j];
+            }
+            double hh = f / (h + h);
+            for (int64_t j = 0; j < i; j++)
+                e[j] -= hh * w[j];
+            for (int64_t j = 0; j < i; j++) {
+                f = w[j];
+                g = e[j];
+                for (int64_t k = j; k <= i - 1; k++)
+                    V(k, j) -= f * e[k] + g * w[k];
+                w[j] = V(i - 1, j);
+                V(i, j) = 0;
+            }
+        }
+        w[i] = h;
+    }
+    for (int64_t i = 0; i < d - 1; i++) {
+        V(d - 1, i) = V(i, i);
+        V(i, i) = 1;
+        double h = w[i + 1];
+        if (h != 0) {
+            for (int64_t k = 0; k <= i; k++)
+                w[k] = V(k, i + 1) / h;
+            for (int64_t j = 0; j <= i; j++) {
+                double g = 0;
+                for (int64_t k = 0; k <= i; k++)
+                    g += V(k, i + 1) * V(k, j);
+                for (int64_t k = 0; k <= i; k++)
+                    V(k, j) -= g * w[k];
+            }
+        }
+        for (int64_t k = 0; k <= i; k++)
+            V(k, i + 1) = 0;
+    }
+    for (int64_t j = 0; j < d; j++) {
+        w[j] = V(d - 1, j);
+        V(d - 1, j) = 0;
+    }
+    V(d - 1, d - 1) = 1;
+
+    for (int64_t i = 1; i < d; i++)
+        e[i - 1] = e[i];
+    e[d - 1] = 0;
+    double f = 0, tst1 = 0;
+    for (int64_t l = 0; l < d; l++) {
+        if (fabs(w[l]) + fabs(e[l]) > tst1)
+            tst1 = fabs(w[l]) + fabs(e[l]);
+        int64_t m = l;
+        while (m < d && !(fabs(e[m]) <= DBL_EPSILON * tst1))
+            m++;
+        for (int iter = 0; m > l && fabs(e[l]) > DBL_EPSILON * tst1; iter++) {
+            if (iter == 60)
+                return 1;
+            double g = w[l], p = (w[l + 1] - g) / (2 * e[l]), r = hypot2(p, 1);
+            if (p < 0)
+                r = -r;
+            w[l] = e[l] / (p + r);
+            w[l + 1] = e[l] * (p + r);
+            double dl1 = w[l + 1], h = g - w[l];
+            for (int64_t i = l + 2; i < d; i++)
+                w[i] -= h;
+            f += h;
+            p = w[m];
+            double c = 1, c2 = 1, c3 = 1, el1 = e[l + 1], s = 0, s2 = 0;
+            for (int64_t i = m - 1; i >= l; i--) {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                g = c * e[i];
+                h = c * p;
+                r = hypot2(p, e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * w[i] - s * g;
+                w[i + 1] = h + s * (c * g + s * w[i]);
+                for (int64_t k = 0; k < d; k++) {
+                    h = V(k, i + 1);
+                    V(k, i + 1) = s * V(k, i) + c * h;
+                    V(k, i) = c * V(k, i) - s * h;
+                }
+            }
+            p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            w[l] = c * p;
+        }
+        w[l] += f;
+        e[l] = 0;
+    }
+    return 0;
+#undef V
+}
+
+/* Whitening of the n x d matrix x (row-major) for the beta regression, as
+ * an SVD of the centered x whitens it: mean[j] is column j's mean; the
+ * centered columns' Gram matrix G (by dot64) has the eigenvalues lambda and
+ * eigenvectors u (symmetric_eigen), those of the SVD's right singular
+ * vectors.  The k eigenvalues above d * DBL_EPSILON times the largest, G's
+ * rounding level, are kept, largest first (ties in index order); the others
+ * are null directions, such as a duplicated or a constant column, and drop
+ * out.  basis (d x k, row-major) holds u_m sqrt(n / lambda_m) in column m,
+ * and z (n x k) = centered x times basis, so z^T z = n I up to rounding.
+ * Returns k; -1 when G is not finite (nothing written), -2 if scratch
+ * memory ran out, or -3 if the eigenvalues did not converge.  basis and z
+ * must hold d x d and n x d doubles. */
+int64_t whiten(const double *x, int64_t n, int64_t d, double *mean, double *basis, double *z)
+{
+    double *ct = malloc(d * n * sizeof *ct + 1), *g = malloc(d * d * sizeof *g + 1);
+    double *w = malloc(d * sizeof *w + 1), *e = malloc(d * sizeof *e + 1);
+    double *col = malloc(d * sizeof *col + 1);
+    int64_t *order = malloc(d * sizeof *order + 1), k = 0;
+    if (!ct || !g || !w || !e || !col || !order) {
+        k = -2;
+        goto done;
+    }
+    for (int64_t j = 0; j < d; j++) {
+        double s = 0;
+        for (int64_t i = 0; i < n; i++)
+            s += x[i * d + j];
+        mean[j] = s / (double)n;
+        for (int64_t i = 0; i < n; i++)
+            ct[j * n + i] = x[i * d + j] - mean[j];
+    }
+    for (int64_t j = 0; j < d; j++)
+        for (int64_t c = j; c < d; c++) {
+            g[j * d + c] = g[c * d + j] = dot64(ct + j * n, ct + c * n, n);
+            if (!isfinite(g[j * d + c])) {
+                k = -1;
+                goto done;
+            }
+        }
+    if (d > 0 && symmetric_eigen(g, d, w, e)) {
+        k = -3;
+        goto done;
+    }
+    /* order: the kept eigenvalues' indices, largest first */
+    double largest = 0;
+    for (int64_t j = 0; j < d; j++)
+        if (w[j] > largest)
+            largest = w[j];
+    double tol = (double)d * DBL_EPSILON * largest;
+    for (int64_t j = 0; j < d; j++)
+        if (w[j] > tol) {
+            int64_t at = k++;
+            for (; at > 0 && w[order[at - 1]] < w[j]; at--)
+                order[at] = order[at - 1];
+            order[at] = j;
+        }
+    double root_n = sqrt((double)n);
+    for (int64_t m = 0; m < k; m++) {
+        double scale = root_n / sqrt(w[order[m]]);
+        for (int64_t j = 0; j < d; j++)
+            basis[j * k + m] = g[j * d + order[m]] * scale;
+    }
+    /* z[i][m] = dot64(centered row i, basis column m), with the basis
+     * columns copied into g as rows */
+    for (int64_t m = 0; m < k; m++)
+        for (int64_t j = 0; j < d; j++)
+            g[m * d + j] = basis[j * k + m];
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < d; j++)
+            col[j] = ct[j * n + i];
+        for (int64_t m = 0; m < k; m++)
+            z[i * k + m] = dot64(col, g + m * d, d);
+    }
+done:
+    free(ct), free(g), free(w), free(e), free(col), free(order);
+    return k;
 }

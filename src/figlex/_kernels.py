@@ -1,7 +1,9 @@
-"""Build and load `_kernels.c`: figlex's SGNS training, its cosine, its
-Jensen-Shannon divergence, the divergence test's split baseline and
-numpy's PCG64 generator, figlex's one source of random draws, in C; and
-the tables and seeds they take, in Python.  Nothing here imports numpy.
+"""Build and load `_kernels.c`: figlex's SGNS training, its cosines, its
+Jensen-Shannon divergence, the divergence test's split baseline, the beta
+regression's whitening, likelihood and prediction, the sentence-embedding
+mean, the kernel density sum and numpy's PCG64 generator, figlex's one
+source of random draws, in C; and the tables and seeds they take, in
+Python.  Nothing here imports numpy.
 
 The library compiles at its first use, with the compiler that `CC` names
 (default `cc`), into `cache_dir()` under a name keyed by the sha256 of the
@@ -27,7 +29,7 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # IEEE arithmetic in source order: no fused multiply-adds, no -ffast-math
 # and no -march
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# after the source file, for the divergence's log2
+# after the source file, for log2, exp, log and sqrt
 _LIBS = ("-lm",)
 # word2vec's sigmoid table, as `_kernels.c` defines it
 EXP_TABLE_SIZE = 1000
@@ -102,6 +104,15 @@ def load():
                                   _i64, _ptr, _ptr, _f64, _f64, _i64, _i64]),
             "sgns_init": (None, [_ptr, _i64, _i64, _ptr]),
             "cosine": (_f64, [_ptr, _ptr, _i64]),
+            "cosines": (_i64, [_ptr, _i64, _i64, _i64, _ptr]),
+            "row_mean": (None, [_ptr, _i64, _ptr, _i64, _ptr]),
+            "kde": (None, [_ptr, _i64, _ptr, _i64, _f64, _f64, _ptr]),
+            "sigmoid": (_f64, [_f64]),
+            "gammaln": (_f64, [_f64]),
+            "digamma": (_f64, [_f64]),
+            "beta_predict": (_f64, [_ptr, _ptr, _i64]),
+            "beta_loglik": (_f64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr]),
+            "whiten": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
             "jsd": (_f64, [_ptr, _ptr, _i64]),
             "split_baseline": (_i64, [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr]),
             "permutation": (None, [_ptr, _i64, _ptr]),

@@ -12,21 +12,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from ._kernels import Pcg64
+from . import _kernels
+from ._kernels import Pcg64, address
 from .embeddings import EmbeddingSpace, _embedded_rows, sentence_embedding
 from .lexicon import Lexicon
 from .matcher import GroupCounts
-from .stats import cohens_d, wilcoxon_ranksum
+from .stats import cohens_d, mean, wilcoxon_ranksum
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 
 _TARGET_EPS = 1e-4      # beta log-likelihood diverges at {0, 1}
-_PREDICT_EPS = 1e-12
 _LOG_PHI_MAX = math.log(1e8)
 
 
@@ -59,15 +58,17 @@ def load_vad_lexicon(path: str) -> dict[str, tuple[float, float, float]]:
 @dataclass
 class VadModel:
     dimension: str
-    coefficients: np.ndarray  # length dim+1, intercept first
+    coefficients: array  # float64, length dim+1, intercept first
     precision: float
     ll_history: list[float] = field(default_factory=list, repr=False)
     n_iter: int = 0
+    grad_norm: float = math.nan  # the working-space gradient max-norm at the end
 
     def __post_init__(self) -> None:
+        self.coefficients = array("d", self.coefficients)
         if self.precision <= 0:
             raise ValueError("precision must be positive")
-        if not np.all(np.isfinite(self.coefficients)):
+        if not all(map(math.isfinite, self.coefficients)):
             raise ValueError("coefficients must be finite")
 
 
@@ -75,7 +76,7 @@ class VadModel:
 class UsageSeries:
     dimension: str
     group: str
-    values: np.ndarray
+    values: array  # float64
 
 
 @dataclass(frozen=True)
@@ -90,184 +91,163 @@ class VadComparison:
     n_b: int
 
 
-# Coefficients of 1/z, 1/z^3, ... in Stirling's series for ln Gamma(z)
-# (Abramowitz & Stegun 6.1.41) and of 1/z^2, 1/z^4, ... in the asymptotic
-# series for digamma(z) (A&S 6.3.18).  At z >= 8 the first omitted term of
-# either is below 2e-15.
-_LGAMMA_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+@dataclass(frozen=True)
+class _Matrix:
+    """A float64 matrix held row by row in one flat array."""
+
+    data: array
+    n_rows: int
+    n_cols: int
 
 
-def _horner(r2: np.ndarray | float, coeffs: tuple[float, ...]) -> np.ndarray | float:
-    """coeffs[0] + coeffs[1] * r2 + coeffs[2] * r2**2 + ..."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * r2 + c
-    return acc
+def _matrix(rows: Sequence[Sequence[float]]) -> _Matrix:
+    """`rows`, all of one length and finite, as a `_Matrix`."""
+    flat = array("d")
+    n = 0
+    width = None
+    for row in rows:
+        try:
+            flat.extend(row)
+        except TypeError:  # a number, not a row
+            raise ValueError("features must be a 2-d matrix") from None
+        n += 1
+        width = len(flat) if width is None else width
+        if len(flat) != n * width:
+            raise ValueError("features must be a 2-d matrix")
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("features must be finite")
+    return _Matrix(flat, n, width or 0)
 
 
-# Both functions below shift every argument by 8 with the recurrence, so
-# that the series is evaluated at z = x + 8 without a branch per entry.  The
-# eight factors x, x + 1, ..., x + 7 pair up around x + 3.5: with
-# u = x (x + 7), the pairs' products are u, u + 6, u + 10 and u + 12, and
-# each pair's two reciprocals sum to (2x + 7) / (its product).
-
-def _gammaln(x: np.ndarray) -> np.ndarray:
-    """ln Gamma(x) elementwise, for 0 < x < 1e30:
-    ln Gamma(x + 8) - ln(x (x + 1) ... (x + 7))."""
-    u = x * (x + 7.0)
-    prod = u * (u + 6.0) * (u + 10.0) * (u + 12.0)
-    z = x + 8.0
-    r = 1.0 / z
-    return ((z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
-            + r * _horner(r * r, _LGAMMA_SERIES) - np.log(prod))
-
-
-def _digamma(x: np.ndarray | float) -> np.ndarray | float:
-    """digamma(x) for x > 0, elementwise on an array or on one float:
-    digamma(x + 8) - (1/x + 1/(x + 1) + ... + 1/(x + 7)).  A float takes
-    the same arithmetic in Python floats and `math.log`."""
-    log = math.log if isinstance(x, float) else np.log
-    u = x * (x + 7.0)
-    acc = (2.0 * x + 7.0) * (1.0 / u + 1.0 / (u + 6.0) + 1.0 / (u + 10.0) + 1.0 / (u + 12.0))
-    z = x + 8.0
-    r2 = 1.0 / (z * z)
-    return log(z) - 0.5 / z - r2 * _horner(r2, _DIGAMMA_SERIES) - acc
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the inverse logit; exp(-|x|) never overflows: this is 1/(1+exp(-x)) for
-    # x >= 0 and exp(x)/(1+exp(x)) below, the same float operations either side
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1, e) / (1 + e)
-
-
-def _beta_data(features: np.ndarray, targets: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _beta_data(features: _Matrix, targets: Sequence[float]) -> tuple[_Matrix, array, array]:
     """What the likelihood reads of a fit's data, computed once per fit:
-    the design matrix (an intercept column, then the features), log y and
-    log(1 - y)."""
-    design = np.hstack([np.ones((features.shape[0], 1)), features])
-    return design, np.log(targets), np.log(1.0 - targets)
+    the feature rows, log y and log(1 - y)."""
+    if len(targets) != features.n_rows:
+        raise ValueError("targets must parallel feature rows")
+    return (features, array("d", [math.log(y) for y in targets]),
+            array("d", [math.log(1.0 - y) for y in targets]))
 
 
-def _mean_and_shapes(params: np.ndarray, design: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """phi, mu, and every row's two beta shapes stacked in one array,
-    mu * phi for all rows and then (1 - mu) * phi, so each special function
-    is one call per evaluation."""
-    phi = math.exp(params[-1])
-    mu = np.clip(_sigmoid(design @ params[:-1]), 1e-12, 1.0 - 1e-12)
-    return phi, mu, np.concatenate((mu, 1.0 - mu)) * phi
+def _beta_loglik(params: Sequence[float], features: _Matrix, log_y: array, log_1my: array,
+                 grad: array | None) -> float:
+    """`_kernels.c` ``beta_loglik`` at `params`, writing the gradient into
+    `grad` unless it is None."""
+    at = array("d", params)
+    if len(at) != features.n_cols + 2:
+        raise ValueError(f"params must hold {features.n_cols + 2} values, got {len(at)}")
+    return _kernels.load().beta_loglik(address(features.data), features.n_rows,
+                                       features.n_cols, address(log_y), address(log_1my),
+                                       address(at), None if grad is None else address(grad))
 
 
-def _log_likelihood(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
-                    log_1my: np.ndarray) -> float:
-    """Mean beta log-likelihood at params = (coefficients..., log phi); the
-    mean scale keeps gradient magnitudes comparable across sample sizes,
-    which is what the convergence tolerance is measured against."""
-    phi, mu, shapes = _mean_and_shapes(params, design)
-    n = len(mu)
-    lg = _gammaln(shapes)
-    ll = (
-        math.lgamma(phi)
-        - lg[:n]
-        - lg[n:]
-        + (shapes[:n] - 1.0) * log_y
-        + (shapes[n:] - 1.0) * log_1my
-    )
-    return float(ll.mean())
+def _log_likelihood(params: Sequence[float], features: _Matrix, log_y: array,
+                    log_1my: array) -> float:
+    """Mean beta log-likelihood at params = (intercept, coefficients..., log
+    phi); the mean scale keeps gradient magnitudes comparable across sample
+    sizes, which is what the convergence tolerance is measured against."""
+    return _beta_loglik(params, features, log_y, log_1my, None)
 
 
-def _log_likelihood_grad(params: np.ndarray, design: np.ndarray, log_y: np.ndarray,
-                         log_1my: np.ndarray) -> np.ndarray:
+def _log_likelihood_grad(params: Sequence[float], features: _Matrix, log_y: array,
+                         log_1my: array) -> list[float]:
     """Analytic gradient of `_log_likelihood` in coefficients and log phi."""
-    phi, mu, shapes = _mean_and_shapes(params, design)
-    n = len(mu)
-    psi = _digamma(shapes)
-    psi_a, psi_b = psi[:n], psi[n:]
-
-    dll_dmu = phi * ((log_y - log_1my) - psi_a + psi_b)
-    grad_coeffs = design.T @ (dll_dmu * mu * (1.0 - mu)) / n
-
-    dll_dphi = (
-        _digamma(phi)
-        - mu * psi_a
-        - (1.0 - mu) * psi_b
-        + mu * log_y
-        + (1.0 - mu) * log_1my
-    )
-    grad_log_phi = float(dll_dphi.mean()) * phi
-    return np.concatenate([grad_coeffs, [grad_log_phi]])
+    grad = array("d", [0.0]) * len(params)
+    _beta_loglik(params, features, log_y, log_1my, grad)
+    return grad.tolist()
 
 
-def _whiten(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column means of X, the whitening matrix of the centered X (from its
-    SVD, dropping null directions), and the whitened features."""
-    col_mean = X.mean(axis=0)
-    centered = X - col_mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)  # (0, 0) with no columns
-    keep = svals > (svals[0] * 1e-10 if svals.size and svals[0] > 0 else math.inf)
-    whiten = vt[keep].T * (math.sqrt(len(X)) / svals[keep])
-    return col_mean, whiten, centered @ whiten
+@dataclass(frozen=True)
+class _Whitened:
+    """`_whiten`'s column means (n_cols), basis (n_cols x rank, row-major)
+    and whitened features (n_rows x rank)."""
+
+    mean: array
+    basis: array
+    features: _Matrix
+
+
+def _whiten(X: _Matrix) -> _Whitened:
+    """Center the columns of X and whiten them along the eigenvectors of
+    their Gram matrix (`_kernels.c` ``whiten``), the right singular vectors
+    of the centered X, so the whitened columns are orthogonal with squared
+    norm n.  A null direction, as a duplicated or a constant column makes,
+    has an eigenvalue at the Gram matrix's rounding level (at most d * 2^-52
+    of the largest) and drops out, as an SVD drops singular values below
+    1e-10 of the largest, so the fit runs in the same column span.  A Gram
+    matrix that is not finite, or whose eigenvalues do not converge,
+    raises ValueError."""
+    n, d = X.n_rows, X.n_cols
+    mean_ = array("d", [0.0]) * d
+    basis = array("d", [0.0]) * (d * d)
+    z = array("d", [0.0]) * (n * d)
+    rank = _kernels.load().whiten(address(X.data), n, d, address(mean_), address(basis),
+                                  address(z))
+    if rank == -1:
+        raise ValueError("the features' Gram matrix is not finite")
+    if rank == -2:
+        raise MemoryError("whitening kernel: no memory for its scratch matrices")
+    if rank < 0:
+        raise ValueError("the features' Gram matrix: eigenvalues did not converge")
+    del basis[d * rank:], z[n * rank:]
+    return _Whitened(mean_, basis, _Matrix(z, n, rank))
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(map(float.__mul__, a, b))
 
 
 def fit_beta_regression(
-    features: np.ndarray,
+    features: Sequence[Sequence[float]],
     targets: Sequence[float],
     dimension: str = "value",
     max_iter: int = 500,
     tol: float = 1e-6,
     *,
-    _whitened: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    _whitened: _Whitened | None = None,
 ) -> VadModel:
     """Maximum-likelihood beta regression with a logit mean link.
 
     Optimized by gradient ascent with backtracking line search over the
     coefficient vector and log precision.  Internally the feature columns
-    are centered and whitened (an exact reparametrization, undone before
-    returning), which keeps plain gradient ascent fast even on strongly
-    correlated features.  Converges when the working-space gradient
-    max-norm drops below `tol`; log phi is capped above so zero-residual
-    targets, whose likelihood is unbounded in phi, still terminate.
-    Raises if the iteration limit is hit first.  `_whitened` is
-    `_whiten(features)` when the caller fits one matrix several times.
+    are centered and whitened (`_whiten`: an exact reparametrization,
+    undone before returning), which keeps plain gradient ascent fast even
+    on strongly correlated features; null directions of the features, such
+    as a duplicated or a constant column, get no weight, and features
+    whose Gram matrix is not finite raise ValueError.  Converges when
+    the working-space gradient max-norm drops below `tol`; log phi is
+    capped above so zero-residual targets, whose likelihood is unbounded in
+    phi, still terminate.  Raises if the iteration limit is hit first.
+    `_whitened` is ``_whiten(_matrix(features))`` when the caller fits one
+    matrix several times; `features` is then not read.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("features must be a 2-d matrix")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    y = np.clip(np.asarray(targets, dtype=np.float64), _TARGET_EPS, 1.0 - _TARGET_EPS)
-    n, d = X.shape
-    if y.shape != (n,):
+    white = _whiten(_matrix(features)) if _whitened is None else _whitened
+    n, d = white.features.n_rows, len(white.mean)
+    y = [min(max(float(t), _TARGET_EPS), 1.0 - _TARGET_EPS) for t in targets]
+    if len(y) != n:
         raise ValueError("targets must parallel feature rows")
     if n < d + 2:
         raise ValueError(f"need at least {d + 2} rows to fit {d} features, got {n}")
 
-    col_mean, whiten, Z = _whiten(X) if _whitened is None else _whitened
-
-    mean_y = float(y.mean())
-    var_y = float(y.var()) + 1e-8
+    mean_y = mean(y)
+    var_y = math.fsum((t - mean_y) * (t - mean_y) for t in y) / n + 1e-8
     phi0 = max(mean_y * (1.0 - mean_y) / var_y - 1.0, 1.0)
-    params = np.zeros(Z.shape[1] + 2, dtype=np.float64)
-    params[0] = math.log(mean_y / (1.0 - mean_y))
-    params[-1] = min(math.log(phi0), _LOG_PHI_MAX)
+    params = ([math.log(mean_y / (1.0 - mean_y))] + [0.0] * white.features.n_cols
+              + [min(math.log(phi0), _LOG_PHI_MAX)])
 
-    data = _beta_data(Z, y)
+    data = _beta_data(white.features, y)
     ll = _log_likelihood(params, *data)
     history = [ll]
     step = 1.0
     converged = False
     grad_norm = math.inf
-    prev_params: np.ndarray | None = None
-    prev_grad: np.ndarray | None = None
+    prev_params: list[float] | None = None
+    prev_grad: list[float] = []
     it = 0
     for it in range(1, max_iter + 1):
         grad = _log_likelihood_grad(params, *data)
         if params[-1] >= _LOG_PHI_MAX and grad[-1] > 0:
             grad[-1] = 0.0  # projected: the cap is active
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = max(map(abs, grad))
         if grad_norm < tol:
             converged = True
             break
@@ -275,25 +255,21 @@ def fit_beta_regression(
         # Barzilai-Borwein initial step, safeguarded by Armijo backtracking;
         # gradient-only, and the accepted-likelihood path stays monotone
         if prev_params is not None:
-            s = params - prev_params
-            delta_g = prev_grad - grad
-            sy = float(s @ delta_g)
-            if sy > 0:
-                step = float(s @ s) / sy
-            else:
-                step = step * 2.0
+            s = list(map(float.__sub__, params, prev_params))
+            sy = _dot(s, map(float.__sub__, prev_grad, grad))
+            step = _dot(s, s) / sy if sy > 0 else step * 2.0
         else:
             step = step * 2.0
-        step = float(min(max(step, 1e-12), 1e8))
-        prev_params, prev_grad = params.copy(), grad.copy()
+        step = min(max(step, 1e-12), 1e8)
+        prev_params, prev_grad = params, grad
 
-        gsq = float(grad @ grad)
+        gsq = _dot(grad, grad)
         accepted = False
         while step > 1e-20:
-            trial = params + step * grad
+            trial = [p + step * g for p, g in zip(params, grad)]
             trial[-1] = min(trial[-1], _LOG_PHI_MAX)
             trial_ll = _log_likelihood(trial, *data)
-            if np.isfinite(trial_ll) and trial_ll >= ll + 1e-4 * step * gsq:
+            if math.isfinite(trial_ll) and trial_ll >= ll + 1e-4 * step * gsq:
                 params, ll = trial, trial_ll
                 history.append(ll)
                 accepted = True
@@ -307,26 +283,27 @@ def fit_beta_regression(
             f"beta regression did not converge after {it} iterations "
             f"(gradient max-norm {grad_norm:.3e})"
         )
-    slopes = whiten @ params[1:-1]
-    intercept = params[0] - float(col_mean @ slopes)
+    rank = white.features.n_cols
+    slopes = [_dot(white.basis[j * rank:(j + 1) * rank], params[1:-1]) for j in range(d)]
     return VadModel(
         dimension=dimension,
-        coefficients=np.concatenate([[intercept], slopes]),
-        precision=float(math.exp(params[-1])),
+        coefficients=[params[0] - _dot(white.mean, slopes)] + slopes,
+        precision=math.exp(params[-1]),
         ll_history=history,
         n_iter=it,
+        grad_norm=grad_norm,
     )
 
 
 def predict_beta(model: VadModel, feature: Sequence[float]) -> float:
-    """Inverse-logit prediction, clamped strictly inside (0, 1)."""
-    f = np.asarray(feature, dtype=np.float64)
-    if f.shape != (len(model.coefficients) - 1,):
+    """Inverse-logit prediction, clamped to [1e-12, 1 - 1e-12], in
+    `_kernels.c` as the fit's likelihood computes its means."""
+    f = array("d", feature)
+    if len(f) != len(model.coefficients) - 1:
         raise ValueError(
-            f"feature dimension {f.shape} does not match model ({len(model.coefficients) - 1})"
+            f"feature dimension {len(f)} does not match model ({len(model.coefficients) - 1})"
         )
-    eta = float(model.coefficients[0] + model.coefficients[1:] @ f)
-    return float(np.clip(_sigmoid(eta), _PREDICT_EPS, 1.0 - _PREDICT_EPS))
+    return _kernels.load().beta_predict(address(model.coefficients), address(f), len(f))
 
 
 def train_vad_models(
@@ -337,10 +314,10 @@ def train_vad_models(
     words = sorted(w for w in vad if w in space)
     if not words:
         raise ValueError("no VAD lexicon word is in the embedding vocabulary")
-    X = space.vectors[[space.vocab[w] for w in words]].astype(np.float64)
-    whitened = _whiten(X)  # once for the three fits
+    rows = [space.vector(w) for w in words]
+    whitened = _whiten(_matrix(rows))  # once for the three fits
     return {
-        dim: fit_beta_regression(X, np.array([vad[w][i] for w in words]), dimension=dim,
+        dim: fit_beta_regression(rows, [vad[w][i] for w in words], dimension=dim,
                                  _whitened=whitened)
         for i, dim in enumerate(DIMENSIONS)
     }
@@ -376,13 +353,12 @@ def usage_vad_series(
     for canonical in counts.idiom_counts:
         if canonical not in scores:
             raise ValueError(f"idiom {canonical!r} has no affect scores")
-    table = np.array([scores[c] for c in counts.idiom_counts], dtype=np.float64).reshape(-1, 3)
-    repeats = np.array([per_group[group] for per_group in counts.idiom_counts.values()],
-                       dtype=np.intp)
-    return tuple(
-        UsageSeries(dimension=dim, group=group, values=np.repeat(table[:, i], repeats))
-        for i, dim in enumerate(DIMENSIONS)
-    )  # type: ignore[return-value]
+    series = tuple(UsageSeries(dimension=dim, group=group, values=array("d"))
+                   for dim in DIMENSIONS)
+    for canonical, per_group in counts.idiom_counts.items():
+        for one, value in zip(series, scores[canonical], strict=True):
+            one.values.extend(array("d", [value]) * per_group[group])
+    return series  # type: ignore[return-value]
 
 
 def _stars(p: float) -> str:
@@ -405,8 +381,8 @@ def compare_vad(
         out.append(
             VadComparison(
                 dimension=sa.dimension,
-                mean_a=float(sa.values.mean()),
-                mean_b=float(sb.values.mean()),
+                mean_a=mean(sa.values),
+                mean_b=mean(sb.values),
                 p_value=test.p_value,
                 cohens_d=cohens_d(sa.values, sb.values),
                 stars=_stars(test.p_value),
@@ -445,12 +421,10 @@ def literal_baseline(
             )
         chosen = [sentence_embedding(space, candidates[i])
                   for i in rng.choice(len(candidates), n)]
-        preds = {
-            dim: np.array([predict_beta(models[dim], vec) for vec in chosen])
-            for dim in DIMENSIONS
-        }
         out[group] = tuple(
-            UsageSeries(dimension=dim, group=group, values=preds[dim]) for dim in DIMENSIONS
+            UsageSeries(dimension=dim, group=group,
+                        values=array("d", [predict_beta(models[dim], vec) for vec in chosen]))
+            for dim in DIMENSIONS
         )  # type: ignore[assignment]
     return out
 

@@ -3,9 +3,9 @@
 Configuration is a line-oriented ``key = value`` file (see `figlex.config`);
 every key can be overridden by a command-line flag of the same name.  Each
 subcommand imports the library modules it runs when it is called, so
-argument parsing, ``--help`` and ``report`` load no numpy.  All outputs are
-plain CSV/JSON data files, reproducible byte-for-byte from (inputs, config,
-seed).
+argument parsing, ``--help`` and ``report`` load only this module and
+`figlex.config`.  No command loads numpy.  All outputs are plain CSV/JSON
+data files, reproducible byte-for-byte from (inputs, config, seed).
 """
 
 from __future__ import annotations
@@ -334,6 +334,9 @@ def cmd_analyze(config: RunConfig) -> None:
                 "divergence_p": "empirical (r+1)/(n+1) over pooled within-group splits; "
                                 "z from a normal fit to the same baseline",
                 "significance_stars": {"*": "p<.01", "**": "p<.001"},
+                "vad_fits": {dim: {"n_iter": m.n_iter, "mean_log_likelihood": m.ll_history[-1],
+                                   "grad_max_norm": m.grad_norm}
+                             for dim, m in models.items()},
                 "warnings": warnings,
             },
         )

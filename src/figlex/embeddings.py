@@ -13,24 +13,23 @@ from three seeded PCG64 streams of `_kernels.Pcg64`, each equal to the
 ``numpy.random.default_rng`` stream of its seed: the initial vectors, one
 window size per center, drawn once as an array, and one double per noise
 row, which the kernel draws itself and maps to a token through the
-unigram^0.75 CDF.  Training, the store and `cosine` load no numpy; the
-`vectors` view, `nearest_neighbors` and `sentence_embedding` do.
+unigram^0.75 CDF.  `cosine`, `nearest_neighbors` and `sentence_embedding`
+run their float64 sums in the same kernel file, and nothing here loads
+numpy.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import _kernels
 from ._kernels import address
 from .config import TrainParams
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 
 @dataclass
@@ -47,13 +46,6 @@ class EmbeddingSpace:
         if self.data.typecode != "f" or len(self.data) != len(self.vocab) * self.dim:
             raise ValueError(f"data must be a float32 array of {len(self.vocab)} x {self.dim} "
                              f"entries, got {len(self.data)} of type {self.data.typecode!r}")
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """`data` as a (|vocab|, dim) float32 ndarray, a view."""
-        import numpy as np
-
-        return np.frombuffer(self.data, dtype=np.float32).reshape(len(self.vocab), self.dim)
 
     @property
     def tokens(self) -> list[str]:
@@ -171,6 +163,9 @@ def load_vectors(path: str) -> EmbeddingSpace:
             size, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValueError("bad header: expected two integers") from exc
+        if size < 1 or dim < 1:
+            raise ValueError(f"bad header: vocabulary size {size} and dimension {dim} "
+                             f"must both be positive")
 
         vocab: dict[str, int] = {}
         data = array("f")
@@ -203,7 +198,8 @@ def load_vectors(path: str) -> EmbeddingSpace:
 def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> list[tuple[str, float]]:
     """Top-k (token, cosine) pairs, cosine descending; ties broken by token.
 
-    The anchor itself is excluded.
+    The anchor itself is excluded.  One kernel call scores every row with
+    `cosine`'s arithmetic, a zero row as -2.
     """
     if token not in space.vocab:
         raise KeyError(f"token {token!r} not in vocabulary")
@@ -211,28 +207,21 @@ def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> list[tuple[s
         raise ValueError(f"k={k} exceeds vocabulary size minus one ({len(space.vocab) - 1})")
     if k <= 0:
         return []
-    import numpy as np
-
-    mat = space.vectors.astype(np.float64)
-    norms = np.linalg.norm(mat, axis=1)
-    anchor_idx = space.vocab[token]
-    if norms[anchor_idx] == 0.0:
+    anchor = space.vocab[token]
+    sims = array("d", [0.0]) * len(space.vocab)
+    if _kernels.load().cosines(address(space.data), len(space.vocab), space.dim, anchor,
+                               address(sims)) < 0:
+        raise MemoryError("cosine kernel: no memory for its scratch rows")
+    if sims[anchor] == -2.0:
         raise ValueError(f"anchor {token!r} has a zero vector")
-    sims = mat @ (mat[anchor_idx] / norms[anchor_idx])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where(norms > 0, sims / np.where(norms > 0, norms, 1.0), -2.0)
-    sims = np.clip(sims, -2.0, 1.0)
+    sims[anchor] = -math.inf
 
     # only the top k and every token tied with the k-th need the exact
     # (-cosine, token) sort; k <= |vocab| - 1 keeps the anchor out of it
-    keys = -sims
-    keys[anchor_idx] = np.inf
-    kth = keys[np.argpartition(keys, k - 1)[k - 1]]
+    kth = heapq.nlargest(k, sims)[-1]
     tokens = space.tokens
-    ranked = sorted(
-        ((tokens[i], float(sims[i])) for i in np.flatnonzero(keys <= kth).tolist()),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+    ranked = sorted(((tokens[i], s) for i, s in enumerate(sims) if s >= kth),
+                    key=lambda pair: (-pair[1], pair[0]))
     return ranked[:k]
 
 
@@ -244,12 +233,13 @@ def _embedded_rows(space: EmbeddingSpace, tokens: Sequence[str]) -> list[int]:
     return [space.vocab[t] for t in tokens if t not in STOPWORDS and t in space.vocab]
 
 
-def sentence_embedding(space: EmbeddingSpace, tokens: Sequence[str]) -> np.ndarray:
+def sentence_embedding(space: EmbeddingSpace, tokens: Sequence[str]) -> array:
     """Bag-of-vectors sentence representation: the mean of in-vocabulary,
-    non-stopword token vectors."""
-    rows = _embedded_rows(space, tokens)
+    non-stopword token vectors, a float64 array summed in token order."""
+    rows = array("q", _embedded_rows(space, tokens))
     if not rows:
         raise ValueError("no in-vocabulary, non-stopword token to embed")
-    import numpy as np
-
-    return space.vectors[rows].astype(np.float64).mean(axis=0)
+    out = array("d", [0.0]) * space.dim
+    _kernels.load().row_mean(address(space.data), space.dim, address(rows), len(rows),
+                             address(out))
+    return out

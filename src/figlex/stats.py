@@ -12,13 +12,14 @@ spaces; and Gaussian kernel density estimation.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import _kernels
+from ._kernels import _pairwise_sum, address
 from .embeddings import EmbeddingSpace, nearest_neighbors
 from .lexicon import Lexicon, idiom_token
 from .matcher import GroupCounts
@@ -40,24 +41,25 @@ class DivergenceResult:
     baseline_mean: dict[str, float]
     baseline_std: dict[str, float]
     baseline_max: dict[str, float]
-    baseline_samples: dict[str, np.ndarray]
+    baseline_samples: dict[str, array]
     n_splits: int
     p_value: float  # smoothed empirical: (exceedances + 1) / (pooled + 1)
     z: float        # normal fit to the pooled baseline
 
 
-def _normalized(raw: np.ndarray, what: str) -> np.ndarray:
-    raw = raw.astype(np.float64)
-    total = float(raw.sum())
+def _normalized(raw: array, what: str) -> array:
+    """`raw` divided by its total, which `_pairwise_sum` takes as numpy's
+    ``raw.sum()`` does."""
+    total = _pairwise_sum(raw, 0, len(raw))
     # a nan or infinite weight makes the total nan or infinite
-    if not math.isfinite(total) or (raw.size and raw.min() < 0):
+    if not math.isfinite(total) or (raw and min(raw) < 0):
         raise ValueError(f"{what} must be finite and nonnegative")
     if total <= 0:
         raise ValueError(f"{what} has zero idiom usage")
-    return raw / total
+    return array("d", [x / total for x in raw])
 
 
-def jsd(p: np.ndarray, q: np.ndarray) -> float:
+def jsd(p: Sequence[float], q: Sequence[float]) -> float:
     """Jensen-Shannon divergence in base 2 of two weight vectors, 0*log(0) := 0.
 
     `p` and `q` are one-dimensional, of one length, finite and nonnegative,
@@ -68,17 +70,20 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float:
     mixture ``m = (a + b) / 2``: halving the smallest subnormal underflows
     to 0, and ``a / m`` would then be infinite.
     """
-    p, q = np.asarray(p), np.asarray(q)
-    if p.ndim != 1 or p.shape != q.shape:
+    try:
+        p, q = array("d", p), array("d", q)
+    except TypeError:  # an item that is not a number: a row of a matrix
+        p = q = None
+    if p is None or len(p) != len(q):
         raise ValueError("p and q must be one-dimensional and of equal length")
     p, q = _normalized(p, "p"), _normalized(q, "q")
-    return _kernels.load().jsd(p.ctypes.data, q.ctypes.data, p.size)
+    return _kernels.load().jsd(address(p), address(q), len(p))
 
 
 def split_baseline(
     token_counts: Sequence[int], starts: Sequence[int], idioms: Sequence[int],
     units: Sequence[int], n_support: int, n_splits: int, rng: _kernels.Pcg64,
-) -> np.ndarray:
+) -> array:
     """The JSD of each of `n_splits` greedy half splits of the posts `units`.
 
     Post p has ``token_counts[p]`` tokens and the idioms
@@ -91,25 +96,24 @@ def split_baseline(
     kernel makes every split, drawing from `rng` as the permutations would;
     it walks with an int64 key, whose range bounds the token counts.
     """
-    units, starts, idioms = (np.ascontiguousarray(a, dtype=np.int64)
-                             for a in (units, starts, idioms))
-    if units.size < 2:
+    units, starts, idioms = (array("q", a) for a in (units, starts, idioms))
+    if len(units) < 2:
         raise ValueError("fewer than 2 posts to split")
     # the kernel reads each unit's token count and its run of idioms
-    if units.ndim != 1 or not 0 <= units.min() <= units.max() < len(token_counts):
+    if not 0 <= min(units) <= max(units) < len(token_counts):
         raise ValueError(f"units must index the {len(token_counts)} token counts")
-    if (starts.shape != (len(token_counts) + 1,) or starts[0] != 0 or starts[-1] != idioms.size
-            or (starts[1:] < starts[:-1]).any()):
+    if (len(starts) != len(token_counts) + 1 or starts[0] != 0 or starts[-1] != len(idioms)
+            or any(b < a for a, b in zip(starts, starts[1:]))):
         raise ValueError("starts must run from 0 to len(idioms), one per post and one more")
-    if (2 * units.size + 1) * (sum(abs(int(token_counts[u])) for u in units) + 1) >= 2**63:
+    if (2 * len(units) + 1) * (sum(abs(int(token_counts[u])) for u in units) + 1) >= 2**63:
         raise ValueError("token counts too large to split")
-    tokens = np.ascontiguousarray(token_counts, dtype=np.int64)
-    if idioms.size and not 0 <= idioms.min() <= idioms.max() < n_support:
+    tokens = array("q", token_counts)
+    if idioms and not 0 <= min(idioms) <= max(idioms) < n_support:
         raise ValueError(f"span idioms must lie in 0..{n_support - 1}")
-    out = np.empty(n_splits, dtype=np.float64)
+    out = array("d", [0.0]) * n_splits
     status = _kernels.load().split_baseline(
-        tokens.ctypes.data, starts.ctypes.data, idioms.ctypes.data, units.ctypes.data, units.size,
-        n_support, n_splits, rng.state, out.ctypes.data)
+        address(tokens), address(starts), address(idioms), address(units), len(units),
+        n_support, n_splits, rng.state, address(out))
     if status < 0:
         raise MemoryError("split kernel: no memory for its scratch counts")
     if status > 0:
@@ -133,15 +137,14 @@ def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> Diverg
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
     ga, gb = counts.groups
-    total = {g: np.array([per_group[g] for per_group in counts.idiom_counts.values()])
-             for g in (ga, gb)}
+    total = {g: [per_group[g] for per_group in counts.idiom_counts.values()] for g in (ga, gb)}
     for g in (ga, gb):
-        if total[g].sum() == 0:
+        if sum(total[g]) == 0:
             raise ValueError(f"group {g!r} has zero idiom usage")
     cross = jsd(total[ga], total[gb])
 
     lengths = [post.token_count for post in counts.posts]
-    samples: dict[str, np.ndarray] = {}
+    samples: dict[str, array] = {}
     for k, g in enumerate((ga, gb)):
         members = [i for i, post in enumerate(counts.posts) if post.group == g]
         rng = _kernels.Pcg64(seed, (k,))
@@ -151,24 +154,35 @@ def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> Diverg
         except ValueError as exc:  # a half without idiom usage, or too few posts
             raise ValueError(f"group {g!r}, {exc}") from None
 
-    pooled = np.concatenate([samples[ga], samples[gb]])
-    exceed = int(np.sum(pooled >= cross))
-    p_value = (exceed + 1) / (pooled.size + 1)
-    mean, std = float(pooled.mean()), float(pooled.std(ddof=1))
+    pooled = samples[ga] + samples[gb]
+    exceed = sum(value >= cross for value in pooled)
+    p_value = (exceed + 1) / (len(pooled) + 1)
+    center, std = _mean_std(pooled)
     if std > 0:
-        z = (cross - mean) / std
+        z = (cross - center) / std
     else:
-        z = 0.0 if cross == mean else math.copysign(math.inf, cross - mean)
+        z = 0.0 if cross == center else math.copysign(math.inf, cross - center)
+    moments = {g: _mean_std(samples[g]) for g in (ga, gb)}
     return DivergenceResult(
         cross_jsd=cross,
-        baseline_mean={g: float(samples[g].mean()) for g in (ga, gb)},
-        baseline_std={g: float(samples[g].std(ddof=1)) for g in (ga, gb)},
-        baseline_max={g: float(samples[g].max()) for g in (ga, gb)},
+        baseline_mean={g: moments[g][0] for g in (ga, gb)},
+        baseline_std={g: moments[g][1] for g in (ga, gb)},
+        baseline_max={g: max(samples[g]) for g in (ga, gb)},
         baseline_samples=samples,
         n_splits=n_splits,
-        p_value=float(p_value),
-        z=float(z),
+        p_value=p_value,
+        z=z,
     )
+
+
+def _mean_std(values: array) -> tuple[float, float]:
+    """numpy's ``values.mean()`` and ``values.std(ddof=1)`` of n >= 2 values:
+    the pairwise sum over n, then the root of the pairwise sum of squared
+    deviations over n - 1."""
+    n = len(values)
+    center = _pairwise_sum(values, 0, n) / n
+    squares = array("d", ((v - center) * (v - center) for v in values))
+    return center, math.sqrt(_pairwise_sum(squares, 0, n) / (n - 1))
 
 
 @dataclass(frozen=True)
@@ -242,15 +256,24 @@ def idiom_scores(
     return rows
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
+def _floats(values: Iterable[float], what: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except TypeError:  # an item that is not a number: a row of a matrix
+        raise ValueError(f"{what} must be one-dimensional") from None
+
+
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks of `values`, each run of ties taking its mean rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
     i = 0
     while i < len(values):
         j = i
         while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        for k in order[i : j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
 
@@ -260,21 +283,23 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
 
     p-value by the t approximation with n-2 degrees of freedom.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
+    xa = _floats(x, "series")
+    ya = _floats(y, "series")
+    if len(xa) != len(ya):
         raise ValueError("series must be one-dimensional and of equal length")
     n = len(xa)
     if n < 3:
         raise ValueError("need at least 3 observations")
-    if np.all(xa == xa[0]) or np.all(ya == ya[0]):
+    if xa.count(xa[0]) == n or ya.count(ya[0]) == n:
         raise ValueError("constant series have no rank correlation")
 
-    rx = _average_ranks(xa)
-    ry = _average_ranks(ya)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    rho = float(np.dot(rx, ry) / math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry))))
+    # the ranks centered on (n + 1) / 2 are multiples of 1/2, so every sum
+    # below is exact in any order
+    center = 0.5 * (n + 1)
+    rx = [r - center for r in _average_ranks(xa)]
+    ry = [r - center for r in _average_ranks(ya)]
+    rho = math.fsum(map(float.__mul__, rx, ry)) / math.sqrt(
+        math.fsum(r * r for r in rx) * math.fsum(r * r for r in ry))
     rho = min(1.0, max(-1.0, rho))
     if abs(rho) == 1.0:
         p = 0.0
@@ -342,17 +367,17 @@ def wilcoxon_ranksum(
     enumeration of rank assignments; otherwise by the normal approximation
     with tie and continuity corrections.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.size == 0 or ya.size == 0:
+    xa = _floats(x, "samples")
+    ya = _floats(y, "samples")
+    if not xa or not ya:
         raise ValueError("both samples must be nonempty")
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown method {method!r}")
-    nx, ny = int(xa.size), int(ya.size)
+    nx, ny = len(xa), len(ya)
     n = nx + ny
-    pooled = np.concatenate([xa, ya])
+    pooled = xa + ya
     ranks = _average_ranks(pooled)
-    w = float(ranks[:nx].sum())
+    w = math.fsum(ranks[:nx])
     mu = nx * (n + 1) / 2.0
 
     use_exact = method == "exact" or (method == "auto" and n <= 12)
@@ -366,8 +391,7 @@ def wilcoxon_ranksum(
                 count += 1
         p = count / total
     else:
-        _, tie_counts = np.unique(pooled, return_counts=True)
-        tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
+        tie_term = sum(t**3 - t for t in Counter(pooled).values()) / (n * (n - 1))
         var = nx * ny / 12.0 * ((n + 1) - tie_term)
         if var <= 0:
             p = 1.0
@@ -377,17 +401,23 @@ def wilcoxon_ranksum(
     return TestResult(statistic=w, p_value=float(p), n_a=nx, n_b=ny)
 
 
+def mean(values: Sequence[float]) -> float:
+    """The mean of nonempty `values`, from their correctly rounded sum."""
+    return math.fsum(values) / len(values)
+
+
 def cohens_d(x: Sequence[float], y: Sequence[float]) -> float:
     """Standardized mean difference with the pooled (n-1) standard deviation."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.size < 2 or ya.size < 2:
+    xa = _floats(x, "samples")
+    ya = _floats(y, "samples")
+    if len(xa) < 2 or len(ya) < 2:
         raise ValueError("both samples need at least 2 observations")
-    nx, ny = xa.size, ya.size
-    pooled_var = ((nx - 1) * xa.var(ddof=1) + (ny - 1) * ya.var(ddof=1)) / (nx + ny - 2)
+    mx, my = mean(xa), mean(ya)
+    squares = math.fsum((v - mx) * (v - mx) for v in xa) + math.fsum((v - my) * (v - my) for v in ya)
+    pooled_var = squares / (len(xa) + len(ya) - 2)
     if pooled_var <= 0:
         raise ValueError("zero pooled standard deviation")
-    return float((xa.mean() - ya.mean()) / math.sqrt(pooled_var))
+    return (mx - my) / math.sqrt(pooled_var)
 
 
 def sim_rbo(list_a: Sequence[str], list_b: Sequence[str], depth: int) -> float:
@@ -456,19 +486,16 @@ def neighborhood_overlap(
 
 @dataclass
 class KdeCurve:
-    x: np.ndarray
-    density: np.ndarray
+    x: array
+    density: array
     bandwidth: float
 
 
-def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
-    """numpy's default ("linear") quantile of n >= 2 sorted values, for 0 <= q < 1.
-
-    The same arithmetic as ``np.quantile``, which imports ``numpy.ma`` on
-    its first call: the virtual index ``(n - 1) * q`` and a lerp between its
-    two neighbours, taken from the upper one when the weight is >= 0.5.
-    """
-    index = (ordered.size - 1) * q
+def _sorted_quantile(ordered: Sequence[float], q: float) -> float:
+    """numpy's default ("linear") quantile of n >= 2 sorted values, for 0 <= q < 1:
+    the virtual index ``(n - 1) * q`` and a lerp between its two
+    neighbours, taken from the upper one when the weight is >= 0.5."""
+    index = (len(ordered) - 1) * q
     lo = math.floor(index)
     a, b, t = float(ordered[lo]), float(ordered[lo + 1]), index - lo
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
@@ -479,20 +506,24 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
 
     The default bandwidth is Silverman's rule of thumb,
     0.9 * min(sd, IQR/1.34) * n^(-1/5); the grid spans the data range
-    extended by three bandwidths on each side.  The values, an explicit
-    bandwidth and both grid ends must be finite.
+    extended by three bandwidths on each side, spaced as ``np.linspace``
+    spaces it.  The values, an explicit bandwidth and both grid ends must be
+    finite.  The sum runs in `_kernels.c` over the sorted values, one term
+    per run of equal values.
     """
-    data = np.asarray(values, dtype=np.float64)
-    if data.ndim != 1 or data.size < 2:
+    data = sorted(_floats(values, "values"))
+    n = len(data)
+    if n < 2:
         raise ValueError("need at least 2 values")
-    if not np.isfinite(data).all():
+    if not all(map(math.isfinite, data)):
         raise ValueError("values must be finite")
-    n = data.size
     if bandwidth is None:
-        with np.errstate(over="ignore"):  # past ~1e154 sd = inf; the grid check rejects it
-            sd = float(data.std(ddof=1))
-        ordered = np.sort(data)
-        iqr = _sorted_quantile(ordered, 0.75) - _sorted_quantile(ordered, 0.25)
+        try:
+            center = mean(data)
+            sd = math.sqrt(math.fsum((v - center) * (v - center) for v in data) / (n - 1))
+        except OverflowError:  # a sum past float64's range; the grid check rejects it
+            sd = math.inf
+        iqr = _sorted_quantile(data, 0.75) - _sorted_quantile(data, 0.25)
         spread = min(sd, iqr / 1.34) if iqr > 0 else sd
         if spread <= 0:
             raise ValueError("zero variance; pass an explicit bandwidth")
@@ -501,17 +532,13 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
         raise ValueError("bandwidth must be positive and finite")
 
     h = float(bandwidth)
-    lo, hi = float(data.min()) - 3 * h, float(data.max()) + 3 * h
+    lo, hi = data[0] - 3 * h, data[-1] + 3 * h
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid ends {lo} and {hi} are not finite")
-    grid = np.linspace(lo, hi, 256)
-    density = np.zeros_like(grid)
-    norm = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
-    # 32 grid points by 4096 values at a time, so each temporary is 1 MB;
-    # a grid point's sum over a chunk does not depend on the other rows
-    for row in range(0, grid.size, 32):
-        points = grid[row : row + 32, None]
-        for start in range(0, n, 4096):
-            zsq = ((points - data[None, start : start + 4096]) / h) ** 2
-            density[row : row + 32] += np.exp(-0.5 * zsq).sum(axis=1)
-    return KdeCurve(x=grid, density=density * norm, bandwidth=h)
+    step = (hi - lo) / 255
+    grid = array("d", [i * step + lo for i in range(255)] + [hi])
+    density = array("d", [0.0]) * len(grid)
+    sorted_data = array("d", data)
+    _kernels.load().kde(address(sorted_data), n, address(grid), len(grid), h,
+                        1.0 / (n * h * math.sqrt(2.0 * math.pi)), address(density))
+    return KdeCurve(x=grid, density=density, bandwidth=h)

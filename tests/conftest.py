@@ -52,6 +52,11 @@ def make_space(vocab: dict[str, int], rows, epoch_losses=()) -> EmbeddingSpace:
                           epoch_losses=list(epoch_losses))
 
 
+def vectors(space: EmbeddingSpace) -> np.ndarray:
+    """`space.data` as a (|vocab|, dim) float32 ndarray, a view."""
+    return np.frombuffer(space.data, dtype=np.float32).reshape(len(space.vocab), space.dim)
+
+
 def split_halves(token_counts, rng):
     """The greedy half split as a plain loop, the oracle of the split
     kernel: positions in the order of `rng`'s next permutation, each to

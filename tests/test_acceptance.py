@@ -25,6 +25,7 @@ from figlex.affect import (
     _beta_data,
     _log_likelihood,
     _log_likelihood_grad,
+    _matrix,
     fit_beta_regression,
     predict_beta,
 )
@@ -215,7 +216,7 @@ def test_criterion_05_beta_regression():
     recovery_err = float(np.max(np.abs(model.coefficients - beta)))
     ok = recovery_err < 0.05
 
-    data = _beta_data(X[:300], np.clip(y[:300], 1e-4, 1 - 1e-4))
+    data = _beta_data(_matrix(X[:300]), np.clip(y[:300], 1e-4, 1 - 1e-4))
     h = 1e-5
     worst_rel = 0.0
     for _ in range(10):
@@ -373,7 +374,7 @@ def test_criterion_09_embedding_properties():
     params = TrainParams(dim=24, window=2, min_count=1, epochs=3, seed=77)
     one = train_sgns([p.tokens for p in corpus.posts], params)
     two = train_sgns([p.tokens for p in corpus.posts], params)
-    bitwise = bool(np.array_equal(one.vectors, two.vectors)) and one.vocab == two.vocab
+    bitwise = one.data == two.data and one.vocab == two.vocab
 
     full = figlex.load_corpus(str(DATA_DIR / "corpus_fixture.jsonl"))
     acc, posts = 0, []

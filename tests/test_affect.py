@@ -1,15 +1,16 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.special import digamma, expit, gammaln, logit
 
 import figlex.affect
+from figlex import _kernels
 from figlex.affect import (
     DIMENSIONS,
     VadModel,
@@ -23,18 +24,34 @@ from figlex.affect import (
     train_vad_models,
     usage_vad_series,
     _beta_data,
-    _digamma,
-    _gammaln,
     _log_likelihood,
     _log_likelihood_grad,
-    _sigmoid,
+    _matrix,
 )
 from figlex.corpus import Corpus
 from figlex.embeddings import sentence_embedding
 from figlex.lexicon import Lexicon, IdiomEntry
 from figlex.matcher import GroupCounts, Matcher, count_usages
 
-from conftest import make_corpus, make_post, make_space
+import numpy_oracles
+from conftest import DATA_DIR, make_corpus, make_post, make_space, vectors
+
+
+def _gammaln(x):
+    """`_kernels.c`'s ln Gamma at each of `x`."""
+    return np.array([_kernels.load().gammaln(v) for v in np.ravel(x)])
+
+
+def _digamma(x):
+    """`_kernels.c`'s digamma at each of `x`, or at one float."""
+    if isinstance(x, float):
+        return _kernels.load().digamma(x)
+    return np.array([_kernels.load().digamma(v) for v in np.ravel(x)])
+
+
+def _sigmoid(x):
+    """`_kernels.c`'s logistic function at one float."""
+    return _kernels.load().sigmoid(x)
 
 
 def synthetic_beta_data(n, beta, phi, seed):
@@ -93,7 +110,7 @@ class TestBetaRegression:
         beta = np.array([0.2, -0.5, 0.7])
         X, y = synthetic_beta_data(200, beta, phi=20.0, seed=3)
         y = np.clip(y, 1e-4, 1 - 1e-4)
-        data = _beta_data(X, y)
+        data = _beta_data(_matrix(X), y)
         rng = np.random.default_rng(5)
         h = 1e-5
         for _ in range(10):
@@ -167,14 +184,15 @@ class TestSpecialFunctions:
     @example(1e8)
     def test_scalar_paths_match_scipy(self, x):
         # the fit's scalar arguments: ln Gamma(phi) and digamma(phi)
-        assert within(math.lgamma(x), gammaln(x), 1e-13)
+        assert within(_kernels.load().gammaln(x), gammaln(x), 1e-13)
         value = _digamma(x)
         assert isinstance(value, float)
         assert within(value, digamma(x), 1e-13)
 
     def test_sigmoid_matches_expit(self):
         x = np.linspace(-700.0, 700.0, 200_001)
-        np.testing.assert_allclose(_sigmoid(x), expit(x), rtol=1e-15, atol=0)
+        np.testing.assert_allclose([_sigmoid(v) for v in x.tolist()], expit(x),
+                                   rtol=1e-15, atol=0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=40))
@@ -192,38 +210,37 @@ class TestSpecialFunctions:
             mp.setattr(figlex.affect, "_log_likelihood", first_call)
             with pytest.raises(Stop):
                 fit_beta_regression(np.zeros((len(targets), 0)), targets)
-        mean_y = float(np.clip(targets, 1e-4, 1 - 1e-4).mean())
+        clipped = np.clip(targets, 1e-4, 1 - 1e-4)
+        mean_y = math.fsum(clipped) / len(clipped)  # the correctly rounded mean
         assert within(seen[0][0], logit(mean_y), 1e-15)
         assert _sigmoid(seen[0][0]) == pytest.approx(mean_y, rel=1e-14)
 
 
 def reference_sigmoid(x):
-    """The masked two-sided logistic that `_sigmoid` must equal bit for bit."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The two-sided logistic that `_sigmoid` must equal bit for bit, with
+    libm's exp as `math.exp` calls it."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    ex = math.exp(x)
+    return ex / (1.0 + ex)
 
 
-SIGMOID_EDGES = [0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 1e30, -1e30,
-                 1e-45, -1e-45, 1e-40, -1e-40, np.inf, -np.inf, np.nan]
+SIGMOID_EDGES = [0.0, -0.0, 88.0, -88.0, 104.0, -104.0, 709.0, -709.0, 746.0, -746.0,
+                 1e30, -1e30, 1e-45, -1e-45, 1e-40, -1e-40, 5e-324, -5e-324,
+                 math.inf, -math.inf, math.nan]
 
 
 class TestSigmoid:
     @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float32, st.integers(0, 40),
-                  elements=st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats(width=32))))
-    @example(np.array(SIGMOID_EDGES, dtype=np.float32))
-    def test_bitwise_equals_masked_formula(self, x):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+    @given(st.lists(st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats()), max_size=40))
+    @example(SIGMOID_EDGES)
+    def test_bitwise_equals_masked_formula(self, xs):
+        for x in xs:
             got = _sigmoid(x)
-            want = reference_sigmoid(x)
-        assert got.dtype == np.float32
-        nan = np.isnan(x)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+            if math.isnan(x):
+                assert math.isnan(got)
+                continue
+            assert struct.pack("<d", got) == struct.pack("<d", reference_sigmoid(x))
 
 
 def scipy_log_likelihood(params, X, y):
@@ -259,10 +276,22 @@ class TestLikelihoodAgainstScipy:
         X = rng.normal(size=(n, d))
         y = rng.uniform(1e-4, 1 - 1e-4, n)
         params = np.concatenate([rng.normal(scale=1.5, size=d + 1), [rng.uniform(-2.0, 5.0)]])
-        data = _beta_data(X, y)
+        data = _beta_data(_matrix(X), y)
         assert within(_log_likelihood(params, *data), scipy_log_likelihood(params, X, y), 1e-12)
         assert within(_log_likelihood_grad(params, *data),
                       scipy_log_likelihood_grad(params, X, y), 1e-12).all()
+
+    def test_lengths_the_kernel_cannot_read_rejected(self):
+        # the kernel reads n_cols + 2 params and one log target per row
+        X = np.ones((4, 2))
+        with pytest.raises(ValueError, match="parallel"):
+            _beta_data(_matrix(X), [0.5] * 3)
+        data = _beta_data(_matrix(X), [0.5] * 4)
+        for params in ([0.0] * 3, [0.0] * 5):
+            with pytest.raises(ValueError, match="params must hold 4 values"):
+                _log_likelihood(params, *data)
+            with pytest.raises(ValueError, match="params must hold 4 values"):
+                _log_likelihood_grad(params, *data)
 
 
 class TestPredictBeta:
@@ -395,7 +424,7 @@ class TestUsageSeries:
             triple = usage_vad_series(self.counts(idiom_counts), scores, group)
             for series, dim, values in zip(triple, DIMENSIONS, expected, strict=True):
                 assert (series.dimension, series.group) == (dim, group)
-                assert series.values.dtype == np.float64
+                assert series.values.typecode == "d"
                 assert series.values.tolist() == values
 
     def test_missing_scores_error(self):
@@ -451,7 +480,7 @@ class TestCompareVad:
 def baseline_models(space):
     rng = np.random.default_rng(9)
     models = {}
-    X = space.vectors.astype(np.float64)
+    X = vectors(space).astype(np.float64)
     for dim_name in DIMENSIONS:
         w = rng.normal(scale=0.3, size=X.shape[1] + 1)
         y = np.clip(expit(w[0] + X @ w[1:]) + rng.normal(scale=0.08, size=len(X)),
@@ -622,3 +651,127 @@ class TestTrainVadModels:
         space = word_space(["aaa", "bbb", "ccc"], dim=2)
         with pytest.raises(ValueError, match="vocabulary"):
             train_vad_models(space, {"zzz": (0.5, 0.5, 0.5)})
+
+
+def port_predictions(model, X):
+    return np.array([predict_beta(model, row) for row in X])
+
+
+def fit_with_gradient_norms(module, fit, X, y):
+    """`fit(X, y)` and the max-norm of every gradient that `module`'s
+    `_log_likelihood_grad` gave it, one per iteration."""
+    norms = []
+    grad = module._log_likelihood_grad
+
+    def recording(*args):
+        value = grad(*args)
+        norms.append(float(np.max(np.abs(value))))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_log_likelihood_grad", recording)
+        return fit(X, y), norms
+
+
+def assert_fit_matches_oracle(X, y):
+    """The port's fit against the numpy (SVD-whitened) fit: predictions at
+    every row within 1e-6, and the oracle's path: each iteration's gradient
+    max-norm within 1e-6 relative of the oracle's until the oracle's falls
+    below 1e-3.  In that last stretch a step's likelihood gain nears the
+    rounding of the likelihood, which the two compute with different exp,
+    log, lgamma and summation order, so an Armijo or stop test may go the
+    other way and the iteration counts part (73 of 25,000 random fits of
+    this module's synthetic kind, by at most 6, predictions still within
+    3.3e-7).  Returns the model and the oracle's iteration count."""
+    model, port = fit_with_gradient_norms(figlex.affect, fit_beta_regression, X, y)
+    (coefficients, _, n_iter), oracle = fit_with_gradient_norms(
+        numpy_oracles, numpy_oracles.fit_beta_regression, X, y)
+    np.testing.assert_allclose(port_predictions(model, X),
+                               numpy_oracles.predict(coefficients, X), rtol=0, atol=1e-6)
+    shared = next((i for i, norm in enumerate(oracle) if norm < 1e-3), len(oracle))
+    assert len(port) >= shared
+    np.testing.assert_allclose(port[:shared], oracle[:shared], rtol=1e-6, atol=0)
+    return model, n_iter
+
+
+@pytest.fixture(scope="module")
+def fixture_vad_data(tmp_path_factory):
+    """The shipped fixture's VAD words: their prepared vectors and ratings."""
+    from figlex.cli import build_config, cmd_prepare, parse_config_file
+    from figlex.embeddings import load_vectors
+
+    root = DATA_DIR.parent.parent
+    out = tmp_path_factory.mktemp("fixture")
+    values = parse_config_file(str(root / "tests/data/fixture.conf"))
+    values = {k: str(root / v) if k in ("corpus", "lexicon", "vad_lexicon") else v
+              for k, v in values.items()}
+    cmd_prepare(build_config(values, {"out": str(out)}))
+    space = load_vectors(str(out / "vectors_combined.txt"))
+    vad = load_vad_lexicon(values["vad_lexicon"])
+    words = sorted(w for w in vad if w in space)
+    X = np.array([space.vector(w).tolist() for w in words], dtype=np.float64)
+    return space, vad, X, {dim: np.array([vad[w][i] for w in words])
+                           for i, dim in enumerate(DIMENSIONS)}
+
+
+class TestFitAgainstNumpyOracle:
+    def test_fixture_models(self, fixture_vad_data):
+        space, vad, X, targets = fixture_vad_data
+        models = train_vad_models(space, vad)
+        assert [models[d].n_iter for d in DIMENSIONS] == [27, 43, 38]
+        for dim in DIMENSIONS:
+            coefficients, _, n_iter = numpy_oracles.fit_beta_regression(X, targets[dim])
+            assert models[dim].n_iter == n_iter
+            np.testing.assert_allclose(port_predictions(models[dim], X),
+                                       numpy_oracles.predict(coefficients, X),
+                                       rtol=0, atol=1e-6)
+
+    # at least 30 rows of independent features per fit: with a handful of
+    # rows the maximum sits at a large phi, where ln Gamma(phi) cancels
+    # against the shape terms, and on ill-conditioned features last-digit
+    # differences steer the line search down another path early on
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(0, 6), extra=st.integers(30, 80), seed=st.integers(0, 2**32 - 1))
+    @example(d=5, extra=64, seed=54324)  # 55 iterations here, 57 in numpy
+    @example(d=2, extra=31, seed=1221119158)  # parts at a gradient of 9.4e-5: 32 and 37
+    def test_synthetic_fits(self, d, extra, seed):
+        rng = np.random.default_rng(seed)
+        n = d + extra
+        X = rng.normal(size=(n, d))
+        beta = rng.normal(scale=0.5, size=d + 1)
+        y = rng.beta(20 * expit(beta[0] + X @ beta[1:]), 20 * (1 - expit(beta[0] + X @ beta[1:])))
+        assert_fit_matches_oracle(X, y)
+
+
+class TestRankDeficientWhitening:
+    """The eigenvalues of a null direction sit at the Gram matrix's rounding
+    level and drop out, as the SVD's singular values below 1e-10 of the
+    largest do, so the fit runs in the same column span."""
+
+    def data(self, seed=3):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(80, 4))
+        mu = expit(0.2 + X @ [0.5, -0.4, 0.3, 0.1])
+        return X, rng.beta(30 * mu, 30 * (1 - mu))
+
+    def test_duplicated_column(self):
+        X, y = self.data()
+        X = np.hstack([X, X[:, 1:2]])
+        model, n_iter = assert_fit_matches_oracle(X, y)
+        assert model.n_iter == n_iter
+        assert figlex.affect._whiten(_matrix(X)).features.n_cols == 4
+        assert model.coefficients[2] == 0.0 or model.coefficients[5] == 0.0 or \
+            model.coefficients[2] == pytest.approx(model.coefficients[5])
+
+    def test_constant_column(self):
+        X, y = self.data(seed=4)
+        X = np.hstack([X[:, :2], np.full((len(X), 1), 0.37), X[:, 2:]])
+        assert figlex.affect._whiten(_matrix(X)).features.n_cols == 4
+        model, n_iter = assert_fit_matches_oracle(X, y)
+        assert model.n_iter == n_iter
+
+    def test_non_finite_gram_rejected(self):
+        X, y = self.data()
+        X[:, 0] *= 1e160  # finite entries whose squares overflow
+        with pytest.raises(ValueError, match="Gram matrix is not finite"):
+            fit_beta_regression(X, y)

@@ -581,6 +581,26 @@ def analyzed(tmp_path_factory):
     return config
 
 
+class TestFitDiagnostics:
+    def test_run_meta_records_each_fit_and_repeats(self, analyzed, tmp_path):
+        from figlex.affect import load_vad_lexicon, train_vad_models
+        from figlex.embeddings import load_vectors
+
+        out = Path(analyzed.out)
+        first = json.loads((out / "run_meta.json").read_text())["vad_fits"]
+        again = shutil.copytree(out, tmp_path / "again")
+        cmd_analyze(replace(analyzed, out=str(again)))
+        assert json.loads((again / "run_meta.json").read_text())["vad_fits"] == first
+        models = train_vad_models(load_vectors(str(out / "vectors_combined.txt")),
+                                  load_vad_lexicon(analyzed.vad_lexicon))
+        assert set(first) == set(models)
+        for dim, model in models.items():
+            assert first[dim] == {"n_iter": model.n_iter,
+                                  "mean_log_likelihood": model.ll_history[-1],
+                                  "grad_max_norm": model.grad_norm}
+            assert 0 <= first[dim]["grad_max_norm"] < 1e-6
+
+
 class TestReport:
 
     def test_json_validates_against_schema(self, analyzed):
@@ -701,10 +721,10 @@ def _modules_loaded_by(*argv):
 
 
 class TestColdStart:
-    # every command runs in one process, scipy is a test oracle only,
-    # numpy.ma (which np.percentile imports) costs ~10 ms to load, and every
-    # draw comes from `_kernels.Pcg64`, so no command needs numpy.random
-    UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy.ma", "numpy.random"}
+    # every command runs in one process, and scipy and numpy are test
+    # oracles only: every draw comes from `_kernels.Pcg64` and every float64
+    # stage runs in `_kernels.c` or plain Python
+    UNLOADED = {"scipy", "multiprocessing", "concurrent", "numpy"}
 
     def test_import_neither_builds_nor_loads_the_kernel(self, tmp_path, monkeypatch):
         # `figlex.cli` loads no ctypes, but `_kernels` imports it, so the check
@@ -744,6 +764,23 @@ class TestColdStart:
         loaded = _modules_loaded_by("prepare", *flags(tiny_overrides(tmp_path)))
         assert "figlex.matcher" in loaded
         assert not {"figlex.affect", "figlex.stats"} & loaded
+
+
+class TestEmptyVectorFile:
+    def test_dim_zero_stops_analyze_at_load(self, tmp_path, capsys):
+        # every token kept but no values: once, analyze fitted intercept-only
+        # models, gave every idiom one score and stopped at stage affect
+        overrides = medium_inputs(tmp_path)
+        assert main(["prepare", *flags(overrides)]) == 0
+        path = Path(overrides["out"]) / "vectors_combined.txt"
+        lines = path.read_text().splitlines()
+        path.write_text(f"{len(lines) - 1} 0\n"
+                        + "".join(line.split()[0] + "\n" for line in lines[1:]))
+        assert main(["analyze", *flags(overrides)]) == 1
+        assert "stage load: bad header" in capsys.readouterr().err
+        failure = json.loads((Path(overrides["out"]) / "failure.json").read_text())
+        assert failure["stage"] == "load"
+        assert not (Path(overrides["out"]) / "vad_scores.csv").exists()
 
 
 class TestPortableBytes:

@@ -197,7 +197,7 @@ class TestSplitHalves:
         by_size = marked_post_jsds(10)
         assert list(by_size.values()).count(by_size[5]) == 1
         values = split_jsds([3] * 10, [[0]] + [[1]] * 9, 20, Pcg64(1))
-        assert values.shape == (20,) and values.dtype == np.float64
+        assert len(values) == 20 and values.typecode == "d"
         assert values.tolist() == [by_size[5]] * 20
 
     def test_deterministic(self):
@@ -207,7 +207,7 @@ class TestSplitHalves:
         # the splits draw in turn from one generator: a later call goes on
         rng = Pcg64(4)
         parts = [split_jsds([1] * 9, post_idioms, k, rng) for k in (1, 2)]
-        assert np.array_equal(np.concatenate(parts), three)
+        assert parts[0] + parts[1] == three
 
     def test_equal_length_posts_balance(self):
         by_size = marked_post_jsds(1000)
@@ -234,7 +234,7 @@ class TestSplitHalves:
         # driven by numpy's generator as the kernel's splits are by the port
         lengths, post_idioms = (list(column) for column in zip(*posts))
         values = split_jsds(lengths, post_idioms, n_splits, Pcg64(seed))
-        assert values.shape == (n_splits,)
+        assert len(values) == n_splits
         n_support = max(max(ids) for ids in post_idioms) + 1
         rng = np.random.default_rng(seed)
         for value in values:

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from figlex import _kernels
 from figlex.embeddings import (
@@ -20,7 +22,8 @@ from figlex.embeddings import (
 from figlex.lexicon import load_lexicon
 from figlex.matcher import build_matcher, count_usages, rewrite_with_idiom_tokens
 
-from conftest import make_corpus, make_space, write_jsonl
+from conftest import make_corpus, make_space, vectors, write_jsonl
+from numpy_oracles import nearest_neighbors as numpy_nearest_neighbors
 
 
 def small_corpus(n_sent=120, seed=0):
@@ -225,10 +228,10 @@ class TestCosine:
 
 
 class TestEmbeddingSpace:
-    def test_vectors_and_rows_are_views_of_the_data(self):
+    def test_rows_are_views_of_the_data(self):
         space = make_space({"a": 0, "b": 1}, [[1, 2, 3], [4, 5, 6]])
-        assert space.vectors.shape == (2, 3) and space.vectors.dtype == np.float32
-        space.vectors[1, 2] = 9
+        assert space.vector("b").tolist() == [4, 5, 6]
+        space.vector("b")[2] = 9
         assert space.data[5] == 9
         assert space.vector("b").tolist() == [4, 5, 9]
 
@@ -252,7 +255,7 @@ class TestTrainSgns:
         params = TrainParams(dim=12, window=2, min_count=1, epochs=2, seed=9)
         one = train_sgns([p.tokens for p in corpus.posts], params)
         two = train_sgns([p.tokens for p in corpus.posts], params)
-        assert np.array_equal(one.vectors, two.vectors)
+        assert one.data == two.data
         assert one.vocab == two.vocab
 
     def test_loss_non_increasing(self):
@@ -305,8 +308,8 @@ class TestTrainSgns:
         assert got.vocab == want.vocab
         if matcher is not None:
             assert "__idiom__under_fire" in got.vocab
-        assert got.vectors.dtype == want.vectors.dtype == np.float32
-        assert np.array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
+        assert got.data.typecode == "f"
+        assert np.array_equal(vectors(got).view(np.uint32), vectors(want).view(np.uint32))
         assert [x.hex() for x in got.epoch_losses] == [x.hex() for x in want.epoch_losses]
 
     def test_bytes_are_pinned(self):
@@ -320,7 +323,7 @@ class TestTrainSgns:
                      for _ in range(500)]
         space = train_sgns(sentences, TrainParams(dim=100, window=5, negatives=5, min_count=1,
                                                   epochs=2, seed=3))
-        assert hashlib.sha256(space.vectors.tobytes()).hexdigest() == (
+        assert hashlib.sha256(space.data.tobytes()).hexdigest() == (
             "e0958e0e77665d9dfe315442ae4c86790fe17aa4ce913749b337d99b659395d3")
         assert [x.hex() for x in space.epoch_losses] == ["0x1.1e8d72274666fp-1",
                                                          "0x1.ce2dbe745b9d9p-2"]
@@ -369,6 +372,13 @@ class TestVectorFile:
         path = tmp_path / "v.txt"
         path.write_text("2 2\nfoo 1 0\nfoo 0 1\n")
         with pytest.raises(ValueError, match="duplicate token"):
+            load_vectors(str(path))
+
+    @pytest.mark.parametrize("header", ["0 3", "2 0", "0 0", "-1 3"])
+    def test_empty_header_rejected(self, tmp_path, header):
+        path = tmp_path / "v.txt"
+        path.write_text(f"{header}\n")
+        with pytest.raises(ValueError, match="must both be positive"):
             load_vectors(str(path))
 
     def test_row_count_mismatch(self, tmp_path):
@@ -439,24 +449,41 @@ class TestNearestNeighbors:
         assert [t for t, _ in nearest_neighbors(space, "a", 2)] == ["m", "z"]
 
     def test_matches_full_sort(self):
-        # integer vectors on a small grid: many exact cosine ties, zero rows
+        # integer vectors on a small grid: many exact cosine ties, zero rows;
+        # every row scored by `cosine`, a zero row as -2
         rng = np.random.default_rng(4)
         for trial in range(40):
             size = int(rng.integers(3, 60))
             names = [f"t{j:02d}" for j in rng.permutation(size)]
-            vectors = rng.integers(-2, 3, size=(size, 3)).astype(np.float32)
-            vectors[0] = [1, 1, 0]
-            space = make_space({t: j for j, t in enumerate(names)}, vectors)
+            rows = rng.integers(-2, 3, size=(size, 3)).astype(np.float32)
+            rows[0] = [1, 1, 0]
+            space = make_space({t: j for j, t in enumerate(names)}, rows)
             anchor = names[0]
-            mat = vectors.astype(np.float64)
-            norms = np.linalg.norm(mat, axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sims = np.where(norms > 0, mat @ (mat[0] / norms[0]) / np.where(norms > 0, norms, 1.0), -2.0)
-            sims = np.clip(sims, -2.0, 1.0)
-            full = sorted(((t, float(sims[j])) for t, j in space.vocab.items() if j != 0),
+            sims = [cosine(rows[0], row) if row.any() else -2.0 for row in rows]
+            full = sorted(((t, sims[j]) for t, j in space.vocab.items() if j != 0),
                           key=lambda pair: (-pair[1], pair[0]))
             for k in range(size):
                 assert nearest_neighbors(space, anchor, k) == full[:k]
+
+    def test_zero_anchor_error(self):
+        space = make_space({"a": 0, "b": 1}, [[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="zero vector"):
+            nearest_neighbors(space, "a", 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(2, 40), dim=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_oracle(self, size, dim, seed):
+        # the same ranked tokens as the numpy ranking, cosines within 1e-12
+        # (ties, which either rounding may break, are test_matches_full_sort's)
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(size, dim)).astype(np.float32)
+        space = make_space({f"t{j:02d}": j for j in range(size)}, rows)
+        for k in range(size):
+            got = nearest_neighbors(space, "t00", k)
+            want = numpy_nearest_neighbors(space, "t00", k)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert a == pytest.approx(b, rel=0, abs=1e-12)
 
     def test_oov_error(self):
         with pytest.raises(KeyError):

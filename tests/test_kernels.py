@@ -426,6 +426,38 @@ int main(void)
     double loss = sgns_epoch(syn0, syn1, 4, ids, lengths, 2, windows, &g, 2, cdf, 3, guide,
                              tables, 0.025, 0.0001, 0, 5);
     CHECK(loss > 0 && loss < 1);
+
+    /* analyze's float64 kernels: five rows of three features, the third a
+     * copy of the first, so one null direction drops out */
+    const double x[15] = {1, 2, 1, 0.5, -1, 0.5, -2, 0.25, -2, 3, 1, 3, 0, 0, 0};
+    double mean[3], basis[9], z[15];
+    int64_t rank = whiten(x, 5, 3, mean, basis, z);
+    CHECK(rank == 2);
+    double zz = 0;
+    for (int i = 0; i < 5; i++)
+        zz += z[i * rank] * z[i * rank];
+    CHECK(fabs(zz - 5) < 1e-9);
+    CHECK(whiten(x, 5, 0, mean, basis, z) == 0);
+    const double log_y[5] = {-0.5, -1, -0.2, -2, -0.7}, log_1my[5] = {-0.9, -0.4, -1.7, -0.1, -0.7};
+    const double params[4] = {0.1, 0.3, -0.2, 1.5};
+    double grad[4], ll = beta_loglik(z, 5, rank, log_y, log_1my, params, grad);
+    CHECK(isfinite(ll) && ll == beta_loglik(z, 5, rank, log_y, log_1my, params, NULL));
+    for (int j = 0; j < 4; j++)
+        CHECK(isfinite(grad[j]));
+    CHECK(beta_predict(params, z, rank) > 0 && beta_predict(params, z, rank) < 1);
+
+    const double sorted[4] = {0.1, 0.1, 0.4, 0.9}, grid[3] = {0, 0.5, 1};
+    double density[3];
+    kde(sorted, 4, grid, 3, 0.2, 1.0, density);
+    CHECK(density[1] > density[2]);
+    const float rows[9] = {1, 0, 0, 0, 0, 0, 0.5f, 0.5f, 0};
+    double sims[3];
+    CHECK(cosines(rows, 3, 3, 0, sims) == 0);
+    CHECK(sims[0] == 1 && sims[1] == -2 && sims[2] > 0.7);
+    const int64_t picked[2] = {2, 0};
+    double centroid[3];
+    row_mean(rows, 3, picked, 2, centroid);
+    CHECK(centroid[0] == 0.75 && centroid[1] == 0.25 && centroid[2] == 0);
     return 0;
 }
 """

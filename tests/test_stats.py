@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -29,10 +30,12 @@ from figlex.stats import (
     sim_rbo,
     spearman,
     wilcoxon_ranksum,
+    _mean_std,
     _sorted_quantile,
     _t_two_sided_p,
 )
 
+import numpy_oracles
 from conftest import DATA_DIR, make_corpus, split_halves, write_jsonl
 
 
@@ -749,13 +752,46 @@ class TestKde:
 
     @pytest.mark.parametrize("n", [50, 1800, 4096, 5000, 9000])
     def test_blocks_match_the_whole_grid_formula_bit_for_bit(self, n):
-        values = np.random.default_rng(n).gamma(2.0, size=n)
+        # rounded to 3 digits, so values repeat as usage series repeat scores
+        values = np.round(np.random.default_rng(n).gamma(2.0, size=n), 3).tolist()
         curve = kde(values)
-        # all 256 grid points against each chunk of 4096 values at once
-        h = curve.bandwidth
-        want = np.zeros_like(curve.x)
-        for start in range(0, n, 4096):
-            chunk = values[start : start + 4096]
-            want += np.exp(-0.5 * ((curve.x[:, None] - chunk[None, :]) / h) ** 2).sum(axis=1)
-        want *= 1.0 / (n * h * math.sqrt(2.0 * math.pi))
-        assert curve.density.tobytes() == want.tobytes()
+        assert curve.x.tobytes() == np.linspace(min(values) - 3 * curve.bandwidth,
+                                                max(values) + 3 * curve.bandwidth,
+                                                256).tobytes()
+        # the kernel's sum as a plain loop: sorted runs of equal values, each
+        # its length times libm's exp, in ascending order
+        h, runs = curve.bandwidth, sorted(Counter(values).items())
+        scale = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
+        want = [sum_runs(x, runs, h) * scale for x in curve.x]
+        assert curve.density.tolist() == want
+        np.testing.assert_allclose(curve.density, numpy_oracles.kde_density(values, curve.x, h),
+                                   rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 0.5, 1.0]), min_size=2,
+                    max_size=300))
+    def test_density_matches_numpy_oracle(self, values):
+        try:
+            curve = kde(values)
+        except ValueError:  # zero variance
+            curve = kde(values, bandwidth=0.25)
+        want = numpy_oracles.kde_density(values, curve.x, curve.bandwidth)
+        np.testing.assert_allclose(curve.density, want, rtol=1e-12, atol=1e-300)
+
+
+def sum_runs(x, runs, h):
+    acc = 0.0
+    for value, count in runs:
+        z = (x - value) / h
+        acc += count * math.exp(-0.5 * (z * z))
+    return acc
+
+
+class TestMeanStd:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0) | st.floats(-1e6, 1e6), min_size=2, max_size=1200))
+    def test_bitwise_equals_numpy(self, values):
+        # numpy's pairwise sums, so divergence.json keeps the bytes numpy gave
+        data = np.array(values)
+        center, std = _mean_std(array("d", values))
+        assert (center, std) == (float(data.mean()), float(data.std(ddof=1)))
