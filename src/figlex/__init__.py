@@ -22,18 +22,20 @@ _EXPORTS = {name: module for module, names in (
                 "fit_beta_regression", "literal_baseline", "load_vad_lexicon", "predict_beta",
                 "score_definitions", "train_vad_models", "usage_vad_series")),
     ("config", ("TrainParams",)),
-    ("corpus", ("Corpus", "Post", "balance_groups", "load_corpus", "save_corpus", "tokenize")),
+    ("corpus", ("Corpus", "Post", "balance_groups", "load_corpus", "save_corpus")),
     ("embeddings", ("EmbeddingSpace", "cosine", "load_vectors", "nearest_neighbors",
                     "save_vectors", "sentence_embedding", "train_sgns")),
     ("lexicon", ("IdiomEntry", "Lexicon", "STOPWORDS", "expand_entry", "filter_literal",
                  "idiom_token", "inflect_verb", "literality_score", "load_lexicon",
                  "prune_variants", "save_lexicon")),
     ("matcher", ("GroupCounts", "Match", "Matcher", "build_matcher", "count_usages",
-                 "find_matches", "rewrite_with_idiom_tokens")),
+                 "find_matches", "load_streams", "recount", "rewrite_with_idiom_tokens",
+                 "save_streams")),
     ("stats", ("DivergenceResult", "GScore", "KdeCurve", "NeighborhoodOverlap", "TestResult",
                "cohens_d", "divergence_gap_test", "idiom_scores", "jsd", "kde",
                "log_odds_dirichlet", "neighborhood_overlap", "sim_rbo", "spearman",
                "wilcoxon_ranksum")),
+    ("text", ("tokenize",)),
 ) for name in names}
 _SUBMODULES = {*_EXPORTS.values(), "_kernels"}
 

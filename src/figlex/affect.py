@@ -402,18 +402,17 @@ def literal_baseline(
 ) -> dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]]:
     """Affect series over idiom-free posts, `n` sampled per group.
 
-    Candidate posts of `counts` (from `count_usages`) contain no idiom match
-    and at least one token `sentence_embedding` embeds; sampling is
-    deterministic given the seed, and only the sampled posts are embedded.
+    Candidate posts of `counts` contain no idiom match, so their streams are
+    their tokens, and at least one token `sentence_embedding` embeds;
+    sampling is deterministic given the seed, and only the sampled posts
+    are embedded.
     """
-    starts = counts.span_starts
+    starts, streams = counts.span_starts, counts.streams
     rng = Pcg64(seed)
     out: dict[str, tuple[UsageSeries, UsageSeries, UsageSeries]] = {}
     for group in counts.groups:
-        candidates = [
-            post.tokens for post, start, end in zip(counts.posts, starts, starts[1:])
-            if post.group == group and start == end and _embedded_rows(space, post.tokens)
-        ]
+        candidates = [streams[i] for i in counts.posts_of(group)
+                      if starts[i] == starts[i + 1] and _embedded_rows(space, streams[i])]
         if len(candidates) < n:
             raise ValueError(
                 f"group {group!r} has only {len(candidates)} idiom-free embeddable posts, "

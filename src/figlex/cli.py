@@ -75,7 +75,7 @@ def cmd_prepare(config: RunConfig) -> None:
     from .corpus import balance_groups, load_corpus, save_corpus
     from .embeddings import save_vectors, train_sgns
     from .lexicon import filter_literal, load_lexicon, prune_variants, save_lexicon
-    from .matcher import build_matcher, count_usages
+    from .matcher import build_matcher, count_usages, recount, save_streams
 
     stage = "load"
     try:
@@ -93,12 +93,15 @@ def cmd_prepare(config: RunConfig) -> None:
         matcher = build_matcher(lexicon)
         counts = count_usages(matcher, balanced)
 
+        # the smaller lexicons' counts are derived from this one: only a post
+        # that selected a dropped surface form is matched again
         stage = "prune"
         pruned = prune_variants(lexicon, counts, config.min_count)
-        del counts  # unused from here on: free it, streams included, before training
+        pruned_matcher = build_matcher(pruned)
+        counts = recount(counts, matcher, pruned_matcher, balanced)
 
         stage = "embed"
-        space = train_sgns(count_usages(build_matcher(pruned), balanced).streams, config.train)
+        space = train_sgns(counts.streams, config.train)
 
         stage = "literality"
         filtered, literality_rows = filter_literal(pruned, space, config.literality_threshold)
@@ -106,8 +109,7 @@ def cmd_prepare(config: RunConfig) -> None:
             raise ValueError("literality filter removed every entry")
 
         stage = "recount"
-        final_matcher = build_matcher(filtered)
-        final_counts = count_usages(final_matcher, balanced)
+        final_counts = recount(counts, pruned_matcher, build_matcher(filtered), balanced)
 
         stage = "write"
         out = Path(config.out)
@@ -115,6 +117,7 @@ def cmd_prepare(config: RunConfig) -> None:
         for name in _ANALYZE_RECORDS:
             config.out_path(name).unlink(missing_ok=True)
         save_corpus(balanced, str(config.out_path("corpus_balanced.jsonl")))
+        save_streams(final_counts, str(config.out_path("streams_balanced.tsv")))
         save_lexicon(filtered, str(config.out_path("lexicon_filtered.jsonl")))
         groups = final_counts.groups
         _write_csv(config.out_path("counts_idioms.csv"), ["canonical", "group", "count"],
@@ -175,10 +178,9 @@ def cmd_analyze(config: RunConfig) -> None:
         train_vad_models,
         usage_vad_series,
     )
-    from .corpus import load_corpus
     from .embeddings import load_vectors, save_vectors, train_sgns
     from .lexicon import load_lexicon
-    from .matcher import build_matcher, count_usages
+    from .matcher import load_streams
     from .stats import (
         divergence_gap_test,
         idiom_scores,
@@ -202,18 +204,24 @@ def cmd_analyze(config: RunConfig) -> None:
             if prepared.get(key) != value:
                 raise ValueError(f"{key} is {value!r} here but {prepared.get(key)!r} in "
                                  f"{meta.name}; run prepare with this config first")
-        corpus = load_corpus(str(_require_artifact(config, "corpus_balanced.jsonl", "prepare")))
         lexicon = load_lexicon(str(_require_artifact(config, "lexicon_filtered.jsonl", "prepare")))
+        # the posts as prepare matched them, in the order of their rows
+        streams = _require_artifact(config, "streams_balanced.tsv", "prepare")
+        try:
+            counts = load_streams(str(streams), prepared["group_labels"], lexicon)
+        except ValueError as exc:
+            raise ValueError(f"{streams.name}: {exc}") from None
+        if counts.totals() != prepared["balanced_totals"]:
+            raise ValueError(f"{streams.name} holds {counts.totals()} posts and tokens per "
+                             f"group but {meta.name} records {prepared['balanced_totals']}")
         space = load_vectors(str(_require_artifact(config, "vectors_combined.txt", "prepare")))
         if not config.vad_lexicon:
             raise ValueError("vad_lexicon must be configured for analyze")
         vad = load_vad_lexicon(config.vad_lexicon)
 
-        group_a, group_b = sorted(corpus.group_labels)
+        group_a, group_b = sorted(counts.groups)
 
         stage = "divergence"
-        matcher = build_matcher(lexicon)
-        counts = count_usages(matcher, corpus)
         divergence = divergence_gap_test(counts, config.n_splits, config.seed)
         _write_json(
             config.out_path("divergence.json"),
@@ -286,7 +294,7 @@ def cmd_analyze(config: RunConfig) -> None:
             config.out_path("literal_baseline.csv"), literal_cmp, group_a, group_b
         )
 
-        # Each group space trains on its streams as count_usages rewrote them,
+        # Each group space trains on its streams as prepare rewrote them,
         # with its own child seed; the sorted labels take the seeds in order.
         stage = "embeddings"
         seeds = [seed_words(config.seed, (k,))[0] & 0xFFFFFFFF for k in range(2)]

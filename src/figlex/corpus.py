@@ -1,4 +1,4 @@
-"""Group-labelled corpora: loading, tokenization and balancing.
+"""Group-labelled corpora: loading, saving and balancing.
 
 A corpus is an ordered collection of posts, each tagged with one of two
 group labels.  Balancing takes an explicit seed and is a pure function of
@@ -9,29 +9,10 @@ posts run in `_kernels.c`; `stats.split_baseline` calls them.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from . import _kernels
-
-
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-# Runs of word characters (underscores excluded), optionally joined by
-# internal apostrophes so "don't" and "one's" survive as single tokens.
-_TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase `text` and split it into tokens.
-
-    URLs are stripped before splitting; punctuation separates tokens except
-    for apostrophes inside a word.  Idempotent on its own space-joined
-    output.
-    """
-    cleaned = _URL_RE.sub(" ", text)
-    cleaned = cleaned.replace("’", "'")
-    return _TOKEN_RE.findall(cleaned.lower())
+from .text import read_records, tokenize
 
 
 @dataclass(frozen=True)
@@ -69,28 +50,6 @@ class Corpus:
 
     def token_totals(self) -> dict[str, int]:
         return {g: t["tokens"] for g, t in self.totals().items()}
-
-
-def read_records(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each line of a JSON-lines file but
-    blank lines and '#' lines.  A line that is not a JSON object, or lacks
-    one of the `required` keys as a string, is an error that names its
-    line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"line {lineno}: expected a JSON object")
-            for key in required:
-                if not isinstance(rec.get(key), str):
-                    raise ValueError(f"line {lineno}: missing or non-string key {key!r}")
-            yield lineno, rec
 
 
 def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpus:

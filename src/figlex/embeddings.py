@@ -219,8 +219,7 @@ def nearest_neighbors(space: EmbeddingSpace, token: str, k: int) -> list[tuple[s
     # only the top k and every token tied with the k-th need the exact
     # (-cosine, token) sort; k <= |vocab| - 1 keeps the anchor out of it
     kth = heapq.nlargest(k, sims)[-1]
-    tokens = space.tokens
-    ranked = sorted(((tokens[i], s) for i, s in enumerate(sims) if s >= kth),
+    ranked = sorted(((t, sims[i]) for t, i in space.vocab.items() if sims[i] >= kth),
                     key=lambda pair: (-pair[1], pair[0]))
     return ranked[:k]
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .corpus import read_records, tokenize
 from .embeddings import EmbeddingSpace, cosine
+from .text import read_records, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .matcher import GroupCounts

@@ -125,14 +125,14 @@ def split_baseline(
 def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> DivergenceResult:
     """Compare the cross-group usage divergence with within-group baselines.
 
-    Over the posts of `counts` (from `count_usages`), the JSD of the two
-    groups' ``idiom_counts`` is contrasted against `n_splits` random
-    half-half splits of each group's posts, one `split_baseline` call per
-    group over the corpus-wide span runs.  Group k of ``counts.groups``
-    draws its splits from ``Pcg64(seed, (k,))``, the seed's k-th spawned
-    child.  The reported p-value is the smoothed fraction of pooled baseline
-    samples at least as large as the observed value; z is measured against
-    a normal fit to the pooled baseline.
+    Over the posts of `counts` (from `count_usages` or `load_streams`), the
+    JSD of the two groups' ``idiom_counts`` is contrasted against
+    `n_splits` random half-half splits of each group's posts, one
+    `split_baseline` call per group over the corpus-wide span runs.  Group
+    k of ``counts.groups`` draws its splits from ``Pcg64(seed, (k,))``, the
+    seed's k-th spawned child.  The reported p-value is the smoothed
+    fraction of pooled baseline samples at least as large as the observed
+    value; z is measured against a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
@@ -143,14 +143,13 @@ def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> Diverg
             raise ValueError(f"group {g!r} has zero idiom usage")
     cross = jsd(total[ga], total[gb])
 
-    lengths = [post.token_count for post in counts.posts]
     samples: dict[str, array] = {}
     for k, g in enumerate((ga, gb)):
-        members = [i for i, post in enumerate(counts.posts) if post.group == g]
         rng = _kernels.Pcg64(seed, (k,))
         try:
-            samples[g] = split_baseline(lengths, counts.span_starts, counts.span_idioms,
-                                        members, len(counts.idiom_counts), n_splits, rng)
+            samples[g] = split_baseline(counts.token_counts, counts.span_starts,
+                                        counts.span_idioms, counts.posts_of(g),
+                                        len(counts.idiom_counts), n_splits, rng)
         except ValueError as exc:  # a half without idiom usage, or too few posts
             raise ValueError(f"group {g!r}, {exc}") from None
 

@@ -502,12 +502,12 @@ def reference_literal_baseline(counts, space, models, n, seed):
     out = {}
     for group in counts.groups:
         candidates = []
-        for stream, post in zip(counts.streams, counts.posts):
-            # a post with a match has a rewritten stream of its own
-            if post.group != group or stream is not post.tokens:
+        for stream, k in zip(counts.streams, counts.post_groups):
+            # a post with a match has an idiom token in its stream
+            if counts.groups[k] != group or any("_" in t for t in stream):
                 continue
             try:
-                candidates.append(sentence_embedding(space, list(post.tokens)))
+                candidates.append(sentence_embedding(space, list(stream)))
             except ValueError:
                 continue
         if len(candidates) < n:

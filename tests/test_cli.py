@@ -388,27 +388,126 @@ class TestAnalyze:
             assert not (Path(config.out) / name).exists()
 
 
+def _counting_find_matches(monkeypatch):
+    """Count the calls of `figlex.matcher.find_matches` from here on."""
+    calls = []
+    find_matches = figlex.matcher.find_matches
+
+    def counting(matcher, tokens):
+        calls.append(None)
+        return find_matches(matcher, tokens)
+
+    monkeypatch.setattr(figlex.matcher, "find_matches", counting)
+    return calls
+
+
 class TestMatchOnce:
-    def test_analyze_matches_each_post_once(self, tmp_path, monkeypatch):
-        """count_usages is where analyze matches posts; the SGNS spaces train
-        on the streams it rewrote instead of matching every post again."""
+    """prepare matches each balanced post once and derives the pruned and
+    filtered lexicons' counts from that match; analyze reads the streams
+    prepare wrote and matches nothing."""
+
+    def fixture_config(self, tmp_path):
         overrides = {"corpus": str(DATA_DIR / "corpus_fixture.jsonl"),
                      "lexicon": str(DATA_DIR / "lexicon_fixture.jsonl"),
                      "vad_lexicon": str(DATA_DIR / "vad_fixture.csv"),
                      "out": str(tmp_path / "out"), "n_splits": 20}
-        config = build_config(parse_config_file(str(DATA_DIR / "fixture.conf")), overrides)
+        return build_config(parse_config_file(str(DATA_DIR / "fixture.conf")), overrides)
+
+    def test_prepare_matches_each_post_once_and_each_rematched_post_again(self, tmp_path,
+                                                                          monkeypatch):
+        config = self.fixture_config(tmp_path)
+        calls = _counting_find_matches(monkeypatch)
         cmd_prepare(config)
-        calls = []
-        find_matches = figlex.matcher.find_matches
+        posts = len(config.out_path("streams_balanced.tsv").read_text().splitlines())
+        assert posts == len(load_corpus(str(config.out_path("corpus_balanced.jsonl")))) == 1192
+        # the prune step rematches 37 posts and the literality step 109
+        assert len(calls) == 1192 + 37 + 109
 
-        def counting(matcher, tokens):
-            calls.append(None)
-            return find_matches(matcher, tokens)
-
-        monkeypatch.setattr(figlex.matcher, "find_matches", counting)
+    def test_analyze_matches_no_post(self, tmp_path, monkeypatch):
+        config = self.fixture_config(tmp_path)
+        cmd_prepare(config)
+        calls = _counting_find_matches(monkeypatch)
         cmd_analyze(config)
-        corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
-        assert len(calls) == len(corpus)
+        assert calls == []
+        assert config.out_path("run_meta.json").exists()
+
+    def test_analyze_keeps_every_byte_without_the_balanced_corpus(self, tmp_path):
+        overrides = medium_inputs(tmp_path)
+        cmd_prepare(build_config({}, overrides))
+        prepared = {p.name for p in Path(overrides["out"]).iterdir()}
+        copy = shutil.copytree(overrides["out"], tmp_path / "without")
+        (copy / "corpus_balanced.jsonl").unlink()
+        written = {}
+        for out in (Path(overrides["out"]), copy):
+            cmd_analyze(build_config({}, {**overrides, "out": str(out)}))
+            written[out] = {p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name not in prepared}
+        assert {"divergence.json", "literal_baseline.csv", "vectors_M.txt",
+                "run_meta.json"} <= set(written[copy])
+        assert written[copy] == written[Path(overrides["out"])]
+
+    def test_analyze_loads_no_corpus_module(self, tmp_path):
+        overrides = medium_inputs(tmp_path)
+        assert main(["prepare", *flags(overrides)]) == 0
+        loaded = _modules_loaded_by("analyze", *flags(overrides))
+        assert "figlex.matcher" in loaded
+        assert "figlex.corpus" not in loaded
+
+
+def _one_more_token(rows):
+    """`rows` with one more token counted in the first row with an idiom,
+    which its stream still fits."""
+    i = next(i for i, row in enumerate(rows) if "__idiom__" in row)
+    g, n, stream = rows[i].split("\t")
+    return rows[:i] + [f"{g}\t{int(n) + 1}\t{stream}"] + rows[i + 1:]
+
+
+class TestStreamsFile:
+    """analyze refuses a streams file that prepare cannot have written."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self, tmp_path_factory):
+        overrides = medium_inputs(tmp_path_factory.mktemp("streams"))
+        cmd_prepare(build_config({}, overrides))
+        return overrides
+
+    def test_rows_hold_each_balanced_post_in_order(self, prepared):
+        out = Path(prepared["out"])
+        labels = json.loads((out / "prepare_meta.json").read_text())["group_labels"]
+        corpus = load_corpus(str(out / "corpus_balanced.jsonl"))
+        counts = count_usages(build_matcher(load_lexicon(str(out / "lexicon_filtered.jsonl"))),
+                              corpus)
+        rows = [line.split("\t") for line in
+                (out / "streams_balanced.tsv").read_text().splitlines()]
+        assert [(labels[int(g)], int(n), stream.split(" ")) for g, n, stream in rows] == [
+            (post.group, post.token_count, list(s)) for post, s in zip(corpus.posts,
+                                                                      counts.streams)]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:-1], "posts and tokens per group but prepare_meta.json records"),
+        (_one_more_token, "posts and tokens per group but prepare_meta.json records"),
+        (lambda rows: rows[:2] + ["0\t3\ta __idiom__no_such_idiom b"] + rows[3:],
+         "line 3: idiom token '__idiom__no_such_idiom' is not in the lexicon"),
+        (lambda rows: rows[:4] + ["0\t3"] + rows[5:],
+         "line 5: expected '<group index>\\t<token count>\\t<stream>'"),
+        (lambda rows: rows[:1] + ["2" + rows[1][1:]] + rows[2:],
+         "line 2: group index 2 is not 0 or 1"),
+        (lambda rows: rows[:6] + ["1\t2\ta b c"] + rows[7:],
+         "line 7: a stream of 3 tokens cannot come from a post of 2 tokens"),
+    ], ids=["post_totals", "token_totals", "unknown_idiom", "malformed", "group_index",
+            "token_count"])
+    def test_refused_at_load_with_a_failure_record(self, prepared, tmp_path, capsys, edit,
+                                                   message):
+        out = shutil.copytree(prepared["out"], tmp_path / "out")
+        path = out / "streams_balanced.tsv"
+        path.write_text("".join(row + "\n" for row in edit(path.read_text().splitlines())))
+        capsys.readouterr()
+        assert main(["analyze", *flags({**prepared, "out": str(out)})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage load: streams_balanced.tsv")
+        assert message in err
+        assert json.loads((out / "failure.json").read_text())["stage"] == "load"
+        assert not (out / "divergence.json").exists()
 
 
 def _strict_json_files(out):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -5,14 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import figlex.matcher
 from figlex.corpus import Corpus
-from figlex.lexicon import idiom_token, load_lexicon
+from figlex.lexicon import IdiomEntry, Lexicon, idiom_token, load_lexicon
 from figlex.matcher import (
+    GroupCounts,
     Matcher,
     build_matcher,
     count_usages,
     find_matches,
+    load_streams,
+    recount,
     rewrite_with_idiom_tokens,
+    save_streams,
 )
 
 from conftest import make_corpus, make_post, write_jsonl
@@ -287,6 +293,150 @@ class TestCountUsages:
         entry = lexicon.get("pick a fight")
         total = sum(counts.variant_counts.get(t, 0) for t in entry.variants)
         assert total == sum(counts.idiom_counts["pick a fight"].values()) == 4
+
+
+def corpus_of(posts, labels=("M", "F")):
+    """A corpus of (group, words) posts, in the order given."""
+    return Corpus(posts=tuple(make_post(" ".join(words), group=g, author=f"a{i}")
+                              for i, (g, words) in enumerate(posts)),
+                  group_labels=labels)
+
+
+def assert_same_counts(got: GroupCounts, want: GroupCounts, surfaces=True):
+    """Every field equal, dict key orders included; streams compare as lists.
+    Without `surfaces`, ``variant_counts`` and ``span_variants`` must be empty."""
+    assert got.groups == want.groups
+    assert list(got.idiom_counts.items()) == list(want.idiom_counts.items())
+    for name in ("post_groups", "token_counts", "span_starts", "span_idioms"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert [list(s) for s in got.streams] == [list(s) for s in want.streams]
+    if surfaces:
+        assert list(got.variant_counts.items()) == list(want.variant_counts.items())
+        assert got.span_variants == want.span_variants
+    else:
+        assert not got.variant_counts and not got.span_variants
+
+
+# forms of up to three tokens over four words share prefixes and overlap
+_patterns = st.dictionaries(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3).map(tuple),
+                            st.sampled_from(["p", "q", "r"]), max_size=8)
+_posts = st.lists(st.tuples(st.sampled_from(["M", "F"]),
+                            st.lists(st.sampled_from("abcdx"), max_size=10)), max_size=12)
+
+
+class TestRecount:
+    @settings(max_examples=300, deadline=None)
+    @given(patterns=_patterns, posts=_posts, data=st.data())
+    # "a b c" shadows "b c": dropping it must find "b c" in the rematch
+    @example(patterns={("a", "b", "c"): "p", ("b", "c"): "q"}, posts=[("M", list("abc"))],
+             data=None)
+    def test_equals_a_fresh_count_after_dropping_forms_then_entries(self, patterns, posts,
+                                                                    data):
+        corpus = corpus_of(posts)
+        if data is None:
+            dropped_forms, dropped_entries = {("a", "b", "c")}, set()
+        else:
+            dropped_forms = data.draw(st.sets(st.sampled_from(sorted(patterns)))
+                                      if patterns else st.just(set()))
+            dropped_entries = data.draw(st.sets(st.sampled_from(["p", "q", "r"])))
+        before = Matcher(patterns)
+        pruned = Matcher({f: c for f, c in patterns.items() if f not in dropped_forms})
+        filtered = Matcher({f: c for f, c in pruned.patterns.items()
+                            if c not in dropped_entries})
+        counts = count_usages(before, corpus)
+        for old, new in ((before, pruned), (pruned, filtered)):
+            derived = recount(counts, old, new, corpus)
+            fresh = count_usages(new, corpus)
+            assert_same_counts(derived, fresh)
+            # a post without a match keeps its tokens as its stream, uncopied
+            assert [s is p.tokens for s, p in zip(derived.streams, corpus.posts)] == \
+                [s is p.tokens for s, p in zip(fresh.streams, corpus.posts)]
+            counts = derived
+
+    def test_shadowed_form_is_found_once_its_shadow_is_dropped(self):
+        corpus = corpus_of([("M", ["x", "a", "b", "c"]), ("F", ["b", "c"])])
+        before = Matcher({("a", "b", "c"): "abc", ("b", "c"): "bc"})
+        after = Matcher({("b", "c"): "bc"})
+        derived = recount(count_usages(before, corpus), before, after, corpus)
+        assert derived.streams == [["x", "a", idiom_token("bc")], [idiom_token("bc")]]
+        assert derived.idiom_counts == {"bc": {"M": 1, "F": 1}}
+        assert derived.variant_counts == {("b", "c"): 2}
+
+    def test_rematches_only_posts_that_selected_a_dropped_form(self, monkeypatch):
+        corpus = corpus_of([("M", ["a", "b"]), ("F", ["c", "d"]), ("M", ["x"]),
+                            ("F", ["a", "b", "c", "d"])])
+        before = Matcher({("a", "b"): "ab", ("c", "d"): "cd"})
+        after = Matcher({("a", "b"): "ab"})
+        counts = count_usages(before, corpus)
+        calls = []
+        find = figlex.matcher.find_matches
+        monkeypatch.setattr(figlex.matcher, "find_matches",
+                            lambda matcher, tokens: calls.append(tokens) or find(matcher, tokens))
+        derived = recount(counts, before, after, corpus)
+        assert calls == [corpus.posts[1].tokens, corpus.posts[3].tokens]
+        assert derived.streams[0] is counts.streams[0]
+        assert derived.streams[3] == [idiom_token("ab"), "c", "d"]
+
+    def test_refuses_a_matcher_with_a_pattern_the_count_did_not_have(self):
+        corpus = corpus_of([("M", ["a", "b"]), ("F", ["b"])])
+        before = Matcher({("a", "b"): "ab"})
+        counts = count_usages(before, corpus)
+        for after in (Matcher({("a", "b"): "ab", ("b",): "b"}), Matcher({("a", "b"): "ba"})):
+            with pytest.raises(ValueError, match="subset"):
+                recount(counts, before, after, corpus)
+
+
+def lexicon_of(patterns):
+    """A lexicon with one entry per canonical of `patterns`, in first-seen
+    order, holding that canonical's forms."""
+    lexicon = Lexicon()
+    for canonical in dict.fromkeys(patterns.values()):
+        forms = tuple(f for f, c in patterns.items() if c == canonical)
+        lexicon.entries[canonical] = IdiomEntry(canonical=(canonical,), definition=("x",),
+                                                variants=forms)
+    return lexicon
+
+
+class TestStreamsFile:
+    @settings(max_examples=200, deadline=None)
+    @given(patterns=_patterns, posts=_posts, labels=st.sampled_from([("M", "F"), ("F", "M")]))
+    def test_reads_back_the_counts_in_first_seen_group_order(self, tmp_path_factory,
+                                                             patterns, posts, labels):
+        path = tmp_path_factory.mktemp("streams") / "streams.tsv"
+        lexicon = lexicon_of(patterns)
+        corpus = corpus_of(posts, labels)
+        counts = count_usages(build_matcher(lexicon), corpus)
+        save_streams(counts, str(path))
+        got = load_streams(str(path), labels, lexicon)
+        # the groups in the order the posts first show them, as load_corpus infers them
+        seen = list(dict.fromkeys(p.group for p in corpus.posts))
+        seen += [g for g in labels if g not in seen]
+        want = count_usages(build_matcher(lexicon), corpus_of(posts, tuple(seen)))
+        assert_same_counts(got, want, surfaces=False)
+
+    def test_refuses_labels_that_are_not_two(self, tmp_path):
+        path = tmp_path / "streams.tsv"
+        path.write_text("0\t1\ta\n")
+        for labels in (("M",), ("M", "M"), ("M", "F", "X")):
+            with pytest.raises(ValueError, match="two distinct labels"):
+                load_streams(str(path), labels, Lexicon())
+
+    @pytest.mark.parametrize("line, message", [
+        ("0\t3\ta  b", "the stream holds an empty token"),
+        ("0\t2\ta b c", "a stream of 3 tokens cannot come from a post of 2 tokens"),
+        ("0\t-1\t", "a stream of 0 tokens cannot come from a post of -1 tokens"),
+        ("0\t3\ta b", "a stream of 2 tokens cannot come from a post of 3 tokens"),
+        ("0\tthree\ta b c", "expected '<group index>"),
+        ("0\t3\ta b c\tx", "expected '<group index>"),
+        ("-1\t1\ta", "group index -1 is not 0 or 1"),
+        ("1\t1\tnot_an_idiom", "idiom token 'not_an_idiom' is not in the lexicon"),
+    ])
+    def test_refuses_a_line_that_prepare_cannot_have_written(self, tmp_path, line, message):
+        path = tmp_path / "streams.tsv"
+        path.write_text(f"0\t1\ta\n{line}\n")
+        lexicon = lexicon_of({("a", "b"): "p"})
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}"):
+            load_streams(str(path), ("M", "F"), lexicon)
 
 
 class TestRewrite:
