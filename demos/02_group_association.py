@@ -41,8 +41,7 @@ for group, fight_rate in (("M", 0.45), ("F", 0.10)):
         idiom = "pick a fight" if rng.random() < fight_rate else "over the moon"
         at = int(rng.integers(0, len(words)))
         words = words[:at] + idiom.split() + words[at:]
-        posts.append(Post(author_id=f"{group}{i}", group=group,
-                          text=" ".join(words), tokens=tuple(words)))
+        posts.append(Post(author_id=f"{group}{i}", group=group, tokens=tuple(words)))
 corpus = Corpus(posts=tuple(posts), group_labels=("M", "F"))
 
 matcher = build_matcher(lexicon)

@@ -33,8 +33,7 @@ def build_corpus(planted: bool, seed: int) -> Corpus:
                 if rng.random() < p:
                     at = int(rng.integers(0, len(words)))
                     words = words[:at] + idiom.split() + words[at:]
-            posts.append(Post(author_id=f"{group}{i}", group=group,
-                              text=" ".join(words), tokens=tuple(words)))
+            posts.append(Post(author_id=f"{group}{i}", group=group, tokens=tuple(words)))
     return Corpus(posts=tuple(posts), group_labels=("A", "B"))
 
 

@@ -22,7 +22,7 @@ _EXPORTS = {name: module for module, names in (
                 "fit_beta_regression", "literal_baseline", "load_vad_lexicon", "predict_beta",
                 "score_definitions", "train_vad_models", "usage_vad_series")),
     ("config", ("TrainParams",)),
-    ("corpus", ("Corpus", "Post", "balance_groups", "load_corpus", "save_corpus")),
+    ("corpus", ("Corpus", "Post", "balance_groups", "load_corpus")),
     ("embeddings", ("EmbeddingSpace", "cosine", "load_vectors", "nearest_neighbors",
                     "save_vectors", "sentence_embedding", "train_sgns")),
     ("lexicon", ("IdiomEntry", "Lexicon", "STOPWORDS", "expand_entry", "filter_literal",

@@ -128,10 +128,13 @@ def _beta_data(features: _Matrix, targets: Sequence[float]) -> tuple[_Matrix, ar
             array("d", [math.log(1.0 - y) for y in targets]))
 
 
-def _beta_loglik(params: Sequence[float], features: _Matrix, log_y: array, log_1my: array,
-                 grad: array | None) -> float:
-    """`_kernels.c` ``beta_loglik`` at `params`, writing the gradient into
-    `grad` unless it is None."""
+def _log_likelihood(params: Sequence[float], features: _Matrix, log_y: array,
+                    log_1my: array, grad: array | None = None) -> float:
+    """Mean beta log-likelihood at params = (intercept, coefficients..., log
+    phi), by `_kernels.c` ``beta_loglik``, which writes the gradient into
+    `grad` unless it is None; the mean scale keeps gradient magnitudes
+    comparable across sample sizes, which is what the convergence tolerance
+    is measured against."""
     at = array("d", params)
     if len(at) != features.n_cols + 2:
         raise ValueError(f"params must hold {features.n_cols + 2} values, got {len(at)}")
@@ -140,19 +143,11 @@ def _beta_loglik(params: Sequence[float], features: _Matrix, log_y: array, log_1
                                        address(at), None if grad is None else address(grad))
 
 
-def _log_likelihood(params: Sequence[float], features: _Matrix, log_y: array,
-                    log_1my: array) -> float:
-    """Mean beta log-likelihood at params = (intercept, coefficients..., log
-    phi); the mean scale keeps gradient magnitudes comparable across sample
-    sizes, which is what the convergence tolerance is measured against."""
-    return _beta_loglik(params, features, log_y, log_1my, None)
-
-
 def _log_likelihood_grad(params: Sequence[float], features: _Matrix, log_y: array,
                          log_1my: array) -> list[float]:
     """Analytic gradient of `_log_likelihood` in coefficients and log phi."""
     grad = array("d", [0.0]) * len(params)
-    _beta_loglik(params, features, log_y, log_1my, grad)
+    _log_likelihood(params, features, log_y, log_1my, grad)
     return grad.tolist()
 
 

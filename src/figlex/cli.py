@@ -72,7 +72,7 @@ def cmd_prepare(config: RunConfig) -> None:
 
     Nothing is written unless every stage succeeds.
     """
-    from .corpus import balance_groups, load_corpus, save_corpus
+    from .corpus import balance_groups, load_corpus
     from .embeddings import save_vectors, train_sgns
     from .lexicon import filter_literal, load_lexicon, prune_variants, save_lexicon
     from .matcher import build_matcher, count_usages, recount, save_streams
@@ -116,7 +116,6 @@ def cmd_prepare(config: RunConfig) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for name in _ANALYZE_RECORDS:
             config.out_path(name).unlink(missing_ok=True)
-        save_corpus(balanced, str(config.out_path("corpus_balanced.jsonl")))
         save_streams(final_counts, str(config.out_path("streams_balanced.tsv")))
         save_lexicon(filtered, str(config.out_path("lexicon_filtered.jsonl")))
         groups = final_counts.groups
@@ -132,13 +131,12 @@ def cmd_prepare(config: RunConfig) -> None:
                    ["canonical", "literality", "status", "note"],
                    ([key, _num(score), status, note]
                     for key, score, status, note in sorted(literality_rows)))
-        totals = balanced.totals()
         _write_json(
             config.out_path("prepare_meta.json"),
             {
                 **_prepared_settings(config),
                 "group_labels": list(balanced.group_labels),
-                "balanced_totals": totals,
+                "balanced_totals": final_counts.totals(),
                 "entries_after_prune": len(pruned),
                 "entries_after_literality": len(filtered),
             },

@@ -1,4 +1,4 @@
-"""Group-labelled corpora: loading, saving and balancing.
+"""Group-labelled corpora: loading and balancing.
 
 A corpus is an ordered collection of posts, each tagged with one of two
 group labels.  Balancing takes an explicit seed and is a pure function of
@@ -8,7 +8,6 @@ posts run in `_kernels.c`; `stats.split_baseline` calls them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import _kernels
@@ -21,9 +20,7 @@ class Post:
 
     author_id: str
     group: str
-    text: str
     tokens: tuple[str, ...]
-    subreddit: str | None = None
 
     @property
     def token_count(self) -> int:
@@ -40,25 +37,22 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.posts)
 
-    def totals(self) -> dict[str, dict[str, int]]:
-        """Exact per-group post and token counts."""
-        out = {g: {"posts": 0, "tokens": 0} for g in self.group_labels}
-        for p in self.posts:
-            out[p.group]["posts"] += 1
-            out[p.group]["tokens"] += p.token_count
-        return out
-
     def token_totals(self) -> dict[str, int]:
-        return {g: t["tokens"] for g, t in self.totals().items()}
+        """Each group's token count."""
+        out = dict.fromkeys(self.group_labels, 0)
+        for p in self.posts:
+            out[p.group] += p.token_count
+        return out
 
 
 def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpus:
     """Read a corpus from a JSON-lines file.
 
     Each record (see `read_records`) has the string keys ``author_id``,
-    ``group`` and ``text`` (``subreddit``/``timestamp`` optional).  When
-    `group_labels` is omitted the two labels are inferred from the file in
-    first-seen order; a third distinct label is an error either way.
+    ``group`` and ``text``; other keys are ignored, and a post keeps only
+    the tokens of its text.  When `group_labels` is omitted the two labels
+    are inferred from the file in first-seen order; a third distinct label
+    is an error either way.
     """
     posts: list[Post] = []
     seen_labels: list[str] = []
@@ -75,15 +69,7 @@ def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpu
             seen_labels.append(group)
             if len(seen_labels) > 2:
                 raise ValueError(f"line {lineno}: unknown group {group}")
-        posts.append(
-            Post(
-                author_id=rec["author_id"],
-                group=group,
-                text=rec["text"],
-                tokens=tuple(tokenize(rec["text"])),
-                subreddit=rec.get("subreddit"),
-            )
-        )
+        posts.append(Post(rec["author_id"], group, tuple(tokenize(rec["text"]))))
 
     if declared is None:
         if len(seen_labels) < 2:
@@ -92,16 +78,6 @@ def load_corpus(path: str, group_labels: tuple[str, str] | None = None) -> Corpu
             )
         declared = (seen_labels[0], seen_labels[1])
     return Corpus(posts=tuple(posts), group_labels=declared)
-
-
-def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write a corpus back to the JSON-lines format accepted by load_corpus."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in corpus.posts:
-            rec: dict[str, str] = {"author_id": p.author_id, "group": p.group, "text": p.text}
-            if p.subreddit is not None:
-                rec["subreddit"] = p.subreddit
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def balance_groups(corpus: Corpus, seed: int) -> Corpus:

@@ -149,7 +149,7 @@ class GroupCounts:
         return [self.streams[i] for i in self.posts_of(group)]
 
     def totals(self) -> dict[str, dict[str, int]]:
-        """Per-group post and token counts, as `Corpus.totals` gives them."""
+        """Per-group post and token counts."""
         out = {g: {"posts": 0, "tokens": 0} for g in self.groups}
         for k, n in zip(self.post_groups, self.token_counts):
             out[self.groups[k]]["posts"] += 1

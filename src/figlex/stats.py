@@ -506,9 +506,9 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
     The default bandwidth is Silverman's rule of thumb,
     0.9 * min(sd, IQR/1.34) * n^(-1/5); the grid spans the data range
     extended by three bandwidths on each side, spaced as ``np.linspace``
-    spaces it.  The values, an explicit bandwidth and both grid ends must be
-    finite.  The sum runs in `_kernels.c` over the sorted values, one term
-    per run of equal values.
+    spaces it.  The values, an explicit bandwidth, both grid ends and the
+    kernel scale 1 / (n * h * sqrt(2 pi)) must be finite.  The sum runs in
+    `_kernels.c` over the sorted values, one term per run of equal values.
     """
     data = sorted(_floats(values, "values"))
     n = len(data)
@@ -534,10 +534,13 @@ def kde(values: Sequence[float], bandwidth: float | None = None) -> KdeCurve:
     lo, hi = data[0] - 3 * h, data[-1] + 3 * h
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid ends {lo} and {hi} are not finite")
+    scale = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
+    if not math.isfinite(scale):  # 0 * inf away from the data would be NaN
+        raise ValueError(f"bandwidth {h} is too small: the kernel scale is not finite")
     step = (hi - lo) / 255
     grid = array("d", [i * step + lo for i in range(255)] + [hi])
     density = array("d", [0.0]) * len(grid)
     sorted_data = array("d", data)
     _kernels.load().kde(address(sorted_data), n, address(grid), len(grid), h,
-                        1.0 / (n * h * math.sqrt(2.0 * math.pi)), address(density))
+                        scale, address(density))
     return KdeCurve(x=grid, density=density, bandwidth=h)

@@ -32,7 +32,7 @@ def kernel_cache(tmp_path_factory):
 
 
 def make_post(text: str, group: str = "A", author: str = "a0") -> Post:
-    return Post(author_id=author, group=group, text=text, tokens=tuple(tokenize(text)))
+    return Post(author_id=author, group=group, tokens=tuple(tokenize(text)))
 
 
 def make_corpus(texts_by_group: dict[str, list[str]], labels=None) -> Corpus:

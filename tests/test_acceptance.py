@@ -42,6 +42,7 @@ from figlex.stats import (
     spearman,
     wilcoxon_ranksum,
 )
+from figlex.text import read_records
 
 REPO_ROOT = Path(__file__).parent.parent
 DATA_DIR = Path(__file__).parent / "data"
@@ -313,9 +314,7 @@ def planted_corpus(seed=808):
                 if rng.random() < p:
                     at = int(rng.integers(0, len(words) + 1))
                     words = words[:at] + idiom.split() + words[at:]
-            text = " ".join(words)
-            posts.append(Post(author_id=f"{group}{i}", group=group, text=text,
-                              tokens=tuple(words)))
+            posts.append(Post(author_id=f"{group}{i}", group=group, tokens=tuple(words)))
     return Corpus(posts=tuple(posts), group_labels=("A", "B")), idioms
 
 
@@ -364,8 +363,7 @@ def shared_context_corpus(n_sent, seed):
             word, pool = "cc", ctx_b
         picks = [pool[j] for j in rng.integers(0, len(pool), size=4)]
         tokens = tuple(picks[:2] + [word] + picks[2:])
-        posts.append(Post(author_id=f"a{i}", group="A", text=" ".join(tokens),
-                          tokens=tokens))
+        posts.append(Post(author_id=f"a{i}", group="A", tokens=tokens))
     return Corpus(posts=tuple(posts), group_labels=("A", "B"))
 
 
@@ -376,10 +374,12 @@ def test_criterion_09_embedding_properties():
     two = train_sgns([p.tokens for p in corpus.posts], params)
     bitwise = one.data == two.data and one.vocab == two.vocab
 
-    full = figlex.load_corpus(str(DATA_DIR / "corpus_fixture.jsonl"))
+    # the fixture's first ~100 KB of post text, measured on the raw records
+    fixture = str(DATA_DIR / "corpus_fixture.jsonl")
+    full = figlex.load_corpus(fixture)
     acc, posts = 0, []
-    for p in full.posts:
-        acc += len(p.text) + 1
+    for (_, rec), p in zip(read_records(fixture, ("text",)), full.posts):
+        acc += len(rec["text"]) + 1
         posts.append(p)
         if acc >= 100_000:
             break

@@ -27,7 +27,7 @@ from figlex.cli import (
     main,
     parse_config_file,
 )
-from figlex.corpus import load_corpus
+from figlex.corpus import balance_groups, load_corpus
 from figlex.embeddings import save_vectors, train_sgns
 from figlex.lexicon import load_lexicon
 from figlex.matcher import build_matcher, count_usages
@@ -401,6 +401,11 @@ def _counting_find_matches(monkeypatch):
     return calls
 
 
+def balanced_posts(config):
+    """The balanced corpus that `prepare` builds from `config`'s inputs."""
+    return balance_groups(load_corpus(config.corpus, group_labels=config.groups), config.seed)
+
+
 class TestMatchOnce:
     """prepare matches each balanced post once and derives the pruned and
     filtered lexicons' counts from that match; analyze reads the streams
@@ -419,7 +424,7 @@ class TestMatchOnce:
         calls = _counting_find_matches(monkeypatch)
         cmd_prepare(config)
         posts = len(config.out_path("streams_balanced.tsv").read_text().splitlines())
-        assert posts == len(load_corpus(str(config.out_path("corpus_balanced.jsonl")))) == 1192
+        assert posts == len(balanced_posts(config)) == 1192
         # the prune step rematches 37 posts and the literality step 109
         assert len(calls) == 1192 + 37 + 109
 
@@ -431,20 +436,14 @@ class TestMatchOnce:
         assert calls == []
         assert config.out_path("run_meta.json").exists()
 
-    def test_analyze_keeps_every_byte_without_the_balanced_corpus(self, tmp_path):
-        overrides = medium_inputs(tmp_path)
-        cmd_prepare(build_config({}, overrides))
-        prepared = {p.name for p in Path(overrides["out"]).iterdir()}
-        copy = shutil.copytree(overrides["out"], tmp_path / "without")
-        (copy / "corpus_balanced.jsonl").unlink()
-        written = {}
-        for out in (Path(overrides["out"]), copy):
-            cmd_analyze(build_config({}, {**overrides, "out": str(out)}))
-            written[out] = {p.name: p.read_bytes() for p in out.iterdir()
-                            if p.name not in prepared}
-        assert {"divergence.json", "literal_baseline.csv", "vectors_M.txt",
-                "run_meta.json"} <= set(written[copy])
-        assert written[copy] == written[Path(overrides["out"])]
+    def test_prepare_writes_exactly_the_prepared_artifacts(self, tmp_path):
+        # the streams file is the one record of the balanced posts
+        config = self.fixture_config(tmp_path)
+        cmd_prepare(config)
+        assert {p.name for p in Path(config.out).iterdir()} == {
+            "streams_balanced.tsv", "lexicon_filtered.jsonl", "counts_idioms.csv",
+            "counts_tokens.csv", "vectors_combined.txt", "literality_report.csv",
+            "prepare_meta.json"}
 
     def test_analyze_loads_no_corpus_module(self, tmp_path):
         overrides = medium_inputs(tmp_path)
@@ -474,7 +473,7 @@ class TestStreamsFile:
     def test_rows_hold_each_balanced_post_in_order(self, prepared):
         out = Path(prepared["out"])
         labels = json.loads((out / "prepare_meta.json").read_text())["group_labels"]
-        corpus = load_corpus(str(out / "corpus_balanced.jsonl"))
+        corpus = balanced_posts(build_config({}, prepared))
         counts = count_usages(build_matcher(load_lexicon(str(out / "lexicon_filtered.jsonl"))),
                               corpus)
         rows = [line.split("\t") for line in
@@ -563,7 +562,7 @@ class TestGroupEmbeddings:
         config = build_config({}, medium_inputs(tmp_path))
         cmd_prepare(config)
         cmd_analyze(config)
-        corpus = load_corpus(str(config.out_path("corpus_balanced.jsonl")))
+        corpus = balanced_posts(config)
         lexicon = load_lexicon(str(config.out_path("lexicon_filtered.jsonl")))
         counts = count_usages(build_matcher(lexicon), corpus)
         # the sorted labels train on the child seeds in order

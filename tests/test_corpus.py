@@ -9,7 +9,6 @@ from figlex._kernels import Pcg64
 from figlex.corpus import (
     balance_groups,
     load_corpus,
-    save_corpus,
     tokenize,
 )
 from figlex.lexicon import load_lexicon
@@ -62,8 +61,7 @@ class TestLoadCorpus:
         corpus = load_corpus(str(path), group_labels=("M", "F"))
         assert len(corpus.posts) == 1
         assert corpus.posts[0].token_count == 3
-        assert corpus.totals() == {"M": {"posts": 0, "tokens": 0},
-                                   "F": {"posts": 1, "tokens": 3}}
+        assert corpus.token_totals() == {"M": 0, "F": 3}
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -106,13 +104,6 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="line 3: unknown group Z"):
             load_corpus(str(path))
 
-    def test_roundtrip(self, tmp_path):
-        corpus = make_corpus({"M": ["one two", "three"], "F": ["four five six"]})
-        path = tmp_path / "c.jsonl"
-        save_corpus(corpus, str(path))
-        again = load_corpus(str(path), group_labels=corpus.group_labels)
-        assert [p.tokens for p in again.posts] == [p.tokens for p in corpus.posts]
-
 
 @pytest.mark.parametrize("load", [load_corpus, load_lexicon])
 @pytest.mark.parametrize("line", ["5", '"canonical"', "[1]"])
@@ -122,6 +113,26 @@ def test_non_object_line_rejected(tmp_path, load, line):
     path.write_text(line + "\n")
     with pytest.raises(ValueError, match=r"^line 1: expected a JSON object$"):
         load(str(path))
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("load, record", [
+    (load_corpus, {"author_id": "a", "group": "M", "text": "over the moon"}),
+    (load_lexicon, {"canonical": "over the moon", "definition": "very happy"}),
+], ids=["corpus", "lexicon"])
+@pytest.mark.parametrize("value", [_MISSING, None, 3, ["x"]],
+                         ids=["missing", "null", "number", "list"])
+def test_record_without_a_required_string_rejected(tmp_path, load, record, value):
+    # a post keeps no text, but its record must still hold one as a string
+    for key in record:
+        bad = {k: v for k, v in record.items() if k != key}
+        if value is not _MISSING:
+            bad[key] = value
+        path = write_jsonl(tmp_path / "records.jsonl", [record, bad])
+        with pytest.raises(ValueError, match=rf"^line 2: missing or non-string key '{key}'$"):
+            load(str(path))
 
 
 class TestBalanceGroups:

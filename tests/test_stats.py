@@ -742,6 +742,15 @@ class TestKde:
         with pytest.raises(ValueError, match="grid ends .* not finite"):
             kde([0.0, 1.0], bandwidth=1e308)
 
+    @pytest.mark.parametrize("values, bandwidth", [
+        ([0.0, 0.0, 0.0, 1.0, 2.225073858507e-311], None),  # Silverman's rule
+        ([0.0, 1.0], 1e-310),
+    ], ids=["silverman", "explicit"])
+    def test_rejects_a_bandwidth_whose_scale_overflows(self, values, bandwidth):
+        # the density would be inf at the data and NaN (0 * inf) elsewhere
+        with pytest.raises(ValueError, match="kernel scale is not finite"):
+            kde(values, bandwidth=bandwidth)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e6, 1e6),
                     min_size=2, max_size=40))
