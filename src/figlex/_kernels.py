@@ -12,6 +12,10 @@ loading a cached library starts no process.  It is written to a temporary
 name and renamed into place, so processes that build at once each load a
 whole file.  There is no fallback without a compiler: a second
 implementation would give a second set of bytes.
+
+`Beside` runs kernel work on one thread next to the caller's: `ctypes`
+releases the GIL for each kernel call, and the thread pins itself to an
+allowed CPU other than the caller's, so the two run at once.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import ctypes
 import math
 import operator
 import os
+import threading
 from array import array
 from bisect import bisect_left
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Generic, Sequence, TypeVar
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 # IEEE arithmetic in source order: no fused multiply-adds, no -ffast-math
@@ -37,7 +42,31 @@ MAX_EXP = 6
 
 _ptr, _i64, _u64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
 
+# each kernel's (return type, argument types)
+_SIGNATURES = {
+    "sgns_epoch": (_f64, [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr,
+                          _i64, _ptr, _ptr, _f64, _f64, _i64, _i64]),
+    "sgns_init": (None, [_ptr, _i64, _i64, _ptr]),
+    "cosine": (_f64, [_ptr, _ptr, _i64]),
+    "cosines": (_i64, [_ptr, _i64, _i64, _i64, _ptr]),
+    "row_mean": (None, [_ptr, _i64, _ptr, _i64, _ptr]),
+    "kde": (None, [_ptr, _i64, _ptr, _i64, _f64, _f64, _ptr]),
+    "sigmoid": (_f64, [_f64]),
+    "gammaln": (_f64, [_f64]),
+    "digamma": (_f64, [_f64]),
+    "beta_predict": (_f64, [_ptr, _ptr, _i64]),
+    "beta_loglik": (_f64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr]),
+    "whiten": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
+    "jsd": (_f64, [_ptr, _ptr, _i64]),
+    "split_baseline": (_i64, [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr]),
+    "permutation": (None, [_ptr, _i64, _ptr]),
+    "pcg64_seed": (None, [_ptr, _ptr]),
+    "pcg64_integers": (None, [_ptr, _i64, _u64, _i64, _ptr]),
+}
+
 _lib = None
+# held while one thread builds and binds the library
+_load_lock = threading.Lock()
 
 
 def cache_dir() -> Path:
@@ -95,40 +124,91 @@ def _build() -> Path:
 
 
 def load():
-    """The kernel library, built first if the cache does not hold it."""
+    """The kernel library, built first if the cache does not hold it.
+    Threads that make their first call at once build and bind it once."""
     global _lib
     if _lib is None:
-        lib = ctypes.CDLL(str(_build()))
-        signatures = {
-            "sgns_epoch": (_f64, [_ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr, _ptr, _i64, _ptr,
-                                  _i64, _ptr, _ptr, _f64, _f64, _i64, _i64]),
-            "sgns_init": (None, [_ptr, _i64, _i64, _ptr]),
-            "cosine": (_f64, [_ptr, _ptr, _i64]),
-            "cosines": (_i64, [_ptr, _i64, _i64, _i64, _ptr]),
-            "row_mean": (None, [_ptr, _i64, _ptr, _i64, _ptr]),
-            "kde": (None, [_ptr, _i64, _ptr, _i64, _f64, _f64, _ptr]),
-            "sigmoid": (_f64, [_f64]),
-            "gammaln": (_f64, [_f64]),
-            "digamma": (_f64, [_f64]),
-            "beta_predict": (_f64, [_ptr, _ptr, _i64]),
-            "beta_loglik": (_f64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _ptr]),
-            "whiten": (_i64, [_ptr, _i64, _i64, _ptr, _ptr, _ptr]),
-            "jsd": (_f64, [_ptr, _ptr, _i64]),
-            "split_baseline": (_i64, [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr]),
-            "permutation": (None, [_ptr, _i64, _ptr]),
-            "pcg64_seed": (None, [_ptr, _ptr]),
-            "pcg64_integers": (None, [_ptr, _i64, _u64, _i64, _ptr]),
-        }
-        for name, (restype, argtypes) in signatures.items():
-            fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-        _lib = lib
+        with _load_lock:
+            if _lib is None:
+                lib = ctypes.CDLL(str(_build()))
+                for name, (restype, argtypes) in _SIGNATURES.items():
+                    fn = getattr(lib, name)
+                    fn.restype, fn.argtypes = restype, argtypes
+                _lib = lib
     return _lib
 
 
 def address(buffer: array) -> int:
     """The address of an `array.array`'s items, for a kernel argument."""
     return buffer.buffer_info()[0]
+
+
+T = TypeVar("T")
+
+
+def _other_cpu() -> int | None:
+    """The lowest allowed CPU but the one this thread runs on, or None
+    where fewer than two are allowed or the platform cannot say."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        here = ctypes.CDLL(None).sched_getcpu()
+    except (AttributeError, OSError):
+        return None
+    return min(allowed - {here}) if len(allowed) > 1 and here >= 0 else None
+
+
+class Beside(Generic[T]):
+    """Kernel work on one thread beside the caller's.
+
+    ``Beside(prepare)`` loads the library and calls `prepare` in the
+    caller's thread, then runs the callable that `prepare` returns on one
+    thread, which pins itself to an allowed CPU other than the caller's
+    (on Linux `os.sched_setaffinity(0, ...)` pins the calling thread
+    only).  The callable should hold the GIL little: each kernel call
+    releases it.  Where one CPU is allowed, or the platform cannot report
+    or set affinity, the thread runs unpinned.  An unpinned thread, or
+    one pinned to the caller's CPU, need not run at the same time as the
+    caller at all, so the pin avoids the caller's CPU.  `result` joins
+    the thread and returns the value, or raises what `prepare` or the
+    callable raised.
+    """
+
+    def __init__(self, prepare: Callable[[], Callable[[], T]]):
+        self._value: T | None = None
+        self._error: Exception | None = None
+        self._thread: threading.Thread | None = None
+        try:
+            load()
+            run = prepare()
+        except Exception as exc:
+            self._error = exc
+            return
+        self._thread = threading.Thread(target=self._work, args=(run, _other_cpu()),
+                                        name="figlex-kernels")
+        self._thread.start()
+
+    def _work(self, run: Callable[[], T], cpu: int | None) -> None:
+        try:
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                except OSError:
+                    pass
+            self._value = run()
+        except Exception as exc:
+            self._error = exc
+
+    def join(self) -> None:
+        """Wait for the thread, if one started."""
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self) -> T:
+        """The callable's value, or what either step raised."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 # numpy's SeedSequence constants

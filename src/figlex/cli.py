@@ -165,7 +165,7 @@ def cmd_analyze(config: RunConfig) -> None:
     files of an earlier run are removed first: they would no longer
     describe the artifacts beside them.
     """
-    from ._kernels import seed_words
+    from ._kernels import Beside, seed_words
     from .affect import (
         DIMENSIONS,
         compare_vad,
@@ -176,7 +176,7 @@ def cmd_analyze(config: RunConfig) -> None:
         train_vad_models,
         usage_vad_series,
     )
-    from .embeddings import load_vectors, save_vectors, train_sgns
+    from .embeddings import load_vectors, save_vectors, setup_sgns
     from .lexicon import load_lexicon
     from .matcher import load_streams
     from .stats import (
@@ -189,7 +189,7 @@ def cmd_analyze(config: RunConfig) -> None:
     )
 
     warnings: list[str] = []
-    stage = "load"
+    stage, training = "load", None
     try:
         for name in _ANALYZE_RECORDS:
             config.out_path(name).unlink(missing_ok=True)
@@ -218,6 +218,18 @@ def cmd_analyze(config: RunConfig) -> None:
         vad = load_vad_lexicon(config.vad_lexicon)
 
         group_a, group_b = sorted(counts.groups)
+        # Each group space trains on its streams as prepare rewrote them,
+        # with its own child seed; the sorted labels take the seeds in order.
+        # The kernels train on one thread while the stages up to embeddings
+        # run here, and what setup or training raised surfaces there.
+        seeds = [seed_words(config.seed, (k,))[0] & 0xFFFFFFFF for k in range(2)]
+
+        def setup_spaces():
+            runs = {g: setup_sgns(counts.streams_for(g), replace(config.train, seed=s))
+                    for g, s in zip((group_a, group_b), seeds)}
+            return lambda: {g: run() for g, run in runs.items()}
+
+        training = Beside(setup_spaces)
 
         stage = "divergence"
         divergence = divergence_gap_test(counts, config.n_splits, config.seed)
@@ -292,12 +304,8 @@ def cmd_analyze(config: RunConfig) -> None:
             config.out_path("literal_baseline.csv"), literal_cmp, group_a, group_b
         )
 
-        # Each group space trains on its streams as prepare rewrote them,
-        # with its own child seed; the sorted labels take the seeds in order.
         stage = "embeddings"
-        seeds = [seed_words(config.seed, (k,))[0] & 0xFFFFFFFF for k in range(2)]
-        spaces = {g: train_sgns(counts.streams_for(g), replace(config.train, seed=s))
-                  for g, s in zip((group_a, group_b), seeds)}
+        spaces = training.result()
         for group, space in spaces.items():
             save_vectors(space, str(config.out_path(f"vectors_{group}.txt")))
 
@@ -350,6 +358,9 @@ def cmd_analyze(config: RunConfig) -> None:
         if config.out and Path(config.out).is_dir():
             _write_json(config.out_path("failure.json"), {"stage": stage, "error": str(exc)})
         raise StageError(stage, exc) from exc
+    finally:
+        if training is not None:
+            training.join()
 
 
 def _write_comparison_csv(path: Path, comparison, group_a: str, group_b: str) -> None:

@@ -25,7 +25,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _kernels
 from ._kernels import address
@@ -92,6 +92,15 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     linearly decaying learning rate.  Per-epoch mean loss is recorded on
     the returned space.
     """
+    return setup_sgns(sentences, params)()
+
+
+def setup_sgns(sentences: Sequence[Sequence[str]],
+               params: TrainParams) -> Callable[[], EmbeddingSpace]:
+    """`train_sgns` in two steps: this call does its Python work (the
+    vocabulary, the id arrays, the noise and score tables, the generators
+    and the vector buffers) and returns the training run, which calls only
+    kernels, so it can run on a `_kernels.Beside` thread."""
     counts = Counter(t for sent in sentences for t in sent)
     vocab_tokens = sorted(
         (t for t, c in counts.items() if c >= params.min_count),
@@ -102,8 +111,6 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     vocab = {t: i for i, t in enumerate(vocab_tokens)}
 
     id_sentences = [[vocab[t] for t in sent if t in vocab] for sent in sentences]
-    # `prepare` passes a list that nothing else holds: drop it before training
-    del sentences
     id_sentences = [ids for ids in id_sentences if len(ids) >= 2]
     if not id_sentences:
         raise ValueError("corpus too small: no sentence with 2 in-vocabulary tokens")
@@ -115,31 +122,32 @@ def train_sgns(sentences: Sequence[Sequence[str]], params: TrainParams) -> Embed
     tables = _kernels.score_tables()
     lib = _kernels.load()
 
-    dim = params.dim
+    dim, epochs = params.dim, params.epochs
     syn0 = array("f", [0.0]) * (len(vocab) * dim)
     syn1 = array("f", [0.0]) * (len(vocab) * dim)
     init = _kernels.Pcg64(params.seed)
-    lib.sgns_init(address(syn0), len(syn0), dim, init.state)
-
     # identical draw streams every epoch: the per-epoch mean loss is then
     # measured on the same sampled objective, so it decreases under the
     # decaying learning rate instead of wobbling with sampling noise
     windows = _kernels.Pcg64([params.seed, 0x5E9, 0]).integers(1, params.window + 1, len(ids))
-    epoch_losses: list[float] = []
-    for epoch in range(params.epochs):
-        noise = _kernels.Pcg64([params.seed, 0x5E9, 1])
-        loss = lib.sgns_epoch(
-            address(syn0), address(syn1), dim, address(ids), address(lengths), len(lengths),
-            address(windows), noise.state, params.negatives,
-            address(noise_cdf), len(vocab), address(guide), address(tables),
-            params.initial_lr, params.initial_lr * 1e-4, epoch * len(ids),
-            params.epochs * len(ids),
-        )
-        if loss < 0:
-            raise MemoryError("SGNS kernel: no memory for its scratch rows")
-        epoch_losses.append(loss)
+    noise = [_kernels.Pcg64([params.seed, 0x5E9, 1]) for _ in range(epochs)]
 
-    return EmbeddingSpace(vocab=vocab, data=syn0, dim=dim, epoch_losses=epoch_losses)
+    def run() -> EmbeddingSpace:
+        lib.sgns_init(address(syn0), len(syn0), dim, init.state)
+        epoch_losses: list[float] = []
+        for epoch in range(epochs):
+            loss = lib.sgns_epoch(
+                address(syn0), address(syn1), dim, address(ids), address(lengths), len(lengths),
+                address(windows), noise[epoch].state, params.negatives,
+                address(noise_cdf), len(vocab), address(guide), address(tables),
+                params.initial_lr, params.initial_lr * 1e-4, epoch * len(ids), epochs * len(ids),
+            )
+            if loss < 0:
+                raise MemoryError("SGNS kernel: no memory for its scratch rows")
+            epoch_losses.append(loss)
+        return EmbeddingSpace(vocab=vocab, data=syn0, dim=dim, epoch_losses=epoch_losses)
+
+    return run
 
 
 def save_vectors(space: EmbeddingSpace, path: str) -> None:

@@ -16,7 +16,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _kernels
 from ._kernels import _pairwise_sum, address
@@ -96,6 +96,16 @@ def split_baseline(
     kernel makes every split, drawing from `rng` as the permutations would;
     it walks with an int64 key, whose range bounds the token counts.
     """
+    return _setup_split_baseline(token_counts, starts, idioms, units, n_support, n_splits,
+                                 rng)()
+
+
+def _setup_split_baseline(
+    token_counts: Sequence[int], starts: Sequence[int], idioms: Sequence[int],
+    units: Sequence[int], n_support: int, n_splits: int, rng: _kernels.Pcg64,
+) -> Callable[[], array]:
+    """`split_baseline`'s checks and arrays, and the kernel call that
+    finishes it, which can run on a `_kernels.Beside` thread."""
     units, starts, idioms = (array("q", a) for a in (units, starts, idioms))
     if len(units) < 2:
         raise ValueError("fewer than 2 posts to split")
@@ -111,15 +121,20 @@ def split_baseline(
     if idioms and not 0 <= min(idioms) <= max(idioms) < n_support:
         raise ValueError(f"span idioms must lie in 0..{n_support - 1}")
     out = array("d", [0.0]) * n_splits
-    status = _kernels.load().split_baseline(
-        address(tokens), address(starts), address(idioms), address(units), len(units),
-        n_support, n_splits, rng.state, address(out))
-    if status < 0:
-        raise MemoryError("split kernel: no memory for its scratch counts")
-    if status > 0:
-        split, half = divmod(status - 1, 2)
-        raise ValueError(f"split {split}: {'pq'[half]} has zero idiom usage")
-    return out
+    lib = _kernels.load()
+
+    def run() -> array:
+        status = lib.split_baseline(
+            address(tokens), address(starts), address(idioms), address(units), len(units),
+            n_support, n_splits, rng.state, address(out))
+        if status < 0:
+            raise MemoryError("split kernel: no memory for its scratch counts")
+        if status > 0:
+            split, half = divmod(status - 1, 2)
+            raise ValueError(f"split {split}: {'pq'[half]} has zero idiom usage")
+        return out
+
+    return run
 
 
 def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> DivergenceResult:
@@ -128,11 +143,12 @@ def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> Diverg
     Over the posts of `counts` (from `count_usages` or `load_streams`), the
     JSD of the two groups' ``idiom_counts`` is contrasted against
     `n_splits` random half-half splits of each group's posts, one
-    `split_baseline` call per group over the corpus-wide span runs.  Group
-    k of ``counts.groups`` draws its splits from ``Pcg64(seed, (k,))``, the
-    seed's k-th spawned child.  The reported p-value is the smoothed
-    fraction of pooled baseline samples at least as large as the observed
-    value; z is measured against a normal fit to the pooled baseline.
+    `split_baseline` per group over the corpus-wide span runs, group b's
+    kernel on a `_kernels.Beside` thread.  Group k of ``counts.groups``
+    draws its splits from ``Pcg64(seed, (k,))``, the seed's k-th spawned
+    child.  The reported p-value is the smoothed fraction of pooled
+    baseline samples at least as large as the observed value; z is
+    measured against a normal fit to the pooled baseline.
     """
     if n_splits < 2:
         raise ValueError("n_splits must be >= 2")
@@ -143,15 +159,24 @@ def divergence_gap_test(counts: GroupCounts, n_splits: int, seed: int) -> Diverg
             raise ValueError(f"group {g!r} has zero idiom usage")
     cross = jsd(total[ga], total[gb])
 
+    def setup(k: int) -> Callable[[], array]:
+        return _setup_split_baseline(counts.token_counts, counts.span_starts,
+                                     counts.span_idioms, counts.posts_of(counts.groups[k]),
+                                     len(counts.idiom_counts), n_splits,
+                                     _kernels.Pcg64(seed, (k,)))
+
+    # group b's splits run on a second thread while group a's run here;
+    # where both fail, group a's error is the one raised
+    beside = _kernels.Beside(lambda: setup(1))
     samples: dict[str, array] = {}
-    for k, g in enumerate((ga, gb)):
-        rng = _kernels.Pcg64(seed, (k,))
-        try:
-            samples[g] = split_baseline(counts.token_counts, counts.span_starts,
-                                        counts.span_idioms, counts.posts_of(g),
-                                        len(counts.idiom_counts), n_splits, rng)
-        except ValueError as exc:  # a half without idiom usage, or too few posts
-            raise ValueError(f"group {g!r}, {exc}") from None
+    try:
+        for g, run in ((ga, lambda: setup(0)()), (gb, beside.result)):
+            try:
+                samples[g] = run()
+            except ValueError as exc:  # a half without idiom usage, or too few posts
+                raise ValueError(f"group {g!r}, {exc}") from None
+    finally:
+        beside.join()
 
     pooled = samples[ga] + samples[gb]
     exceed = sum(value >= cross for value in pooled)

@@ -3,6 +3,8 @@ import json
 import math
 import re
 import shutil
+import threading
+import time
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -28,7 +30,7 @@ from figlex.cli import (
     parse_config_file,
 )
 from figlex.corpus import balance_groups, load_corpus
-from figlex.embeddings import save_vectors, train_sgns
+from figlex.embeddings import save_vectors, setup_sgns, train_sgns
 from figlex.lexicon import load_lexicon
 from figlex.matcher import build_matcher, count_usages
 
@@ -582,9 +584,10 @@ class TestGroupEmbeddings:
         def failing_on_bad_seed(sentences, params):
             if params.seed == bad_seed:
                 raise ValueError("planted failure")
-            return train_sgns(sentences, params)
+            return setup_sgns(sentences, params)
 
-        monkeypatch.setattr(figlex.embeddings, "train_sgns", failing_on_bad_seed)
+        # cmd_analyze sets both spaces up with setup_sgns, then trains them
+        monkeypatch.setattr(figlex.embeddings, "setup_sgns", failing_on_bad_seed)
         with pytest.raises(StageError) as info:
             cmd_analyze(config)
         assert info.value.stage == "embeddings"
@@ -596,6 +599,49 @@ class TestGroupEmbeddings:
         for name in ("divergence.json", "gscore_tokens.csv", "vad_models.json",
                      "literal_baseline.csv"):
             assert config.out_path(name).exists()
+
+    def test_a_failed_run_leaves_no_training_thread(self, tmp_path, monkeypatch):
+        config = build_config({}, medium_inputs(tmp_path))
+        cmd_prepare(config)
+        threads = threading.active_count()
+
+        def slow_setup(sentences, params):
+            run = setup_sgns(sentences, params)
+            return lambda: (time.sleep(0.2), run())[1]
+
+        def failing(*args):
+            raise ValueError("planted failure")
+
+        # training outlasts the failed stage unless cmd_analyze waits for it
+        monkeypatch.setattr(figlex.embeddings, "setup_sgns", slow_setup)
+        monkeypatch.setattr(figlex.stats, "divergence_gap_test", failing)
+        with pytest.raises(StageError) as info:
+            cmd_analyze(config)
+        assert info.value.stage == "divergence"
+        assert threading.active_count() == threads
+
+    def test_one_allowed_cpu_writes_the_same_bytes(self, tmp_path):
+        # the shipped fixture's analyze in a child restricted to one CPU, where
+        # the kernel thread runs unpinned, and in an unrestricted child
+        root = DATA_DIR.parents[1]
+
+        def fixture_run(command, out, *pin):
+            proc = run_python("-c", "import os, sys\n" + "".join(pin) +
+                              "from figlex.cli import main\n"
+                              "sys.exit(main(sys.argv[1:]))",
+                              command, "--config", "tests/data/fixture.conf", "--out", str(out),
+                              cwd=root)
+            assert proc.returncode == 0, proc.stderr
+
+        fixture_run("prepare", tmp_path / "prepared")
+        digests = {}
+        for name, pin in (("one_cpu", "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"),
+                          ("any_cpu", "")):
+            out = shutil.copytree(tmp_path / "prepared", tmp_path / name)
+            fixture_run("analyze", out, pin)
+            digests[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(digests["one_cpu"]) == 22
+        assert digests["one_cpu"] == digests["any_cpu"]
 
 
 class TestPreparedProvenance:
@@ -883,9 +929,8 @@ class TestEmptyVectorFile:
 
 class TestPortableBytes:
     def test_divergence_json_keeps_its_bytes_at_numpy_baseline_simd(self, tmp_path, monkeypatch):
-        # the divergence and its baseline run in C, so numpy's SIMD level,
-        # one of the settings scripts/check_portable_bytes.py varies, cannot
-        # move them
+        # the divergence and its baseline run in C, so numpy's SIMD level
+        # cannot move them
         monkeypatch.delenv("NPY_ENABLE_CPU_FEATURES", raising=False)
 
         def fixture_run(command, out, **variables):

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from array import array
 from pathlib import Path
 
@@ -371,6 +372,105 @@ class TestBuildAndCache:
         built = list((tmp_path / "figlex").iterdir())  # no temporary file left
         assert len(built) == 1
         assert names == [str(built[0])] * 2
+
+    def test_two_threads_build_and_bind_one_library(self, tmp_path):
+        # a compiler that logs each run: two first calls at once compile once
+        log, compiler = tmp_path / "cc.log", tmp_path / "logging-cc"
+        compiler.write_text(f'#!/bin/sh\necho run >> "{log}"\n'
+                            f'exec "{_kernels._find_compiler()}" "$@"\n')
+        compiler.chmod(0o755)
+        script = ("import threading, figlex._kernels as k\n"
+                  "start, got = threading.Barrier(2), []\n"
+                  "def first_call():\n"
+                  "    start.wait()\n"
+                  "    got.append(k.load())\n"
+                  "threads = [threading.Thread(target=first_call) for _ in range(2)]\n"
+                  "for t in threads: t.start()\n"
+                  "for t in threads: t.join()\n"
+                  "print(len(got), got[0] is got[1])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(CC=str(compiler),
+                                            XDG_CACHE_HOME=str(tmp_path / "cache")),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "True"]
+        assert log.read_text().splitlines() == ["run"]
+        assert len(list((tmp_path / "cache" / "figlex").iterdir())) == 1
+
+
+def _sched_getcpu() -> int:
+    return ctypes.CDLL(None).sched_getcpu()
+
+
+class TestBeside:
+    def test_thread_pins_itself_to_a_cpu_other_than_the_callers(self, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip(f"needs two allowed CPUs; this process may use {sorted(allowed)}")
+        other_cpu, chosen = _kernels._other_cpu, []
+
+        def recording_other_cpu():
+            chosen.append((_sched_getcpu(), other_cpu()))
+            return chosen[-1][1]
+
+        monkeypatch.setattr(_kernels, "_other_cpu", recording_other_cpu)
+        affinity = _kernels.Beside(lambda: lambda: os.sched_getaffinity(0)).result()
+        [(caller, cpu)] = chosen
+        assert affinity == {cpu}
+        assert cpu in allowed and cpu != caller
+
+    def test_callers_affinity_is_unchanged(self):
+        before = os.sched_getaffinity(0)
+        assert _kernels.Beside(lambda: lambda: 7).result() == 7
+        assert os.sched_getaffinity(0) == before
+
+    def test_one_allowed_cpu_runs_the_thread_unpinned(self):
+        # a child restricted to one CPU: nothing pins the thread, and the
+        # SGNS kernels give the bytes they give in this process
+        script = ("import hashlib, os, sys\n"
+                  "from figlex import _kernels\n"
+                  "from figlex.config import TrainParams\n"
+                  "from figlex.embeddings import setup_sgns\n"
+                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "pins, pin = [], os.sched_setaffinity\n"
+                  "os.sched_setaffinity = lambda *args: (pins.append(args), pin(*args))\n"
+                  f"sentences = {SENTENCES!r}\n"
+                  "space = _kernels.Beside(lambda: setup_sgns(sentences, TrainParams(dim=8, "
+                  "window=2, epochs=3, min_count=1, seed=9))).result()\n"
+                  "print(_kernels._other_cpu(), pins, "
+                  "hashlib.sha256(space.data.tobytes()).hexdigest())\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        from figlex.config import TrainParams
+        from figlex.embeddings import train_sgns
+
+        here = train_sgns(SENTENCES, TrainParams(dim=8, window=2, epochs=3, min_count=1, seed=9))
+        assert proc.stdout.split() == ["None", "[]",
+                                       hashlib.sha256(here.data.tobytes()).hexdigest()]
+
+    @pytest.mark.parametrize("step", ["prepare", "run"])
+    def test_result_raises_what_either_step_raised(self, step):
+        threads = threading.active_count()
+
+        def prepare():
+            if step == "prepare":
+                raise ValueError("planted in prepare")
+
+            def run():
+                raise ZeroDivisionError("planted in run")
+
+            return run
+
+        beside = _kernels.Beside(prepare)
+        error = ValueError if step == "prepare" else ZeroDivisionError
+        with pytest.raises(error, match=f"^planted in {step}$"):
+            beside.result()
+        assert threading.active_count() == threads
+
+
+SENTENCES = [["the", "cat", "sat", "on", "the", "mat"], ["a", "dog", "sat", "on", "a", "log"],
+             ["the", "dog", "and", "the", "cat"]] * 4
 
 
 # Runs the kernels the pipeline calls on small inputs, each result checked

@@ -165,6 +165,20 @@ class TestDivergenceGapTest:
                 count_usages(build_matcher(lexicon), corpus), n_splits=2, seed=0
             )
 
+    @pytest.mark.parametrize("texts_m, named", [
+        (["over the moon", "calm day", "quiet night"], "M"),  # both groups fail
+        (["over the moon", "under fire"], "F"),  # only the second group fails
+    ], ids=["both", "second"])
+    def test_split_failure_names_the_first_failing_group(self, tmp_path, texts_m, named):
+        # the second group's splits run on another thread; the error is the
+        # one the groups' order gives
+        corpus, lexicon = self.make_inputs(tmp_path, texts_m,
+                                           ["under fire", "calm day", "quiet night"])
+        with pytest.raises(ValueError, match=rf"group '{named}', split 0: [pq] has zero "):
+            divergence_gap_test(
+                count_usages(build_matcher(lexicon), corpus), n_splits=2, seed=0
+            )
+
     @pytest.mark.parametrize("texts_m, texts_f, sign", [
         # each split puts one idiom in each half (JSD 1); the groups match (JSD 0)
         (["we were over the moon", "he was under fire"],
